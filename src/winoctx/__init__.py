@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .scenario import MeasurementScenario, cyclic_structure, maximal_contexts
 from .empirical import Distribution, EmpiricalModel
-from .cbd import CyclicSystem, chsh_violation, cnt1, s_odd, s_odd_closed_form
+from .cbd import CyclicSystem, chsh_violation, cnt1, s_odd
 from .sheaf import contextual_fraction, is_noncontextual
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "EmpiricalModel",
     "CyclicSystem",
     "s_odd",
-    "s_odd_closed_form",
     "cnt1",
     "chsh_violation",
     "contextual_fraction",

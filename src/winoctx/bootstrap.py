@@ -98,13 +98,10 @@ def cycle_order_tallies(
     if structure is None:
         raise BootstrapError("scenario is not cyclic; no canonical tally order")
     ordered = []
-    by_members = {frozenset(ctx): ctx for ctx in tallies}
-    n = structure.rank
-    for i in range(n):
-        members = frozenset((structure.ordering[i], structure.ordering[(i + 1) % n]))
-        if members not in by_members:
-            raise BootstrapError(f"no tally for context {sorted(members)}")
-        ordered.append(tallies[by_members[members]])
+    for ctx in structure.contexts:
+        if ctx not in tallies:
+            raise BootstrapError(f"no tally for context {sorted(ctx)}")
+        ordered.append(tallies[ctx])
     return ordered
 
 
@@ -162,10 +159,7 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
         samples = s_odd_rows(correlations) - float(rank - 2)
     else:
         scenario = _cycle_scenario(rank)
-        contexts = tuple(
-            tuple(sorted(ctx, key=scenario.observables.index))
-            for ctx in ((f"x{i + 1}", f"x{(i + 1) % rank + 1}") for i in range(rank))
-        )
+        contexts = cyclic_structure(scenario).contexts
         n_valid_int = [t.n_valid for t in tallies]
         samples = np.empty(config.n_resamples)
 

@@ -11,6 +11,11 @@ contexts.  Positive cnt1 means contextual.  For rank 4 with delta = 0 this
 is exactly the amount by which the classical correlation bound (2) is
 exceeded, so `cnt1` and `chsh_violation` agree digit for digit on
 non-signalling input.
+
+s_odd <= n - 2 are the n-cycle noncontextuality facets (Araujo et al.,
+PRA 88, 022118, 2013).  s_odd and the sign pattern attaining it have an
+O(n) closed form (`chsh_pattern`); the sign-vector enumeration lives only
+in the test oracles.
 """
 
 from __future__ import annotations
@@ -34,38 +39,11 @@ class CyclicSystemError(ValueError):
 def s_odd(values: Sequence[float]) -> float:
     """Max of sum(sign_j * v_j) over sign vectors with an odd number of -1s.
 
-    Exhaustive over all 2^(k-1) odd-parity sign vectors; the reference
-    implementation that the closed form is tested against.
-    """
-    v = np.asarray(values, dtype=float)
-    k = v.size
-    if k < 1:
-        raise CyclicSystemError("s_odd needs at least one value")
-    if k > MAX_RANK:
-        raise CyclicSystemError(f"enumeration capped at {MAX_RANK} values, got {k}")
-    best = -math.inf
-    for mask in range(1 << k):
-        if bin(mask).count("1") % 2 == 1:
-            total = math.fsum(-v[j] if mask >> j & 1 else v[j] for j in range(k))
-            best = max(best, total)
-    return best
-
-
-def s_odd_closed_form(values: Sequence[float]) -> float:
-    """s_odd without enumeration.
-
-    Flipping the sign on every negative entry yields sum |v_j|; if that used
-    an even number of flips, one extra flip is forced and it is cheapest on
-    the smallest |v_j|.
+    Sums the terms of the maximising pattern from `chsh_pattern` with
+    math.fsum, so the result is the correctly rounded exact maximum.
     """
     v = [float(x) for x in values]
-    if not v:
-        raise CyclicSystemError("s_odd needs at least one value")
-    magnitudes = [abs(x) for x in v]
-    negatives = sum(1 for x in v if x < 0)
-    if negatives % 2 == 1:
-        return math.fsum(magnitudes)
-    return math.fsum(magnitudes + [-2.0 * min(magnitudes)])
+    return math.fsum(s * x for s, x in zip(chsh_pattern(v), v))
 
 
 def s_odd_rows(rows: np.ndarray) -> np.ndarray:
@@ -114,21 +92,21 @@ class CyclicSystem:
     def from_model(cls, model: EmpiricalModel) -> "CyclicSystem":
         structure = cyclic_structure(model.scenario)
         if structure is None:
-            raise CyclicSystemError("model's scenario is not a cycle of binary contexts")
+            raise CyclicSystemError("scenario has no cyclic structure")
+        outcomes = model.scenario.outcomes
+        if len(outcomes) != 2:
+            raise CyclicSystemError(
+                f"{len(outcomes)} outcomes {list(outcomes)}: CbD needs a binary outcome set"
+            )
         order = structure.ordering
-        n = structure.rank
-        by_members = {frozenset(ctx): ctx for ctx in model.contexts}
-        contexts = []
-        for i in range(n):
-            members = frozenset((order[i], order[(i + 1) % n]))
-            contexts.append(by_members[members])
+        contexts = structure.contexts
         sign = model.sign
         correlations = tuple(
             model.distribution(ctx).correlation(sign) for ctx in contexts
         )
         expectations = []
         for i, content in enumerate(order):
-            before = contexts[(i - 1) % n]
+            before = contexts[i - 1]
             after = contexts[i]
             expectations.append(
                 (
@@ -138,7 +116,7 @@ class CyclicSystem:
             )
         return cls(
             contents=order,
-            contexts=tuple(contexts),
+            contexts=contexts,
             correlations=correlations,
             expectations=tuple(expectations),
         )
@@ -158,35 +136,41 @@ class CyclicSystem:
     def contextual(self) -> bool:
         return self.cnt1 > 0.0
 
+    @property
+    def violation(self) -> float:
+        """Excess of the best odd-signed correlation sum over the classical
+        bound of 2.  Defined for rank-4 cycles only; negative means no
+        violation."""
+        if self.rank != 4:
+            raise CyclicSystemError(
+                f"correlation-bound statistic needs a rank-4 cycle, got rank {self.rank}"
+            )
+        return s_odd(self.correlations) - 2
+
 
 def cnt1(model: EmpiricalModel) -> float:
     return CyclicSystem.from_model(model).cnt1
 
 
 def chsh_violation(model: EmpiricalModel) -> float:
-    """Excess of the best odd-signed correlation sum over the classical
-    bound of 2.  Defined for rank-4 cycles only; negative means no
-    violation."""
-    system = CyclicSystem.from_model(model)
-    if system.rank != 4:
-        raise CyclicSystemError(
-            f"correlation-bound statistic needs a rank-4 cycle, got rank {system.rank}"
-        )
-    return s_odd(system.correlations) - 2
+    """The rank-4 `CyclicSystem.violation` of a model."""
+    return CyclicSystem.from_model(model).violation
 
 
-def chsh_pattern(correlations: Sequence[float]) -> tuple[int, ...]:
-    """The odd-parity sign vector attaining s_odd (certificate for reports)."""
-    v = [float(x) for x in correlations]
-    best = None
-    best_val = -math.inf
-    k = len(v)
-    for mask in range(1 << k):
-        if bin(mask).count("1") % 2 == 1:
-            signs = tuple(-1 if mask >> j & 1 else 1 for j in range(k))
-            total = math.fsum(s * x for s, x in zip(signs, v))
-            if total > best_val:
-                best_val = total
-                best = signs
-    assert best is not None
-    return best
+def chsh_pattern(values: Sequence[float]) -> tuple[int, ...]:
+    """The odd-parity sign vector attaining s_odd (certificate for reports).
+
+    Flipping the sign of every negative entry yields sum |v_j|; if that
+    flips an even number, one more flip is forced and it is cheapest on a
+    least-|v_j| entry.  Among maximising patterns the one with the lowest
+    bitmask (bit j set when entry j is flipped) is returned.
+    """
+    v = [float(x) for x in values]
+    if not v:
+        raise CyclicSystemError("s_odd needs at least one value")
+    mask = sum(1 << j for j, x in enumerate(v) if x < 0)
+    if mask.bit_count() % 2 == 0:
+        least = min(abs(x) for x in v)
+        ties = (1 << j for j, x in enumerate(v) if abs(x) == least)
+        mask ^= min(ties, key=mask.__xor__)
+    return tuple(-1 if mask >> j & 1 else 1 for j in range(len(v)))

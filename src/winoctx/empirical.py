@@ -62,7 +62,7 @@ class Distribution:
                 )
         table = {o: float(probs.get(o, 0.0)) for o in full}
         for o, p in table.items():
-            if p < -tol or p > 1.0 + tol:
+            if not -tol <= p <= 1.0 + tol:  # written so that NaN fails it
                 raise EmpiricalModelError(
                     f"probability {p!r} for {o!r} in context {context!r} out of range"
                 )

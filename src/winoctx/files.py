@@ -115,7 +115,14 @@ def _parse_probs(raw: Any, context: tuple[str, ...]) -> dict[tuple[str, ...], fl
             f"prob {key!r} of context {context} is not a number",
         )
         _require(joint not in probs, f"duplicate prob key {key!r} in context {context}")
-        probs[joint] = float(value)
+        try:
+            prob = float(value)
+        except OverflowError:
+            raise FileFormatError(
+                f"prob {key!r} of context {context} is too large for a float"
+            ) from None
+        _require(math.isfinite(prob), f"prob {key!r} of context {context} is not finite")
+        probs[joint] = prob
     return probs
 
 
@@ -123,7 +130,10 @@ def _renormalize(probs: dict[tuple[str, ...], float]) -> dict[tuple[str, ...], f
     """Rescale rows that miss 1 by a rounding-artifact amount (published
     tables often sum to 0.998); rows already within validation tolerance
     are left untouched bit-for-bit."""
-    total = math.fsum(probs.values())
+    try:
+        total = math.fsum(probs.values())
+    except OverflowError:  # entries near the float limit; the range check rejects them
+        return probs
     if total > 0 and 1e-9 < abs(total - 1.0) <= RENORM_BAND:
         return {k: v / total for k, v in probs.items()}
     return probs

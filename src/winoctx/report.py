@@ -2,7 +2,7 @@
 
 The same report renders as text (numbers at 6 decimal places) or as a dict
 for JSON output; both carry identical values.  Measures that do not apply
-(no cyclic structure, enumeration cap exceeded) are omitted and explained
+(no binary cyclic structure, assignment cap exceeded) are omitted and explained
 in `notices` instead of failing the whole analysis.
 """
 
@@ -176,14 +176,15 @@ def build_report(
     verdict_cbd: Optional[bool] = None
     try:
         system = cbd.CyclicSystem.from_model(model)
-    except cbd.CyclicSystemError:
+    except cbd.CyclicSystemError as exc:
         system = None
-        notices.append("scenario has no cyclic structure; CbD measures omitted")
+        notices.append(f"{exc}; CbD measures omitted")
     if system is not None:
+        cnt1 = system.cnt1
         violation = None
         signs = None
         if system.rank == 4:
-            violation = cbd.s_odd(system.correlations) - 2
+            violation = system.violation
             signs = cbd.chsh_pattern(system.correlations)
         else:
             notices.append(
@@ -195,16 +196,16 @@ def build_report(
             contexts=system.contexts,
             correlations=system.correlations,
             delta=system.delta,
-            cnt1=system.cnt1,
+            cnt1=cnt1,
             violation=violation,
             signs=signs,
         )
-        verdict_cbd = system.cnt1 > 0
+        verdict_cbd = cnt1 > 0
 
     cf_report: Optional[CfReport] = None
     verdict_sheaf: Optional[bool] = None
     try:
-        result = sheaf.contextual_fraction(model, tol)
+        result = sheaf.contextual_fraction(model)
     except (sheaf.ScenarioTooLargeError, LpSizeError) as exc:
         notices.append(f"contextual fraction omitted: {exc}")
     else:
@@ -212,9 +213,9 @@ def build_report(
             cf=result.cf,
             ncf_weight=result.ncf_weight,
             gap=result.gap,
-            reliable=result.reliable,
+            reliable=non_signalling,
         )
-        if result.reliable:
+        if non_signalling:
             verdict_sheaf = result.cf > 0
         else:
             notices.append(

@@ -43,16 +43,16 @@ class ValidationReport:
 @dataclass(frozen=True)
 class CyclicStructure:
     """A cyclic arrangement of contents: consecutive pairs along `ordering`
-    (wrapping around) are exactly the maximal contexts of the scenario."""
+    (wrapping around) are exactly the maximal contexts of the scenario.
+
+    contexts[i] is the pair (ordering[i], ordering[i+1]) with its members in
+    scenario declaration order, the same tuple the scenario's models key
+    their distributions by.
+    """
 
     rank: int
     ordering: tuple[Observable, ...]
-
-    def edges(self) -> tuple[frozenset[Observable], ...]:
-        n = self.rank
-        return tuple(
-            frozenset((self.ordering[i], self.ordering[(i + 1) % n])) for i in range(n)
-        )
+    contexts: tuple[Context, ...]
 
 
 def complete_downward(faces: Iterable[Iterable[Observable]]) -> frozenset[Face]:
@@ -198,7 +198,8 @@ def cyclic_structure(scenario: MeasurementScenario) -> Optional[CyclicStructure]
     observable lies in exactly 2 contexts, and the contexts form one cycle.
 
     Returns the canonical ordering (starting from the least observable in
-    declaration order, stepping toward its lesser neighbor) or None.
+    declaration order, stepping toward its lesser neighbor) with its contexts
+    in cycle order, or None.
     """
     contexts = maximal_contexts(scenario)
     if any(len(ctx) != 2 for ctx in contexts):
@@ -226,4 +227,11 @@ def cyclic_structure(scenario: MeasurementScenario) -> Optional[CyclicStructure]
         current = nxt[0]
     if len(ordering) != len(scenario.observables):
         return None  # more than one cycle component
-    return CyclicStructure(rank=len(ordering), ordering=tuple(ordering))
+    n = len(ordering)
+    return CyclicStructure(
+        rank=n,
+        ordering=tuple(ordering),
+        contexts=tuple(
+            scenario.order_face((ordering[i], ordering[(i + 1) % n])) for i in range(n)
+        ),
+    )

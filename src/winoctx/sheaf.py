@@ -10,6 +10,9 @@ mass can such a global distribution explain?
 where M is the 0/1 incidence of assignments against (context, outcome)
 rows and b stacks the empirical probabilities.  cf = 1 - optimum.  Every
 solve carries a dual certificate; `CfResult.gap` reports how tight it is.
+The same program answers the yes/no question too: a non-signalling model
+is noncontextual iff cf = 0, so `is_noncontextual` reads its verdict and
+witness off this solve.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .empirical import EmpiricalModel, outcome_tuples, signalling
-from .linprog import INFEASIBLE, OPTIMAL, LpProblem, solve
+from .linprog import OPTIMAL, LpProblem, solve
 from .scenario import Context, MeasurementScenario, maximal_contexts
 
 MAX_ASSIGNMENTS = 65536
@@ -80,14 +83,19 @@ def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
 
 @dataclass(frozen=True)
 class CfResult:
+    """The consistency program's optimum and its certificate.
+
+    Meaningful (in [0, 1], convex, 0 iff noncontextual) only for
+    non-signalling input; the LP value is returned regardless, and callers
+    that may see signalling models check `empirical.signalling` themselves.
+    """
+
     cf: float
     ncf_weight: float                      # LP optimum, the explainable mass
     witness: np.ndarray                    # sub-distribution over assignments
     assignments: tuple[tuple[str, ...], ...]
     dual_certificate: np.ndarray           # row multipliers proving optimality
     gap: float                             # |primal - dual|, should be <= 1e-7
-    signalling: float                      # max marginal mismatch of the input
-    reliable: bool                         # False when the input signals
 
 
 def _rhs(model: EmpiricalModel, system: IncidenceSystem) -> np.ndarray:
@@ -97,11 +105,9 @@ def _rhs(model: EmpiricalModel, system: IncidenceSystem) -> np.ndarray:
     return np.maximum(b, 0.0)
 
 
-def contextual_fraction(model: EmpiricalModel, tol: float = 1e-9) -> CfResult:
+def contextual_fraction(model: EmpiricalModel) -> CfResult:
     """Largest sub-probability explainable by global assignments; cf is the
-    rest.  Well-behaved (in [0, 1], convex, 0 iff noncontextual) only for
-    non-signalling models; `reliable` is False otherwise but the LP value is
-    still returned."""
+    rest."""
     system = incidence(model.scenario)
     b = _rhs(model, system)
     n = system.matrix.shape[1]
@@ -116,7 +122,6 @@ def contextual_fraction(model: EmpiricalModel, tol: float = 1e-9) -> CfResult:
         # M w <= b with w >= 0 always admits w = 0 and sum(w) <= 1.
         raise RuntimeError(f"consistency program ended {solution.status}; cannot happen")
     explained = min(solution.objective_value, 1.0)
-    sig = signalling(model).max_discrepancy
     return CfResult(
         cf=1.0 - explained,
         ncf_weight=explained,
@@ -124,8 +129,6 @@ def contextual_fraction(model: EmpiricalModel, tol: float = 1e-9) -> CfResult:
         assignments=system.assignments,
         dual_certificate=solution.dual,
         gap=solution.gap,
-        signalling=sig,
-        reliable=sig <= tol,
     )
 
 
@@ -134,10 +137,13 @@ def is_noncontextual(
 ) -> tuple[bool, Optional[dict[tuple[str, ...], float]]]:
     """Does some global distribution reproduce every context exactly?
 
-    Feasibility is checked with a +-tol band around each empirical
-    probability so that honest float rounding does not flip the verdict.
-    Signalling models are refused: no global distribution can match
-    marginals that disagree with each other.
+    Read off the contextual fraction: a non-signalling model is
+    noncontextual iff cf = 0 (Abramsky, Barbosa, Mansfield, PRL 119,
+    050504, 2017), decided here as cf <= tol so that honest float rounding
+    does not flip the verdict.  The witness is the LP's explaining
+    sub-distribution rescaled to total mass 1.  Signalling models are
+    refused: no global distribution can match marginals that disagree with
+    each other.
     """
     sig = signalling(model).max_discrepancy
     if sig > tol:
@@ -145,21 +151,12 @@ def is_noncontextual(
             f"marginals disagree by {sig:.3e} (> {tol:.1e}); "
             "global-distribution question is void"
         )
-    system = incidence(model.scenario)
-    b = _rhs(model, system)
-    m, n = system.matrix.shape
-    lhs = np.vstack([system.matrix, -system.matrix, np.ones((1, n))])
-    rhs = np.concatenate([b + tol, -(b - tol), [1.0]])
-    relations = ("<=",) * (2 * m) + ("=",)
-    problem = LpProblem(
-        objective=np.zeros(n), lhs=lhs, rhs=rhs, relations=relations
-    )
-    solution = solve(problem)
-    if solution.status == INFEASIBLE:
+    result = contextual_fraction(model)
+    if result.cf > tol:
         return False, None
     weights = {
-        assignment: float(w)
-        for assignment, w in zip(system.assignments, solution.x)
+        assignment: float(w) / result.ncf_weight
+        for assignment, w in zip(result.assignments, result.witness)
         if w > 0.0
     }
     return True, weights

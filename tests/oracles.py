@@ -110,3 +110,21 @@ def s_odd_by_enumeration(values) -> float:
         if best is None or total > best:
             best = total
     return best
+
+
+def chsh_patterns_by_enumeration(vectors) -> np.ndarray:
+    """Per row of `vectors`, the odd-parity sign vector with the largest
+    sum; among ties the lowest bitmask (bit j set when entry j is negated).
+
+    Candidates are listed in increasing bitmask order and argmax keeps the
+    first maximum.  Ties are exact only where the row sums are exact in
+    floating point, e.g. on a grid of multiples of 0.5.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    k = vectors.shape[1]
+    signs = np.array([
+        [-1 if mask >> j & 1 else 1 for j in range(k)]
+        for mask in range(1 << k)
+        if bin(mask).count("1") % 2 == 1
+    ])
+    return signs[np.argmax(vectors @ signs.T, axis=1)]

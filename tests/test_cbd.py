@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_symmetric_model
-from oracles import s_odd_by_enumeration
+from oracles import chsh_patterns_by_enumeration, s_odd_by_enumeration
 from winoctx.cbd import (
     CyclicSystem,
     CyclicSystemError,
@@ -11,7 +13,6 @@ from winoctx.cbd import (
     chsh_violation,
     cnt1,
     s_odd,
-    s_odd_closed_form,
     s_odd_rows,
 )
 from winoctx.empirical import EmpiricalModel
@@ -34,8 +35,14 @@ def test_s_odd_judgment_correlations():
 def test_s_odd_rejects_empty_and_oversized():
     with pytest.raises(CyclicSystemError):
         s_odd(())
-    with pytest.raises(CyclicSystemError):
-        s_odd((0.5,) * 33)
+    contents = tuple(f"c{i}" for i in range(33))
+    with pytest.raises(CyclicSystemError, match="rank capped at 32"):
+        CyclicSystem(
+            contents=contents,
+            contexts=tuple((contents[i], contents[(i + 1) % 33]) for i in range(33)),
+            correlations=(0.5,) * 33,
+            expectations=((0.0, 0.0),) * 33,
+        )
 
 
 @given(
@@ -46,9 +53,8 @@ def test_s_odd_rejects_empty_and_oversized():
     )
 )
 def test_closed_form_matches_enumeration(values):
-    enumerated = s_odd(values)
-    assert s_odd_closed_form(values) == pytest.approx(enumerated, abs=1e-12)
-    assert s_odd_by_enumeration(values) == pytest.approx(enumerated, abs=1e-12)
+    enumerated = s_odd_by_enumeration(values)
+    assert s_odd(values) == pytest.approx(enumerated, abs=1e-12)
     # never exceeds the magnitude sum; hits it exactly when the negative
     # count is odd (entries are bounded away from 0, so no ties)
     magnitude = sum(abs(v) for v in values)
@@ -192,3 +198,13 @@ def test_chsh_pattern_is_odd_and_maximizing():
     assert sum(1 for s in signs if s < 0) % 2 == 1
     value = sum(s * c for s, c in zip(signs, corr))
     assert value == pytest.approx(s_odd(corr), abs=1e-12)
+
+
+def test_chsh_pattern_breaks_ties_toward_lowest_bitmask():
+    # entries of a half-step grid sum exactly, so ties are exact ties
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    for k in range(3, 7):
+        vectors = np.array(list(itertools.product(grid, repeat=k)))
+        expected = chsh_patterns_by_enumeration(vectors)
+        got = np.array([chsh_pattern(v) for v in vectors])
+        assert np.array_equal(got, expected), k

@@ -147,6 +147,43 @@ def test_analyze_non_cyclic_model_omits_cbd_with_notice(tmp_path, capsys):
     assert "contextual fraction: 0.000000" in out
 
 
+def test_analyze_three_outcome_cycle_omits_cbd_with_notice(tmp_path, capsys):
+    outcomes = ["0", "1", "2"]
+    uniform = {f"{a}|{b}": 1 / 9 for a in outcomes for b in outcomes}
+    contexts = [["a1", "b1"], ["b1", "a2"], ["a2", "b2"], ["a1", "b2"]]
+    doc = {
+        "scenario": {"observables": ["a1", "b1", "a2", "b2"],
+                     "contexts": contexts, "outcomes": outcomes},
+        "distributions": [{"context": c, "probs": uniform} for c in contexts],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert "cyclic" not in report
+    assert report["contextual_fraction"]["cf"] == 0.0
+    assert any("binary outcome set" in n and "CbD measures omitted" in n
+               for n in report["notices"])
+
+
+@pytest.mark.parametrize("value, message", [
+    ("NaN", "not finite"),
+    ("1" + "0" * 400, "too large"),
+])
+def test_analyze_rejects_non_finite_probability(tmp_path, capsys, value, message):
+    path = tmp_path / "model.json"
+    path.write_text(
+        open(fx("uniform_model.json"), encoding="utf-8").read()
+        .replace("0.25", value, 1)
+        .replace('"chsh_scenario.json"', json.dumps(fx("chsh_scenario.json")))
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_compile_and_analyze_share_context_labels(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "schema", fx("cannibal_schema.json"), "--compile")
     assert code == 0

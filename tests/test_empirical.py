@@ -82,6 +82,11 @@ def test_distribution_rejects_negative_and_unnormalized():
         Distribution.from_mapping(
             context=("p",), outcome_set=("A", "B"), probs={("A",): 0.7}
         )
+    with pytest.raises(EmpiricalModelError, match="out of range"):
+        Distribution.from_mapping(
+            context=("p",), outcome_set=("A", "B"),
+            probs={("A",): float("nan"), ("B",): 1.0},
+        )
     with pytest.raises(EmpiricalModelError):
         Distribution.from_mapping(
             context=("p", "q"), outcome_set=("A", "B"), probs={("A",): 1.0}

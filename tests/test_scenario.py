@@ -154,11 +154,11 @@ def test_cyclic_structure_chsh():
     assert structure is not None
     assert structure.rank == 4
     assert structure.ordering == ("a1", "b1", "a2", "b2")
-    assert structure.edges() == (
-        frozenset({"a1", "b1"}),
-        frozenset({"b1", "a2"}),
-        frozenset({"a2", "b2"}),
-        frozenset({"b2", "a1"}),
+    assert structure.contexts == (
+        ("a1", "b1"),
+        ("b1", "a2"),
+        ("a2", "b2"),
+        ("a1", "b2"),
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_symmetric_model, symmetric_tables
 from winoctx.cbd import chsh_violation
 from winoctx.empirical import EmpiricalModel, from_global_weights, outcome_tuples
+from winoctx.report import build_report
 from winoctx.scenario import MeasurementScenario, maximal_contexts
 from winoctx.sheaf import (
     ScenarioTooLargeError,
@@ -62,7 +63,6 @@ def test_pr_box_fully_contextual(pr_model):
     assert result.cf == pytest.approx(1.0, abs=1e-9)
     assert result.ncf_weight == pytest.approx(0.0, abs=1e-9)
     assert result.gap <= 1e-7
-    assert result.reliable
 
 
 def test_bell_model_quarter(bell_model):
@@ -166,23 +166,33 @@ def test_cf_zero_iff_noncontextual(chsh_scenario):
         assert (cf <= 1e-9) == verdict
 
 
-def test_signalling_model_refused():
+def signalling_model():
     scenario = MeasurementScenario.from_maximal(
         observables=("a1", "b1", "b2"),
         maximal_faces=[("a1", "b1"), ("a1", "b2")],
         outcomes=("0", "1"),
     )
-    model = EmpiricalModel.build(
+    return EmpiricalModel.build(
         scenario,
         {
             ("a1", "b1"): {("0", "0"): 0.9, ("1", "0"): 0.1},
             ("a1", "b2"): {("0", "0"): 0.5, ("1", "0"): 0.5},
         },
     )
+
+
+def test_signalling_model_refused():
     with pytest.raises(SignallingModelError):
-        is_noncontextual(model)
-    result = contextual_fraction(model)
-    assert not result.reliable
+        is_noncontextual(signalling_model())
+
+
+def test_report_marks_cf_of_signalling_model_unreliable(pr_model):
+    report = build_report(signalling_model())
+    assert report.cf is not None and not report.cf.reliable
+    assert report.verdict_sheaf is None
+    assert any("verdict withheld" in notice for notice in report.notices)
+    report = build_report(pr_model)
+    assert report.cf.reliable and report.verdict_sheaf is True
 
 
 def test_mixture_of_global_weights_noncontextual(chsh_scenario):
