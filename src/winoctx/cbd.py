@@ -29,8 +29,6 @@ import numpy as np
 from .empirical import EmpiricalModel
 from .scenario import Context, Observable, cyclic_structure
 
-MAX_RANK = 32
-
 
 class CyclicSystemError(ValueError):
     pass
@@ -83,8 +81,6 @@ class CyclicSystem:
         n = len(self.contents)
         if n < 3:
             raise CyclicSystemError(f"cyclic systems need rank >= 3, got {n}")
-        if n > MAX_RANK:
-            raise CyclicSystemError(f"rank capped at {MAX_RANK}, got {n}")
         if not (len(self.contexts) == len(self.correlations) == len(self.expectations) == n):
             raise CyclicSystemError("contents/contexts/correlations/expectations must align")
 

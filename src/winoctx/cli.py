@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,13 +48,20 @@ from .schema import (
     ws_scenario,
 )
 
-STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError)
+STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError, UnicodeDecodeError)
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # written so that NaN fails it
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report style (default text)")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="signalling tolerance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0,
                         help="resampling seed (bootstrap only)")

@@ -215,18 +215,6 @@ def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
     return True
 
 
-def expectation(model: EmpiricalModel, context: Context, observable: str) -> float:
-    return model.distribution(context).expectation(observable, model.sign)
-
-
-def correlation(model: EmpiricalModel, context: Context) -> float:
-    if len(context) != 2:
-        raise EmpiricalModelError(
-            f"correlation is a pairwise statistic, context {context!r} has {len(context)} members"
-        )
-    return model.distribution(context).correlation(model.sign)
-
-
 def from_global_weights(
     scenario: MeasurementScenario,
     weights: Mapping[tuple[str, ...], float],

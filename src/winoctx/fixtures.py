@@ -15,7 +15,3 @@ def fixture_path(name: str) -> Path:
         available = ", ".join(sorted(p.name for p in Path(str(_ROOT)).iterdir()))
         raise FileNotFoundError(f"no fixture {name!r}; bundled: {available}")
     return path
-
-
-def list_fixtures() -> list[str]:
-    return sorted(p.name for p in Path(str(_ROOT)).iterdir() if p.is_file())

@@ -8,7 +8,8 @@ entering and leaving choice, which rules out cycling.  Duals are read off
 the final objective row so every optimum ships with a certificate; callers
 are expected to check `LpSolution.gap`.
 
-Problems beyond 1024 rows or 1024 structural variables are refused.
+Problems beyond 1024 rows or 1024 structural variables are refused by
+`check_size`, the package's one limit on LP size.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ class LpNumericalError(LpError):
     """The solve finished in a state that fails its own sanity checks."""
 
 
+def check_size(m: int, n: int) -> None:
+    """Refuse a problem of m rows and n structural variables beyond the cap."""
+    if m > MAX_SIZE or n > MAX_SIZE:
+        raise LpSizeError(f"{m}x{n} problem exceeds the {MAX_SIZE}x{MAX_SIZE} cap")
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """max objective.x  s.t.  lhs x (relations) rhs,  x >= 0."""
@@ -69,8 +76,7 @@ class LpProblem:
         bad = set(rels) - {LEQ, EQ}
         if bad:
             raise LpError(f"unsupported relations: {sorted(bad)}")
-        if m > MAX_SIZE or n > MAX_SIZE:
-            raise LpSizeError(f"{m}x{n} problem exceeds the {MAX_SIZE}x{MAX_SIZE} cap")
+        check_size(m, n)
         if not (np.isfinite(obj).all() and np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             raise LpError("non-finite coefficients")
         object.__setattr__(self, "objective", obj)

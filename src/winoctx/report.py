@@ -2,7 +2,7 @@
 
 The same report renders as text (numbers at 6 decimal places) or as a dict
 for JSON output; both carry identical values.  Measures that do not apply
-(no binary cyclic structure, assignment cap exceeded) are omitted and explained
+(no binary cyclic structure, LP size cap exceeded) are omitted and explained
 in `notices` instead of failing the whole analysis.
 """
 
@@ -206,7 +206,7 @@ def build_report(
     verdict_sheaf: Optional[bool] = None
     try:
         result = sheaf.contextual_fraction(model)
-    except (sheaf.ScenarioTooLargeError, LpSizeError) as exc:
+    except LpSizeError as exc:
         notices.append(f"contextual fraction omitted: {exc}")
     else:
         cf_report = CfReport(

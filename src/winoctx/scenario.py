@@ -23,6 +23,9 @@ Context = tuple[Observable, ...]
 
 Face = frozenset
 
+# Cap on observables per scenario and members per face (2**members subsets)
+MAX_OBSERVABLES = 16
+
 
 class InvalidScenarioError(ValueError):
     """An operation required a well-formed scenario and got an invalid one."""
@@ -56,10 +59,15 @@ class CyclicStructure:
 
 
 def complete_downward(faces: Iterable[Iterable[Observable]]) -> frozenset[Face]:
-    """Close a set of faces under taking subsets (including the empty face)."""
+    """Close a set of faces under taking subsets (including the empty face).
+    A face over MAX_OBSERVABLES members is refused before enumeration."""
     completed: set[Face] = {frozenset()}
     for face in faces:
         members = tuple(face)
+        if len(members) > MAX_OBSERVABLES:
+            raise InvalidScenarioError(
+                f"face of {len(members)} members exceeds the supported {MAX_OBSERVABLES}"
+            )
         for r in range(1, len(members) + 1):
             completed.update(frozenset(c) for c in combinations(members, r))
     return frozenset(completed)
@@ -135,10 +143,9 @@ def validate(scenario: MeasurementScenario) -> ValidationReport:
         seen.add(obs)
     if not scenario.observables:
         problems.append("scenario declares no observables")
-    if len(scenario.observables) > 16:
+    if len(scenario.observables) > MAX_OBSERVABLES:
         problems.append(
-            f"{len(scenario.observables)} observables exceed the supported 16 "
-            "(global-assignment enumeration would blow past its cap)"
+            f"{len(scenario.observables)} observables exceed the supported {MAX_OBSERVABLES}"
         )
 
     if len(set(scenario.outcomes)) < 2:

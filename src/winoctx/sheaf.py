@@ -10,6 +10,8 @@ mass can such a global distribution explain?
 where M is the 0/1 incidence of assignments against (context, outcome)
 rows and b stacks the empirical probabilities.  cf = 1 - optimum.  Every
 solve carries a dual certificate; `CfResult.gap` reports how tight it is.
+Both counts, rows and assignments, must stay within `linprog.MAX_SIZE`
+(1024, so binary cycles up to rank 10); `incidence` checks them first.
 The same program answers the yes/no question too: a non-signalling model
 is noncontextual iff cf = 0, so `is_noncontextual` reads its verdict and
 witness off this solve.
@@ -24,14 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .empirical import EmpiricalModel, outcome_tuples, signalling
-from .linprog import OPTIMAL, LpProblem, solve
+from .linprog import OPTIMAL, LpProblem, check_size, solve
 from .scenario import Context, MeasurementScenario, maximal_contexts
-
-MAX_ASSIGNMENTS = 65536
-
-
-class ScenarioTooLargeError(ValueError):
-    """The scenario's global-assignment space exceeds the documented cap."""
 
 
 class SignallingModelError(ValueError):
@@ -43,13 +39,7 @@ def global_assignments(scenario: MeasurementScenario) -> list[tuple[str, ...]]:
 
     Enumerated lexicographically in outcome declaration order.
     """
-    n = len(scenario.observables)
-    count = len(scenario.outcomes) ** n
-    if count > MAX_ASSIGNMENTS:
-        raise ScenarioTooLargeError(
-            f"{count} global assignments exceed the cap of {MAX_ASSIGNMENTS}"
-        )
-    return list(product(scenario.outcomes, repeat=n))
+    return list(product(scenario.outcomes, repeat=len(scenario.observables)))
 
 
 @dataclass(frozen=True)
@@ -64,18 +54,26 @@ class IncidenceSystem:
 
 
 def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
+    """The cf program's matrix.  Its shape is checked against the LP cap
+    before any row or assignment is enumerated."""
+    contexts = maximal_contexts(scenario)
+    k = len(scenario.outcomes)
+    n = len(scenario.observables)
+    m = sum(k ** len(ctx) for ctx in contexts)
+    check_size(m, k**n)
     assignments = global_assignments(scenario)
+    # digits[i, g] is observable i's outcome index under assignment g, in
+    # the lexicographic order of `global_assignments`
+    digits = np.indices((k,) * n).reshape(n, -1)
+    columns = np.arange(k**n)
     order = {obs: i for i, obs in enumerate(scenario.observables)}
     rows: list[tuple[Context, tuple[str, ...]]] = []
-    for ctx in maximal_contexts(scenario):
-        for joint in outcome_tuples(scenario.outcomes, len(ctx)):
-            rows.append((ctx, joint))
-    matrix = np.zeros((len(rows), len(assignments)))
-    for g, assignment in enumerate(assignments):
-        for r, (ctx, joint) in enumerate(rows):
-            restricted = tuple(assignment[order[obs]] for obs in ctx)
-            if restricted == joint:
-                matrix[r, g] = 1.0
+    matrix = np.zeros((m, k**n))
+    for ctx in contexts:
+        # each assignment's joint outcome on ctx, numbered from ctx's first row
+        joint = np.ravel_multi_index(digits[[order[obs] for obs in ctx]], (k,) * len(ctx))
+        matrix[len(rows) + joint, columns] = 1.0
+        rows.extend((ctx, outcome) for outcome in outcome_tuples(scenario.outcomes, len(ctx)))
     return IncidenceSystem(
         rows=tuple(rows), assignments=tuple(assignments), matrix=matrix
     )

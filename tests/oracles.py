@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from winoctx.linprog import LpProblem
+from winoctx.scenario import maximal_contexts
 
 
 def brute_force_lp(problem: LpProblem):
@@ -128,3 +129,21 @@ def chsh_patterns_by_enumeration(vectors) -> np.ndarray:
         if bin(mask).count("1") % 2 == 1
     ])
     return signs[np.argmax(vectors @ signs.T, axis=1)]
+
+
+def incidence_by_loop(scenario):
+    """(rows, assignments, matrix) of the cf program, one cell at a time:
+    every assignment restricted to every (context, joint outcome) row."""
+    order = {obs: i for i, obs in enumerate(scenario.observables)}
+    assignments = list(itertools.product(scenario.outcomes, repeat=len(order)))
+    rows = [
+        (ctx, joint)
+        for ctx in maximal_contexts(scenario)
+        for joint in itertools.product(scenario.outcomes, repeat=len(ctx))
+    ]
+    matrix = np.zeros((len(rows), len(assignments)))
+    for g, assignment in enumerate(assignments):
+        for r, (ctx, joint) in enumerate(rows):
+            if tuple(assignment[order[obs]] for obs in ctx) == joint:
+                matrix[r, g] = 1.0
+    return tuple(rows), tuple(assignments), matrix

@@ -35,14 +35,6 @@ def test_s_odd_judgment_correlations():
 def test_s_odd_rejects_empty_and_oversized():
     with pytest.raises(CyclicSystemError):
         s_odd(())
-    contents = tuple(f"c{i}" for i in range(33))
-    with pytest.raises(CyclicSystemError, match="rank capped at 32"):
-        CyclicSystem(
-            contents=contents,
-            contexts=tuple((contents[i], contents[(i + 1) % 33]) for i in range(33)),
-            correlations=(0.5,) * 33,
-            expectations=((0.0, 0.0),) * 33,
-        )
 
 
 @given(

@@ -174,7 +174,7 @@ def test_analyze_three_outcome_cycle_omits_cbd_with_notice(tmp_path, capsys):
 def test_analyze_rejects_non_finite_probability(tmp_path, capsys, value, message):
     path = tmp_path / "model.json"
     path.write_text(
-        open(fx("uniform_model.json"), encoding="utf-8").read()
+        fixture_path("uniform_model.json").read_text(encoding="utf-8")
         .replace("0.25", value, 1)
         .replace('"chsh_scenario.json"', json.dumps(fx("chsh_scenario.json")))
     )
@@ -182,6 +182,58 @@ def test_analyze_rejects_non_finite_probability(tmp_path, capsys, value, message
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_non_negative(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", fx("pr_box_model.json"), "--tol", tol])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+def test_zero_tol_still_reports(capsys):
+    code, out, _ = run_cli(capsys, "analyze", fx("pr_box_model.json"), "--tol", "0")
+    assert code == 0
+    assert "(non-signalling at tol 0)" in out
+    assert "sheaf contextual: yes" in out
+
+
+@pytest.mark.parametrize("command", ["analyze-model", "analyze-responses", "bootstrap"])
+def test_undecodable_input_is_unreadable(tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    model.write_bytes(b"\xff\xfe{}")
+    responses = tmp_path / "responses.csv"
+    responses.write_bytes(
+        b"respondent_id,word1,word2,pick1,pick2\nr\xff,cannibalistic,hungry,AA,BB\n"
+    )
+    argv = {
+        "analyze-model": ["analyze", str(model)],
+        "analyze-responses": ["analyze", "--responses", str(responses),
+                              "--schema", fx("cannibal_schema.json")],
+        "bootstrap": ["bootstrap", str(responses), fx("cannibal_schema.json"),
+                      "--samples", "10"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_validate_refuses_oversized_face_without_completing_it(tmp_path, capsys,
+                                                               monkeypatch):
+    def enumerate_subsets(*args):
+        raise AssertionError("subsets of an oversized face were enumerated")
+
+    monkeypatch.setattr("winoctx.scenario.combinations", enumerate_subsets)
+    names = [f"x{i}" for i in range(17)]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"observables": names, "contexts": [names],
+                                "outcomes": ["0", "1"]}))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "face of 17 members exceeds the supported 16" in err
 
 
 def test_compile_and_analyze_share_context_labels(tmp_path, capsys):

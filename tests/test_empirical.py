@@ -9,8 +9,6 @@ from winoctx.empirical import (
     Distribution,
     EmpiricalModel,
     EmpiricalModelError,
-    correlation,
-    expectation,
     from_global_weights,
     is_non_signalling,
     is_outcome_symmetric,
@@ -137,21 +135,22 @@ def test_point_mass_model_not_symmetric(chsh_scenario):
     model = EmpiricalModel.build(chsh_scenario, tables)
     assert not is_outcome_symmetric(model)
     for ctx in model.contexts:
-        assert expectation(model, ctx, ctx[0]) == 1.0
-        assert correlation(model, ctx) == 1.0
+        assert model.distribution(ctx).expectation(ctx[0], model.sign) == 1.0
+        assert model.distribution(ctx).correlation(model.sign) == 1.0
 
 
 def test_expectation_of_symmetric_row_is_zero(judgment_model):
     ctx = judgment_model.contexts[0]
+    dist = judgment_model.distribution(ctx)
     for obs in ctx:
-        assert expectation(judgment_model, ctx, obs) == 0.0
+        assert dist.expectation(obs, judgment_model.sign) == 0.0
 
 
 def test_expectation_of_uniform_is_zero(uniform_model):
-    for ctx in uniform_model.contexts:
-        for obs in ctx:
-            assert expectation(uniform_model, ctx, obs) == 0.0
-        assert correlation(uniform_model, ctx) == 0.0
+    for dist in uniform_model.distributions:
+        for obs in dist.context:
+            assert dist.expectation(obs, uniform_model.sign) == 0.0
+        assert dist.correlation(uniform_model.sign) == 0.0
 
 
 def test_judgment_correlations_match_table(judgment_model):
@@ -162,16 +161,12 @@ def test_judgment_correlations_match_table(judgment_model):
         ("(one of them,herbivorous)", "(one of them,alive)"): 0.378,
     }
     for ctx, value in want.items():
-        assert correlation(judgment_model, ctx) == pytest.approx(value, abs=1e-9)
+        corr = judgment_model.distribution(ctx).correlation(judgment_model.sign)
+        assert corr == pytest.approx(value, abs=1e-9)
 
 
 def test_bell_row_correlation_is_one(bell_model):
-    assert correlation(bell_model, ("a1", "b1")) == 1.0
-
-
-def test_correlation_requires_two_member_context(judgment_model):
-    with pytest.raises(EmpiricalModelError):
-        correlation(judgment_model, judgment_model.contexts[0][:1])
+    assert bell_model.distribution(("a1", "b1")).correlation(bell_model.sign) == 1.0
 
 
 def test_build_requires_exact_context_cover(chsh_scenario):
@@ -207,7 +202,7 @@ def test_symmetric_models_never_signal(p_numerators):
     assert signalling(model).max_discrepancy == 0.0
     for ctx in model.contexts:
         for obs in ctx:
-            assert expectation(model, ctx, obs) == 0.0
+            assert model.distribution(ctx).expectation(obs, model.sign) == 0.0
 
 
 def test_global_weights_model_is_non_signalling(chsh_scenario):

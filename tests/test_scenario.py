@@ -78,6 +78,18 @@ def test_observable_cap_reported():
     assert any("16" in p for p in validate(scenario).problems)
 
 
+def test_oversized_face_refused_before_completion(monkeypatch):
+    def enumerate_subsets(*args):
+        raise AssertionError("subsets of an oversized face were enumerated")
+
+    monkeypatch.setattr("winoctx.scenario.combinations", enumerate_subsets)
+    names = tuple(f"x{i}" for i in range(17))
+    with pytest.raises(InvalidScenarioError, match="face of 17 members"):
+        MeasurementScenario.from_maximal(
+            observables=names, maximal_faces=[names], outcomes=("0", "1")
+        )
+
+
 def test_complete_downward_contains_all_subsets():
     faces = complete_downward([("x", "y")])
     assert frozenset() in faces

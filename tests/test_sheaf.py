@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_model, symmetric_tables
+from oracles import incidence_by_loop
+from winoctx import sheaf
 from winoctx.cbd import chsh_violation
 from winoctx.empirical import EmpiricalModel, from_global_weights, outcome_tuples
+from winoctx.linprog import LpSizeError
 from winoctx.report import build_report
 from winoctx.scenario import MeasurementScenario, maximal_contexts
 from winoctx.sheaf import (
-    ScenarioTooLargeError,
     SignallingModelError,
     contextual_fraction,
     global_assignments,
@@ -44,8 +46,72 @@ def test_assignment_cap():
         maximal_faces=[tuple(f"x{i}" for i in range(9))],
         outcomes=("a", "b", "c", "d"),
     )
-    with pytest.raises(ScenarioTooLargeError):
-        global_assignments(scenario)
+    with pytest.raises(LpSizeError):
+        incidence(scenario)
+
+
+def cycle(rank, outcomes=("0", "1")):
+    names = tuple(f"x{i}" for i in range(rank))
+    return MeasurementScenario.from_maximal(
+        observables=names,
+        maximal_faces=[(names[i], names[(i + 1) % rank]) for i in range(rank)],
+        outcomes=outcomes,
+    )
+
+
+INCIDENCE_CASES = {
+    **{f"binary-cycle-{n}": cycle(n) for n in range(3, 11)},
+    "3-outcome-cycle-4": cycle(4, ("r", "g", "b")),
+    "4-outcome-cycle-5": cycle(5, ("a", "b", "c", "d")),
+    "triangle-face": MeasurementScenario.from_maximal(
+        observables=("x", "y", "z", "w"),
+        maximal_faces=[("x", "y", "z"), ("z", "w")],
+        outcomes=("0", "1"),
+    ),
+    "one-pronoun": MeasurementScenario.from_maximal(
+        observables=("p_s", "p_a"),
+        maximal_faces=[("p_s",), ("p_a",)],
+        outcomes=("A", "B"),
+    ),
+    "declared-z-y-x": MeasurementScenario.from_maximal(
+        observables=("z", "y", "x"),
+        maximal_faces=[("x", "y"), ("y", "z")],
+        outcomes=("0", "1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INCIDENCE_CASES)
+def test_incidence_matches_loop(name):
+    scenario = INCIDENCE_CASES[name]
+    rows, assignments, matrix = incidence_by_loop(scenario)
+    system = incidence(scenario)
+    assert system.rows == rows
+    assert system.assignments == assignments
+    assert system.matrix.shape == matrix.shape
+    assert system.matrix.tobytes() == matrix.tobytes()
+
+
+def test_cf_size_refused_before_enumeration(monkeypatch):
+    def enumerate_assignments(scenario):
+        raise AssertionError("assignments of an oversized program were enumerated")
+
+    monkeypatch.setattr(sheaf, "global_assignments", enumerate_assignments)
+    with pytest.raises(LpSizeError, match=r"^48x4096 problem exceeds the 1024x1024 cap$"):
+        incidence(cycle(12))
+
+
+def test_report_on_rank_16_cycle_omits_cf_keeps_cnt1():
+    # fifteen perfect correlations and one perfect anticorrelation
+    scenario = cycle(16)
+    model = EmpiricalModel.build(scenario, symmetric_tables(scenario, [0.5] * 15 + [0.0]))
+    report = build_report(model)
+    assert report.non_signalling
+    assert report.cyclic.cnt1 == 2.0
+    assert report.cf is None and report.verdict_sheaf is None
+    assert "contextual fraction omitted: 64x65536 problem exceeds the 1024x1024 cap" in (
+        report.notices
+    )
 
 
 def test_incidence_structure(chsh_scenario):
