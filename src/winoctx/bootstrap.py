@@ -9,14 +9,21 @@ the rank-4 violation on every draw.
 Determinism contract: all randomness is drawn up front from a Philox
 generator (counter-based, documented algorithm philox4x64-10) in a fixed
 context order, and statistic values are written into the samples vector by
-resample index.  Thread count therefore cannot change a single bit of the
-output.
+resample index.
+
+The cf statistic builds its program once per run: only the right-hand side
+changes between draws, so an optimal basis stays optimal for every draw it
+re-certifies (`linprog.recertify`).  The draws are walked in index order;
+the first one that no basis so far covers is solved cold, and the basis of
+that solve is checked against every draw still uncovered in one vectorised
+step.  On the paper's data a handful of cold solves cover 100,000 draws.
+Everything runs on one thread; `workers` is validated and otherwise
+ignored, so it cannot change a single bit of the output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,11 +32,13 @@ import numpy as np
 from .cbd import s_odd_rows
 from .empirical import EmpiricalModel
 from .ingest import ContextTally, tally_distribution
+from .linprog import recertify
 from .scenario import Context, MeasurementScenario, cyclic_structure
-from .sheaf import contextual_fraction
+from .sheaf import CfResult, IncidenceSystem, contextual_fraction, incidence
 
 GENERATOR = "philox4x64-10"
 STATISTICS = ("violation", "cnt1", "cf")
+CHUNK = 2048  # cf draws per re-certification step; bounds its temporaries
 
 
 class BootstrapError(ValueError):
@@ -41,8 +50,9 @@ class BootstrapConfig:
     n_resamples: int = 100_000
     seed: int = 0
     statistic: str = "violation"
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; runs are single-threaded
     bin_width: float = 0.02
+    tol: float = 1e-9  # a cf draw counts as positive when cf > tol
 
     def __post_init__(self):
         if self.n_resamples < 1:
@@ -55,6 +65,8 @@ class BootstrapConfig:
             raise BootstrapError("workers must be >= 1")
         if self.bin_width <= 0:
             raise BootstrapError("bin_width must be positive")
+        if not 0.0 <= self.tol < math.inf:  # written so that NaN fails it
+            raise BootstrapError("tol must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,14 +127,65 @@ def _resample_counts(tallies: Sequence[ContextTally], config: BootstrapConfig) -
     return np.stack(columns, axis=1)
 
 
-def _cf_value(n_valid: Sequence[int], same_counts: np.ndarray, scenario, contexts) -> float:
+def _cf_value(n_valid: Sequence[int], same_counts: np.ndarray, scenario, contexts) -> CfResult:
+    """One draw's cf, solved cold on the draw's own model."""
     tables = {}
     for ctx, n, k in zip(contexts, n_valid, same_counts):
         tables[ctx] = tally_distribution(
             ContextTally(n_total=int(n), n_valid=int(n), n_same=int(k), n_diff=int(n - k))
         )
     model = EmpiricalModel.build(scenario, tables)
-    return contextual_fraction(model).cf
+    return contextual_fraction(model)
+
+
+def _cf_rhs(
+    system: IncidenceSystem, contexts: Sequence[Context], n_valid: np.ndarray,
+    same_counts: np.ndarray,
+) -> np.ndarray:
+    """The cf right-hand side of each draw (a row of `same_counts`).
+
+    The floats are tally_distribution's, p_same = k / (2n) and
+    p_diff = 0.5 - p_same, floored at 0 and laid out in `system.rows` order,
+    so each row is bit-identical to `sheaf._rhs` of that draw's model.
+    """
+    p_same = same_counts / (2 * n_valid)
+    p_diff = 0.5 - p_same
+    position = {ctx: i for i, ctx in enumerate(contexts)}
+    columns = [
+        (p_same if joint[0] == joint[1] else p_diff)[:, position[ctx]]
+        for ctx, joint in system.rows
+    ]
+    return np.maximum(np.stack(columns, axis=1), 0.0)
+
+
+def _cf_samples(n_valid: Sequence[int], counts: np.ndarray) -> tuple[np.ndarray, int]:
+    """cf of every draw and the number of cold solves it took.
+
+    A cold-solved draw keeps its own cf; every other draw takes
+    1 - min(c_B.x_B, 1) from the first basis that covers it, as
+    `contextual_fraction` computes cf from the LP optimum.
+    """
+    scenario = _cycle_scenario(len(n_valid))
+    contexts = cyclic_structure(scenario).contexts
+    system = incidence(scenario)
+    sizes = np.asarray(n_valid, dtype=np.int64)
+    samples = np.empty(len(counts))
+    pending = np.arange(len(counts))
+    cold = 0
+    while pending.size:
+        first, rest = pending[0], pending[1:]
+        result = _cf_value(n_valid, counts[first], scenario, contexts)
+        cold += 1
+        samples[first] = result.cf
+        uncovered = []
+        for start in range(0, rest.size, CHUNK):
+            draws = rest[start:start + CHUNK]
+            rhs = _cf_rhs(system, contexts, sizes, counts[draws])
+            covered, explained, _ = recertify(result.basis, result.dual_certificate, rhs)
+            samples[draws[covered]] = 1.0 - np.minimum(explained[covered], 1.0)
+            uncovered.append(draws[~covered])
+        pending = np.concatenate(uncovered) if uncovered else rest
+    return samples, cold
 
 
 def _cycle_scenario(rank: int) -> MeasurementScenario:
@@ -158,26 +221,7 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
         # resampled models are symmetric, so delta = 0 identically
         samples = s_odd_rows(correlations) - float(rank - 2)
     else:
-        scenario = _cycle_scenario(rank)
-        contexts = cyclic_structure(scenario).contexts
-        n_valid_int = [t.n_valid for t in tallies]
-        samples = np.empty(config.n_resamples)
-
-        def fill(span):
-            start, stop = span
-            for r in range(start, stop):
-                samples[r] = _cf_value(n_valid_int, counts[r], scenario, contexts)
-
-        if config.workers == 1:
-            fill((0, config.n_resamples))
-        else:
-            step = -(-config.n_resamples // config.workers)
-            spans = [
-                (s, min(s + step, config.n_resamples))
-                for s in range(0, config.n_resamples, step)
-            ]
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                list(pool.map(fill, spans))
+        samples, cold_solves = _cf_samples([t.n_valid for t in tallies], counts)
 
     hist = histogram(samples, config.bin_width)
     metadata = {
@@ -188,11 +232,17 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
         "contexts": rank,
         "bin_width": config.bin_width,
     }
+    # a noncontextual draw's cf can sit a rounding step above 0, so cf is
+    # counted as positive above tol, as sheaf.is_noncontextual decides it
+    threshold = 0.0
+    if config.statistic == "cf":
+        metadata["cold_solves"] = cold_solves
+        threshold = config.tol
     return BootstrapResult(
         samples=samples,
         mean=float(samples.mean()),
         std=float(samples.std()),
-        fraction_positive=float((samples > 0).mean()),
+        fraction_positive=float((samples > threshold).mean()),
         histogram=hist,
         metadata=metadata,
     )

@@ -5,8 +5,9 @@
     winoctx bootstrap R.csv S.json [--samples N] [--statistic v] [--out hist.csv]
     winoctx schema S.json --compile [--out scenario.json] | --instantiate WORD...
 
-Shared flags: --format text|json, --tol (signalling tolerance, default 1e-9),
---seed (bootstrap resampling seed).
+Shared flags: --format text|json, --tol (signalling tolerance, default 1e-9;
+for bootstrap --statistic cf, the least cf counted as positive), --seed
+(bootstrap resampling seed).
 
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
 bad probabilities, non-conforming schema, unknown words), 2 the input could
@@ -48,7 +49,7 @@ from .schema import (
     ws_scenario,
 )
 
-STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError, UnicodeDecodeError)
+STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError)
 
 
 def _tolerance(text: str) -> float:
@@ -58,11 +59,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
+def _shared_flags(parser: argparse.ArgumentParser,
+                  tol_help: str = "signalling tolerance (default 1e-9)") -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report style (default text)")
-    parser.add_argument("--tol", type=_tolerance, default=1e-9,
-                        help="signalling tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help=tol_help)
     parser.add_argument("--seed", type=int, default=0,
                         help="resampling seed (bootstrap only)")
 
@@ -160,6 +161,7 @@ def cmd_bootstrap(args) -> int:
         seed=args.seed,
         statistic=args.statistic,
         workers=args.workers,
+        tol=args.tol,
     )
     result = run(ordered, config)
 
@@ -252,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="violation")
     p.add_argument("--out", help="write histogram CSV (bin_center,density)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for the cf statistic")
-    _shared_flags(p)
+                   help="accepted and checked (>= 1) for compatibility; the cf "
+                        "statistic runs on one thread and this has no effect")
+    _shared_flags(p, "a cf draw counts toward fraction_positive when cf > tol "
+                     "(default 1e-9); violation and cnt1 count > 0")
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("schema", help="compile a schema to a scenario, or render text")

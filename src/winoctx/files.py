@@ -52,6 +52,8 @@ def load_json(path) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: not parseable as JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
     return doc
 

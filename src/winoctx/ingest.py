@@ -83,43 +83,46 @@ def validate_response(record: ResponseRecord) -> bool:
 def parse_responses(path) -> ParseResult:
     """Read a response file.  Malformed data lines land in `problems` with
     their line number; well-formed lines always come back as records."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ResponseFormatError(f"{path}: empty file, expected header "
-                                      + ",".join(HEADER)) from None
-        if tuple(h.strip() for h in header) != HEADER:
-            raise ResponseFormatError(
-                f"{path}: header is {','.join(header)!r}, expected {','.join(HEADER)!r}"
-            )
-        records: list[ResponseRecord] = []
-        problems: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(HEADER):
-                problems.append(f"line {lineno}: {len(row)} fields, expected {len(HEADER)}")
-                continue
-            rid, word1, word2, pick1, pick2 = (cell.strip() for cell in row)
-            if not rid:
-                problems.append(f"line {lineno}: empty respondent_id")
-                continue
-            bad = [p for p in (pick1, pick2) if p not in PICKS]
-            if bad:
-                problems.append(
-                    f"line {lineno}: unknown pick label(s) {bad}, expected one of {list(PICKS)}"
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ResponseFormatError(f"{path}: empty file, expected header "
+                                          + ",".join(HEADER)) from None
+            if tuple(h.strip() for h in header) != HEADER:
+                raise ResponseFormatError(
+                    f"{path}: header is {','.join(header)!r}, expected {','.join(HEADER)!r}"
                 )
-                continue
-            if pick1 == pick2:
-                problems.append(f"line {lineno}: duplicate pick {pick1!r}, need two distinct")
-                continue
-            records.append(
-                ResponseRecord(rid, word1, word2, frozenset((pick1, pick2)))
-            )
-        if not records and not problems:
-            problems.append("file has a header but no data rows")
+            records: list[ResponseRecord] = []
+            problems: list[str] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(HEADER):
+                    problems.append(f"line {lineno}: {len(row)} fields, expected {len(HEADER)}")
+                    continue
+                rid, word1, word2, pick1, pick2 = (cell.strip() for cell in row)
+                if not rid:
+                    problems.append(f"line {lineno}: empty respondent_id")
+                    continue
+                bad = [p for p in (pick1, pick2) if p not in PICKS]
+                if bad:
+                    problems.append(
+                        f"line {lineno}: unknown pick label(s) {bad}, expected one of {list(PICKS)}"
+                    )
+                    continue
+                if pick1 == pick2:
+                    problems.append(f"line {lineno}: duplicate pick {pick1!r}, need two distinct")
+                    continue
+                records.append(
+                    ResponseRecord(rid, word1, word2, frozenset((pick1, pick2)))
+                )
+            if not records and not problems:
+                problems.append("file has a header but no data rows")
+    except UnicodeDecodeError as exc:
+        raise ResponseFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     return ParseResult(records=tuple(records), problems=tuple(problems))
 
 

@@ -216,7 +216,9 @@ def build_report(
             reliable=non_signalling,
         )
         if non_signalling:
-            verdict_sheaf = result.cf > 0
+            # cf lands on 0 or a rounding step above it when noncontextual;
+            # decided at tol, as sheaf.is_noncontextual does
+            verdict_sheaf = result.cf > tol
         else:
             notices.append(
                 "model signals beyond tol; contextual-fraction verdict withheld"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from winoctx import bootstrap, sheaf
 from winoctx.bootstrap import (
     BootstrapConfig,
     BootstrapError,
@@ -9,9 +10,10 @@ from winoctx.bootstrap import (
     run,
 )
 from winoctx.cbd import s_odd
+from winoctx.empirical import EmpiricalModel
 from winoctx.files import load_schema
 from winoctx.fixtures import fixture_path
-from winoctx.ingest import ContextTally, aggregate, parse_responses
+from winoctx.ingest import ContextTally, aggregate, parse_responses, tally_distribution
 from winoctx.scenario import MeasurementScenario, cyclic_structure, maximal_contexts
 from winoctx.schema import gws_scenario
 
@@ -24,6 +26,38 @@ def make_tallies(pairs):
 
 
 SKEWED = ((75, 18), (8, 77), (59, 26), (59, 26))
+# rank 6, five contexts at correlation 2/3 and one at -2/3: s_odd = 4 = n - 2,
+# so the draws straddle the noncontextual boundary
+STRADDLE = ((50, 10),) * 5 + ((10, 50),)
+
+
+def cycle(rank):
+    names = tuple(f"c{i}" for i in range(rank))
+    scenario = MeasurementScenario.from_maximal(
+        names, [(names[i], names[(i + 1) % rank]) for i in range(rank)], ("A", "B"))
+    return scenario, cyclic_structure(scenario).contexts
+
+
+def draw_model(scenario, contexts, n_valid, same_counts):
+    tables = {
+        ctx: tally_distribution(ContextTally(int(n), int(n), int(k), int(n - k)))
+        for ctx, n, k in zip(contexts, n_valid, same_counts)
+    }
+    return EmpiricalModel.build(scenario, tables)
+
+
+def cold_cf(tallies, config):
+    """Oracle: each draw's model solved cold by sheaf.contextual_fraction
+    (once per distinct count vector)."""
+    counts = bootstrap._resample_counts(tallies, config)
+    n_valid = [t.n_valid for t in tallies]
+    scenario, contexts = cycle(len(tallies))
+    unique, inverse = np.unique(counts, axis=0, return_inverse=True)
+    values = np.array([
+        sheaf.contextual_fraction(draw_model(scenario, contexts, n_valid, row)).cf
+        for row in unique
+    ])
+    return values[inverse.ravel()]
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +191,9 @@ def test_config_validation():
         BootstrapConfig(workers=0)
     with pytest.raises(BootstrapError):
         BootstrapConfig(bin_width=-0.1)
+    for tol in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(BootstrapError, match="tol"):
+            BootstrapConfig(tol=tol)
 
 
 def test_metadata_records_the_rng_contract():
@@ -194,3 +231,58 @@ def test_cycle_order_rejects_non_cyclic():
     )
     with pytest.raises(BootstrapError, match="not cyclic"):
         cycle_order_tallies(scenario, {})
+
+
+@pytest.mark.parametrize("case, seed, draws", [
+    ("fixture", 0, 5000), ("fixture", 9, 5000), ("fixture", 12345, 5000),
+    ("skewed", 4, 2000), ("straddle", 6, 2000),
+])
+def test_batched_cf_matches_cold_solves(cannibal_tallies, case, seed, draws):
+    tallies = {"fixture": cannibal_tallies, "skewed": make_tallies(SKEWED),
+               "straddle": make_tallies(STRADDLE)}[case]
+    config = BootstrapConfig(n_resamples=draws, seed=seed, statistic="cf")
+    result = run(tallies, config)
+    oracle = cold_cf(tallies, config)
+    assert np.max(np.abs(result.samples - oracle)) <= 1e-12
+    assert result.fraction_positive == float((oracle > config.tol).mean())
+    assert 1 <= result.metadata["cold_solves"] < 100
+    if case == "straddle":
+        assert 0.2 < result.fraction_positive < 0.8
+        assert result.metadata["cold_solves"] > 2
+
+
+def test_cf_rhs_rows_are_sheaf_rhs_bit_for_bit(cannibal_tallies):
+    n_valid = np.array([t.n_valid for t in cannibal_tallies])
+    draws = bootstrap._resample_counts(cannibal_tallies,
+                                       BootstrapConfig(n_resamples=200, seed=1))
+    # both ends of every context: p_same = 0 and p_diff = 0
+    draws = np.concatenate([draws, np.zeros((1, 4), dtype=draws.dtype),
+                            n_valid[None, :].astype(draws.dtype)])
+    scenario, contexts = cycle(4)
+    system = sheaf.incidence(scenario)
+    rhs = bootstrap._cf_rhs(system, contexts, n_valid, draws)
+    for row, same_counts in zip(rhs, draws):
+        model = draw_model(scenario, contexts, n_valid, same_counts)
+        assert row.tobytes() == sheaf._rhs(model, system).tobytes()
+
+
+def test_cf_samples_do_not_depend_on_the_chunk_size(monkeypatch):
+    tallies = make_tallies(STRADDLE)
+    config = BootstrapConfig(n_resamples=700, seed=2, statistic="cf")
+    whole = run(tallies, config)
+    monkeypatch.setattr(bootstrap, "CHUNK", 7)
+    chunked = run(tallies, config)
+    assert whole.samples.tobytes() == chunked.samples.tobytes()
+
+
+def test_cf_fraction_positive_is_decided_at_tol():
+    tallies = make_tallies(SKEWED)
+    loose = run(tallies, BootstrapConfig(n_resamples=400, seed=5, statistic="cf", tol=0.05))
+    strict = run(tallies, BootstrapConfig(n_resamples=400, seed=5, statistic="cf", tol=0.0))
+    assert np.array_equal(loose.samples, strict.samples)
+    assert loose.fraction_positive == float((loose.samples > 0.05).mean())
+    assert strict.fraction_positive == float((strict.samples > 0.0).mean())
+    assert loose.fraction_positive < strict.fraction_positive
+    # the other statistics keep counting > 0
+    v = run(tallies, BootstrapConfig(n_resamples=400, seed=5, tol=0.05))
+    assert v.fraction_positive == float((v.samples > 0.0).mean())

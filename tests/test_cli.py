@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from winoctx.bootstrap import BootstrapConfig, cycle_order_tallies, run
 from winoctx.cli import main
-from winoctx.files import scenario_from_dict
+from winoctx.files import load_schema, scenario_from_dict
 from winoctx.fixtures import fixture_path
+from winoctx.ingest import aggregate, parse_responses
 from winoctx.scenario import cyclic_structure
+from winoctx.schema import gws_scenario
 
 
 def fx(name):
@@ -207,17 +210,17 @@ def test_undecodable_input_is_unreadable(tmp_path, capsys, command):
     responses.write_bytes(
         b"respondent_id,word1,word2,pick1,pick2\nr\xff,cannibalistic,hungry,AA,BB\n"
     )
-    argv = {
-        "analyze-model": ["analyze", str(model)],
-        "analyze-responses": ["analyze", "--responses", str(responses),
-                              "--schema", fx("cannibal_schema.json")],
-        "bootstrap": ["bootstrap", str(responses), fx("cannibal_schema.json"),
-                      "--samples", "10"],
+    argv, bad = {
+        "analyze-model": (["analyze", str(model)], model),
+        "analyze-responses": (["analyze", "--responses", str(responses),
+                               "--schema", fx("cannibal_schema.json")], responses),
+        "bootstrap": (["bootstrap", str(responses), fx("cannibal_schema.json"),
+                       "--samples", "10"], responses),
     }[command]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {bad}: not UTF-8 text:")
 
 
 def test_validate_refuses_oversized_face_without_completing_it(tmp_path, capsys,
@@ -279,6 +282,25 @@ def test_bootstrap_text_and_histogram(tmp_path, capsys):
     for line in lines[1:]:
         center, density = line.split(",")
         float(center), float(density)
+
+
+def test_bootstrap_tol_decides_cf_positivity(capsys):
+    fractions = {}
+    for tol in ("1e-9", "0.1"):
+        code, out, _ = run_cli(
+            capsys, "bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json"),
+            "--samples", "300", "--statistic", "cf", "--tol", tol, "--format", "json",
+        )
+        assert code == 0
+        fractions[tol] = json.loads(out)["fraction_positive"]
+    schema = load_schema(fixture_path("cannibal_schema.json"))
+    _, tallies = aggregate(parse_responses(fixture_path("cannibal_responses.csv")).records,
+                           schema)
+    ordered = cycle_order_tallies(gws_scenario(schema), tallies)
+    samples = run(ordered, BootstrapConfig(n_resamples=300, statistic="cf")).samples
+    assert fractions["1e-9"] == float((samples > 1e-9).mean())
+    assert fractions["0.1"] == float((samples > 0.1).mean())
+    assert fractions["0.1"] < fractions["1e-9"]
 
 
 def test_bootstrap_runs_are_reproducible(tmp_path, capsys):

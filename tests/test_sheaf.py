@@ -6,9 +6,10 @@ from oracles import incidence_by_loop
 from winoctx import sheaf
 from winoctx.cbd import chsh_violation
 from winoctx.empirical import EmpiricalModel, from_global_weights, outcome_tuples
+from winoctx.ingest import ContextTally, tally_distribution
 from winoctx.linprog import LpSizeError
 from winoctx.report import build_report
-from winoctx.scenario import MeasurementScenario, maximal_contexts
+from winoctx.scenario import MeasurementScenario, cyclic_structure, maximal_contexts
 from winoctx.sheaf import (
     SignallingModelError,
     contextual_fraction,
@@ -259,6 +260,26 @@ def test_report_marks_cf_of_signalling_model_unreliable(pr_model):
     assert any("verdict withheld" in notice for notice in report.notices)
     report = build_report(pr_model)
     assert report.cf.reliable and report.verdict_sheaf is True
+
+
+def test_report_sheaf_verdict_decided_at_tol():
+    # a bootstrap draw of the cannibal tallies (n_valid 93, 85, 85, 85) whose
+    # cf is one rounding step above 0: noncontextual, and reported so
+    names = ("x1", "x2", "x3", "x4")
+    scenario = MeasurementScenario.from_maximal(
+        names, [(names[i], names[(i + 1) % 4]) for i in range(4)], ("A", "B"))
+    tables = {
+        ctx: tally_distribution(ContextTally(n, n, k, n - k))
+        for ctx, n, k in zip(cyclic_structure(scenario).contexts,
+                             (93, 85, 85, 85), (73, 48, 56, 4))
+    }
+    model = EmpiricalModel.build(scenario, tables)
+    assert 0.0 < contextual_fraction(model).cf <= 1e-15
+    assert is_noncontextual(model)[0]
+    report = build_report(model)
+    assert report.verdict_cbd is False
+    assert report.verdict_sheaf is False
+    assert "sheaf contextual: no" in report.render_text()
 
 
 def test_mixture_of_global_weights_noncontextual(chsh_scenario):
