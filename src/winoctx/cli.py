@@ -119,6 +119,18 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _aggregate_responses(responses, schema_path, needs: str):
+    """Model and tallies of a response file under a two-pronoun schema;
+    `needs` names the caller in the error for any other schema."""
+    parsed = parse_responses(responses)
+    for problem in parsed.problems:
+        print(f"warning: {problem}", file=sys.stderr)
+    schema = schema_from_dict(load_json(schema_path))
+    if not isinstance(schema, GeneralisedWinogradSchema):
+        raise SchemaError(f"{needs} needs a two-pronoun schema")
+    return aggregate(parsed.records, schema)
+
+
 def _load_analysis_inputs(args):
     if args.model and (args.responses or args.schema):
         raise FileFormatError("give either a model file or --responses with --schema")
@@ -127,14 +139,7 @@ def _load_analysis_inputs(args):
         return model_from_dict(doc, base_dir=Path(args.model).parent), None
     if not (args.responses and args.schema):
         raise FileFormatError("need a model file, or both --responses and --schema")
-    parsed = parse_responses(args.responses)
-    for problem in parsed.problems:
-        print(f"warning: {problem}", file=sys.stderr)
-    schema = schema_from_dict(load_json(args.schema))
-    if not isinstance(schema, GeneralisedWinogradSchema):
-        raise SchemaError("aggregation needs a two-pronoun schema")
-    model, tallies = aggregate(parsed.records, schema)
-    return model, tallies
+    return _aggregate_responses(args.responses, args.schema, "aggregation")
 
 
 def cmd_analyze(args) -> int:
@@ -148,13 +153,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    parsed = parse_responses(args.responses)
-    for problem in parsed.problems:
-        print(f"warning: {problem}", file=sys.stderr)
-    schema = schema_from_dict(load_json(args.schema))
-    if not isinstance(schema, GeneralisedWinogradSchema):
-        raise SchemaError("bootstrap needs a two-pronoun schema")
-    model, tallies = aggregate(parsed.records, schema)
+    model, tallies = _aggregate_responses(args.responses, args.schema, "bootstrap")
     ordered = cycle_order_tallies(model.scenario, tallies)
     config = BootstrapConfig(
         n_resamples=args.samples,

@@ -164,39 +164,34 @@ class EmpiricalModel:
 @dataclass(frozen=True)
 class SignallingReport:
     max_discrepancy: float
-    worst: Optional[tuple[tuple[str, ...], Context, Context]]  # face, two contexts
+    worst: Optional[tuple[tuple[str, ...], Context, Context]]  # intersection, two contexts
 
     def ok(self, tol: float = PROB_TOL) -> bool:
         return self.max_discrepancy <= tol
 
 
 def signalling(model: EmpiricalModel) -> SignallingReport:
-    """Largest L1 distance between marginals of a shared face.
+    """Largest L1 distance between two contexts' marginals on their
+    intersection.
 
-    0.0 exactly means every pair of contexts agrees bit-for-bit on every
-    shared sub-face.
+    Marginalising never increases L1 distance, so no shared sub-face of an
+    intersection can show more.  0.0 exactly means every pair of contexts
+    agrees bit-for-bit on what they share.
     """
-    scenario = model.scenario
     contexts = model.contexts
     worst = None
     worst_val = 0.0
-    maximal = {frozenset(c) for c in contexts}
-    shared = sorted(
-        (f for f in scenario.faces if f and f not in maximal),
-        key=lambda f: (len(f), sorted(f)),
-    )
-    for face in shared:
-        holders = [ctx for ctx in contexts if face <= set(ctx)]
-        if len(holders) < 2:
-            continue
-        margs = [model.distribution(ctx).marginalize(face) for ctx in holders]
-        for i in range(len(margs)):
-            for j in range(i + 1, len(margs)):
-                a, b = margs[i], margs[j]
-                dist = math.fsum(abs(a.table[o] - b.table[o]) for o in a.table)
-                if dist > worst_val:
-                    worst_val = dist
-                    worst = (a.context, holders[i], holders[j])
+    for i, first in enumerate(contexts):
+        for second in contexts[i + 1:]:
+            shared = set(first).intersection(second)
+            if not shared:
+                continue
+            a = model.distribution(first).marginalize(shared)
+            b = model.distribution(second).marginalize(shared)
+            dist = math.fsum(abs(a.table[o] - b.table[o]) for o in a.table)
+            if dist > worst_val:
+                worst_val = dist
+                worst = (a.context, first, second)
     return SignallingReport(max_discrepancy=worst_val, worst=worst)
 
 

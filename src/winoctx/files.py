@@ -11,8 +11,9 @@ Three kinds of documents:
 
 Joint-outcome keys join outcome labels with "|" in context member order.
 Structural problems (wrong shapes, bad keys, unparseable JSON) raise
-FileFormatError; semantic problems (closure violations, bad probabilities)
-surface from the domain modules so callers can tell the two apart.
+FileFormatError; semantic problems (nested or oversized contexts, bad
+probabilities) surface from the domain modules so callers can tell the two
+apart.  Files are UTF-8, with or without a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _string_list(value: Any, what: str) -> list[str]:
 
 
 def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

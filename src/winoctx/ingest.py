@@ -84,7 +84,7 @@ def parse_responses(path) -> ParseResult:
     """Read a response file.  Malformed data lines land in `problems` with
     their line number; well-formed lines always come back as records."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

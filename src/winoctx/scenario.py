@@ -1,10 +1,12 @@
-"""Measurement scenarios: observables, a simplicial complex of jointly
-measurable subsets, and an outcome set.
+"""Measurement scenarios: observables, the maximal contexts of a
+downward-closed complex of jointly measurable subsets, and an outcome set.
 
-A scenario is the static backdrop of an experiment.  Each *face* of the
-complex is a set of observables that can be measured together; a *context*
-is a maximal face.  Scenario files declare only the maximal faces and the
-complex is completed downward on load (see :meth:`MeasurementScenario.from_maximal`).
+A scenario is the static backdrop of an experiment.  A *context* is a
+maximal set of observables that can be measured together; every subset of a
+context is measurable too, so the contexts alone determine the complex (its
+measurement cover).  Scenario files declare the contexts, and
+:meth:`MeasurementScenario.from_maximal` drops any listed face that another
+listed face contains.
 
 Sign convention used throughout: for binary outcome sets the first declared
 outcome label maps to +1 and the second to -1.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional
 
 Observable = str
@@ -23,8 +24,10 @@ Context = tuple[Observable, ...]
 
 Face = frozenset
 
-# Cap on observables per scenario and members per face (2**members subsets)
+# Cap on observables per scenario; a context's joint-outcome table may hold
+# as many entries as a binary context over all of them.
 MAX_OBSERVABLES = 16
+MAX_TABLE_ENTRIES = 2 ** MAX_OBSERVABLES
 
 
 class InvalidScenarioError(ValueError):
@@ -58,31 +61,17 @@ class CyclicStructure:
     contexts: tuple[Context, ...]
 
 
-def complete_downward(faces: Iterable[Iterable[Observable]]) -> frozenset[Face]:
-    """Close a set of faces under taking subsets (including the empty face).
-    A face over MAX_OBSERVABLES members is refused before enumeration."""
-    completed: set[Face] = {frozenset()}
-    for face in faces:
-        members = tuple(face)
-        if len(members) > MAX_OBSERVABLES:
-            raise InvalidScenarioError(
-                f"face of {len(members)} members exceeds the supported {MAX_OBSERVABLES}"
-            )
-        for r in range(1, len(members) + 1):
-            completed.update(frozenset(c) for c in combinations(members, r))
-    return frozenset(completed)
-
-
 @dataclass(frozen=True)
 class MeasurementScenario:
-    """Observables, a complex of faces, and an ordered outcome set.
+    """Observables, the maximal contexts of a complex, and an ordered outcome
+    set.
 
-    `faces` is stored exactly as given; use :meth:`from_maximal` to build a
-    scenario from maximal faces only (the normal path for scenario files).
+    `contexts` is stored exactly as given; use :meth:`from_maximal` to build
+    a scenario from a list of faces (the normal path for scenario files).
     """
 
     observables: tuple[Observable, ...]
-    faces: frozenset[Face]
+    contexts: frozenset[Face]
     outcomes: tuple[str, ...]
 
     @classmethod
@@ -92,9 +81,12 @@ class MeasurementScenario:
         maximal_faces: Iterable[Iterable[Observable]],
         outcomes: Iterable[str],
     ) -> "MeasurementScenario":
+        """Keep the listed faces that no other listed face contains, without
+        the empty face."""
+        faces = {frozenset(face) for face in maximal_faces} - {frozenset()}
         return cls(
             observables=tuple(observables),
-            faces=complete_downward(maximal_faces),
+            contexts=frozenset(f for f in faces if not any(f < other for other in faces)),
             outcomes=tuple(outcomes),
         )
 
@@ -156,27 +148,24 @@ def validate(scenario: MeasurementScenario) -> ValidationReport:
         problems.append("duplicate outcome labels")
 
     declared = set(scenario.observables)
-    for face in scenario.faces:
+    contexts = sorted(scenario.contexts, key=sorted)
+    k = len(scenario.outcomes)
+    for face in contexts:
         unknown = face - declared
         if unknown:
             problems.append(
                 f"face {sorted(face)} uses undeclared observables {sorted(unknown)}"
             )
+        if k ** len(face) > MAX_TABLE_ENTRIES:
+            problems.append(
+                f"context {sorted(face)} has {k}^{len(face)} joint outcomes, over "
+                f"the supported {MAX_TABLE_ENTRIES}"
+            )
+        for other in contexts:
+            if face < other:
+                problems.append(f"context {sorted(face)} lies inside context {sorted(other)}")
 
-    # Downward closure.  Checking one level down suffices: if every face is
-    # missing none of its co-dimension-1 subsets, induction closes the rest.
-    missing: set[Face] = set()
-    if scenario.faces and frozenset() not in scenario.faces:
-        missing.add(frozenset())
-    for face in scenario.faces:
-        for drop in face:
-            sub = face - {drop}
-            if sub not in scenario.faces:
-                missing.add(sub)
-    for face in sorted(missing, key=lambda f: (len(f), sorted(f))):
-        problems.append(f"closure violation: missing face {sorted(face)}")
-
-    covered = set().union(*scenario.faces) if scenario.faces else set()
+    covered = set().union(*contexts)
     for obs in scenario.observables:
         if obs not in covered:
             problems.append(f"uncovered observable {obs!r} (appears in no face)")
@@ -185,17 +174,14 @@ def validate(scenario: MeasurementScenario) -> ValidationReport:
 
 
 def maximal_contexts(scenario: MeasurementScenario) -> list[Context]:
-    """All maximal faces, ordered lexicographically by observable indices."""
+    """The contexts of a valid scenario, members in declaration order, sorted
+    lexicographically by observable indices."""
     report = validate(scenario)
     if not report.ok:
         raise InvalidScenarioError("; ".join(report.problems))
-    faces = [f for f in scenario.faces if f]
-    maximal = [
-        f for f in faces if not any(f < other for other in faces)
-    ]
     index = scenario._index
     return sorted(
-        (scenario.order_face(f) for f in maximal),
+        (scenario.order_face(f) for f in scenario.contexts),
         key=lambda ctx: tuple(index[o] for o in ctx),
     )
 

@@ -5,6 +5,7 @@ with the code under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -147,3 +148,48 @@ def incidence_by_loop(scenario):
             if tuple(assignment[order[obs]] for obs in ctx) == joint:
                 matrix[r, g] = 1.0
     return tuple(rows), tuple(assignments), matrix
+
+
+def maximal_contexts_by_completion(observables, faces):
+    """Contexts of the complex the faces generate: close the faces under
+    taking subsets, keep the non-empty faces no other face contains, order
+    each by declaration index and sort them by those indices."""
+    index = {obs: i for i, obs in enumerate(observables)}
+    complex_ = {frozenset()}
+    for face in faces:
+        members = tuple(face)
+        for r in range(1, len(members) + 1):
+            complex_.update(frozenset(c) for c in itertools.combinations(members, r))
+    nonempty = [f for f in complex_ if f]
+    maximal = [f for f in nonempty if not any(f < other for other in nonempty)]
+    return sorted(
+        (tuple(sorted(f, key=index.__getitem__)) for f in maximal),
+        key=lambda ctx: tuple(index[o] for o in ctx),
+    )
+
+
+def signalling_by_faces(model) -> float:
+    """Largest L1 distance between two contexts' marginals on any face they
+    share: every non-empty proper sub-face of every context, marginalised
+    by summing table entries directly."""
+    contexts = model.contexts
+    shared = set()
+    for ctx in contexts:
+        for r in range(1, len(ctx)):
+            shared.update(frozenset(c) for c in itertools.combinations(ctx, r))
+
+    def marginal(ctx, face):
+        idx = [i for i, obs in enumerate(ctx) if obs in face]
+        sums = {}
+        for joint, p in model.distribution(ctx).table.items():
+            sums.setdefault(tuple(joint[i] for i in idx), []).append(p)
+        return {key: math.fsum(ps) for key, ps in sums.items()}
+
+    worst = 0.0
+    for face in shared:
+        holders = [ctx for ctx in contexts if face <= set(ctx)]
+        for i, first in enumerate(holders):
+            for second in holders[i + 1:]:
+                a, b = marginal(first, face), marginal(second, face)
+                worst = max(worst, math.fsum(abs(a[key] - b[key]) for key in a))
+    return worst

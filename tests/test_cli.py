@@ -223,12 +223,7 @@ def test_undecodable_input_is_unreadable(tmp_path, capsys, command):
     assert err.startswith(f"error: {bad}: not UTF-8 text:")
 
 
-def test_validate_refuses_oversized_face_without_completing_it(tmp_path, capsys,
-                                                               monkeypatch):
-    def enumerate_subsets(*args):
-        raise AssertionError("subsets of an oversized face were enumerated")
-
-    monkeypatch.setattr("winoctx.scenario.combinations", enumerate_subsets)
+def test_validate_refuses_oversized_face_without_completing_it(tmp_path, capsys):
     names = [f"x{i}" for i in range(17)]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"observables": names, "contexts": [names],
@@ -236,7 +231,45 @@ def test_validate_refuses_oversized_face_without_completing_it(tmp_path, capsys,
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert out == ""
-    assert "face of 17 members exceeds the supported 16" in err
+    assert "17 observables exceed the supported 16" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_oversized_table_exits_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                  command):
+    def enumerate_outcomes(*args):
+        raise AssertionError("joint outcomes of an oversized context were enumerated")
+
+    monkeypatch.setattr("winoctx.empirical.outcome_tuples", enumerate_outcomes)
+    names = [f"x{i}" for i in range(8)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "scenario": {"observables": names, "contexts": [names],
+                     "outcomes": list("abcdef")},
+        "distributions": [{"context": names, "probs": {"|".join("a" * 8): 1.0}}],
+    }))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: context {sorted(names)} has 6^8 joint outcomes, "
+                   "over the supported 65536\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_byte_order_mark_is_accepted(tmp_path, capsys, fmt):
+    fixtures = fixture_path("uniform_model.json").parent
+    for name in ("cannibal_responses.csv", "cannibal_schema.json",
+                 "uniform_model.json", "chsh_scenario.json"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (fixtures / name).read_bytes())
+    for files in (("--responses", "cannibal_responses.csv", "--schema", "cannibal_schema.json"),
+                  ("uniform_model.json",)):
+        def analyze(base):
+            return run_cli(capsys, "analyze", "--format", fmt,
+                           *(f if f.startswith("--") else str(base / f) for f in files))
+
+        original = analyze(fixtures)
+        assert original[0] == 0
+        assert analyze(tmp_path) == original
 
 
 def test_compile_and_analyze_share_context_labels(tmp_path, capsys):

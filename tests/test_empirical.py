@@ -1,10 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_symmetric_model
+from oracles import signalling_by_faces
 from winoctx.empirical import (
     Distribution,
     EmpiricalModel,
@@ -119,6 +121,51 @@ def test_signalling_counterexample_reports_discrepancy():
     assert not report.ok(1e-9)
     assert "a1" in str(report.worst)
     assert not is_non_signalling(model)
+
+
+OVERLAP_SCENARIOS = {
+    # name: (contexts, whether every pairwise overlap is a single observable)
+    "cycle-5": ([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")], True),
+    "two-member-overlap": ([("a", "b", "c"), ("b", "c", "d"), ("d", "e", "a")], False),
+    "three-member-overlap": ([("a", "b", "c", "d"), ("b", "c", "d", "e"), ("e", "a")], False),
+    "face-in-three-contexts": ([("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d")], False),
+}
+
+
+def random_model(scenario, rng, kind):
+    """Non-signalling ("global"), signalling ("random") or slightly
+    signalling ("perturbed") random model on `scenario`."""
+    assignments = list(product(scenario.outcomes, repeat=len(scenario.observables)))
+    weights = rng.random(len(assignments))
+    model = from_global_weights(scenario, dict(zip(assignments, weights / weights.sum())))
+    if kind == "global":
+        return model
+    tables = {}
+    for dist in model.distributions:
+        values = np.array(list(dist.table.values()))
+        if kind == "random":
+            values = rng.random(len(values))
+        else:
+            values = values * (1.0 + 1e-3 * rng.random(len(values)))
+        tables[dist.context] = dict(zip(dist.table, values / values.sum()))
+    return EmpiricalModel.build(scenario, tables)
+
+
+@pytest.mark.parametrize("name", OVERLAP_SCENARIOS)
+@pytest.mark.parametrize("outcomes", [("0", "1"), ("r", "g", "b")])
+def test_signalling_matches_walk_over_shared_faces(name, outcomes):
+    contexts, single_overlaps = OVERLAP_SCENARIOS[name]
+    observables = sorted(set().union(*contexts))
+    scenario = MeasurementScenario.from_maximal(observables, contexts, outcomes)
+    rng = np.random.default_rng(0)
+    for trial in range(30):
+        model = random_model(scenario, rng, ("global", "random", "perturbed")[trial % 3])
+        got = signalling(model).max_discrepancy
+        expected = signalling_by_faces(model)
+        if single_overlaps:
+            assert got == expected
+        else:
+            assert 0.0 <= expected - got <= 1e-15
 
 
 def test_outcome_symmetry(judgment_model, pr_model):

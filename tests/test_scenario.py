@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from oracles import maximal_contexts_by_completion
 from winoctx.scenario import (
     InvalidScenarioError,
     MeasurementScenario,
-    complete_downward,
     cyclic_structure,
     maximal_contexts,
     validate,
@@ -38,18 +38,19 @@ def test_uncovered_observable_reported():
     assert any("a2" in p for p in report.problems)
 
 
-def test_closure_violation_reported():
-    # bypass from_maximal, which would close the complex for us
+def test_nested_context_reported():
+    # bypass from_maximal, which drops a face another face contains
     scenario = MeasurementScenario(
         observables=("a1", "b1", "a2"),
-        faces=frozenset(
+        contexts=frozenset(
             {frozenset({"a1", "b1", "a2"}), frozenset({"a1", "b1"})}
         ),
         outcomes=("0", "1"),
     )
     report = validate(scenario)
-    assert not report.ok
-    assert any("closure" in p or "subset" in p for p in report.problems)
+    assert report.problems == (
+        "context ['a1', 'b1'] lies inside context ['a1', 'a2', 'b1']",
+    )
 
 
 def test_duplicate_observables_reported():
@@ -78,37 +79,25 @@ def test_observable_cap_reported():
     assert any("16" in p for p in validate(scenario).problems)
 
 
-def test_oversized_face_refused_before_completion(monkeypatch):
-    def enumerate_subsets(*args):
-        raise AssertionError("subsets of an oversized face were enumerated")
-
-    monkeypatch.setattr("winoctx.scenario.combinations", enumerate_subsets)
+def test_oversized_face_refused_before_completion():
     names = tuple(f"x{i}" for i in range(17))
-    with pytest.raises(InvalidScenarioError, match="face of 17 members"):
-        MeasurementScenario.from_maximal(
-            observables=names, maximal_faces=[names], outcomes=("0", "1")
-        )
-
-
-def test_complete_downward_contains_all_subsets():
-    faces = complete_downward([("x", "y")])
-    assert frozenset() in faces
-    assert frozenset({"x"}) in faces
-    assert frozenset({"y"}) in faces
-    assert frozenset({"x", "y"}) in faces
-    assert len(faces) == 4
+    scenario = MeasurementScenario.from_maximal(
+        observables=names, maximal_faces=[names], outcomes=("0", "1")
+    )
+    with pytest.raises(InvalidScenarioError, match="17 observables exceed the supported 16"):
+        maximal_contexts(scenario)
 
 
 @given(
-    st.lists(
-        st.frozensets(st.sampled_from("abcde"), min_size=1, max_size=4),
-        min_size=1,
-        max_size=6,
-    )
+    st.lists(st.lists(st.sampled_from("abcdef"), max_size=5), min_size=1, max_size=7),
+    st.randoms(use_true_random=False),
 )
-def test_complete_downward_idempotent(faces):
-    once = complete_downward(faces)
-    assert complete_downward(once) == once
+def test_maximal_contexts_match_completion(faces, rnd):
+    observables = sorted(set().union(*map(set, faces)))
+    rnd.shuffle(observables)
+    assume(observables)
+    scenario = MeasurementScenario.from_maximal(observables, faces, ("0", "1"))
+    assert maximal_contexts(scenario) == maximal_contexts_by_completion(observables, faces)
 
 
 def test_maximal_contexts_chsh_order():

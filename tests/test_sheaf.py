@@ -9,7 +9,13 @@ from winoctx.empirical import EmpiricalModel, from_global_weights, outcome_tuple
 from winoctx.ingest import ContextTally, tally_distribution
 from winoctx.linprog import LpSizeError
 from winoctx.report import build_report
-from winoctx.scenario import MeasurementScenario, cyclic_structure, maximal_contexts
+from winoctx.scenario import (
+    InvalidScenarioError,
+    MeasurementScenario,
+    cyclic_structure,
+    maximal_contexts,
+    validate,
+)
 from winoctx.sheaf import (
     SignallingModelError,
     contextual_fraction,
@@ -42,13 +48,37 @@ def test_assignments_are_lexicographic(chsh_scenario):
 
 
 def test_assignment_cap():
+    names = tuple(f"x{i}" for i in range(9))
     scenario = MeasurementScenario.from_maximal(
-        observables=tuple(f"x{i}" for i in range(9)),
-        maximal_faces=[tuple(f"x{i}" for i in range(9))],
+        observables=names,
+        maximal_faces=[(names[i], names[(i + 1) % 9]) for i in range(9)],
         outcomes=("a", "b", "c", "d"),
     )
     with pytest.raises(LpSizeError):
         incidence(scenario)
+
+
+def test_oversized_table_refused_before_it_is_built(monkeypatch):
+    def enumerate_outcomes(*args):
+        raise AssertionError("joint outcomes of an oversized context were enumerated")
+
+    monkeypatch.setattr("winoctx.empirical.outcome_tuples", enumerate_outcomes)
+    monkeypatch.setattr("winoctx.sheaf.outcome_tuples", enumerate_outcomes)
+    names = tuple(f"x{i}" for i in range(9))
+    scenario = MeasurementScenario.from_maximal(
+        observables=names, maximal_faces=[names], outcomes=("a", "b", "c", "d")
+    )
+    assert validate(scenario).problems == (
+        f"context {sorted(names)} has 4^9 joint outcomes, over the supported 65536",
+    )
+    with pytest.raises(InvalidScenarioError, match="4\\^9 joint outcomes"):
+        EmpiricalModel.build(scenario, {names: {("a",) * 9: 1.0}})
+    with pytest.raises(InvalidScenarioError, match="4\\^9 joint outcomes"):
+        incidence(scenario)
+    # a binary context over every supported observable is within the cap
+    names = tuple(f"x{i}" for i in range(16))
+    binary = MeasurementScenario.from_maximal(names, [names], ("0", "1"))
+    assert validate(binary).ok
 
 
 def cycle(rank, outcomes=("0", "1")):
