@@ -16,6 +16,41 @@ s_odd <= n - 2 are the n-cycle noncontextuality facets (Araujo et al.,
 PRA 88, 022118, 2013).  s_odd and the sign pattern attaining it have an
 O(n) closed form (`chsh_pattern`); the sign-vector enumeration lives only
 in the test oracles.
+
+The contextual fraction of a non-signalling binary cycle is closed form too:
+
+    cf = max(0, (s_odd - (n - 2)) / 2)
+
+It is read off s_odd, not cnt1, so that float noise in delta cannot move it.
+Abramsky, Barbosa and Mansfield (PRL 119, 050504, 2017) prove cf >= the
+right-hand side.  For the other direction, write m_j for the expectation of
+x_j, c_j for the correlation of K_j, and p_j(a, b) = (1 + a m_j + b m_j+1 +
+ab c_j) / 4 for K_j's table, a, b = +-1.  Let s be an odd pattern attaining
+s_odd, v = s.c - (n - 2) > 0 and lam = v / 2 (lam = 1 only for the PR box
+PR_s itself, whose cf is 1).  PR_s has zero marginals and correlations s, so
+it puts 1/2 on each (a, b) with ab = s_j.  Then
+
+    e_NC = (e - lam PR_s) / (1 - lam)
+
+is a non-signalling model with marginals m / (1 - lam):
+
+- Non-negativity.  p_k >= 0 at (a, -s_k a) for both a gives
+  1 - s_k c_k >= |m_k - s_k m_k+1| on every edge.  On PR_s's support,
+  p_j(a, s_j a) = (1 + s_j c_j + a (m_j + s_j m_j+1)) / 4, and
+  v = (1 + s_j c_j) - sum_{k != j} (1 - s_k c_k).  Summing the edge bound
+  around the other n - 1 edges telescopes by the triangle inequality to
+  |m_j+1 - (prod_{k != j} s_k) m_j| = |m_j + s_j m_j+1|, since s has odd
+  parity.  So p_j >= v / 4 = lam / 2 there, and e_NC >= 0.
+- Noncontextuality.  s.c_NC = (s.c - lam n) / (1 - lam) = n - 2 exactly.
+  Any other odd s' differs from s on an even set D of size >= 2, and with
+  a_k = 1 - s_k c_NC_k in [0, 2] summing to 2,
+  s'.c_NC = (n - 2) - 2 sum_D s_k c_NC_k = (n - 2) - 2 (|D| - sum_D a_k),
+  which is <= n - 2 as sum_D a_k <= 2 <= |D|.  So e_NC satisfies every
+  n-cycle inequality, and by Araujo et al. it is noncontextual.
+
+Hence e = lam PR_s + (1 - lam) e_NC explains mass 1 - lam and cf <= lam.
+When v <= 0, e itself satisfies every inequality and cf = 0.  The
+certificate is the n-cycle inequality of s: its gap to the bound is 0.
 """
 
 from __future__ import annotations
@@ -58,6 +93,13 @@ def s_odd_rows(rows: np.ndarray) -> np.ndarray:
     smallest = mags.min(axis=1)
     odd = (a < 0).sum(axis=1) % 2 == 1
     return np.where(odd, totals, totals - 2.0 * smallest)
+
+
+def contextual_fraction(correlations: np.ndarray) -> np.ndarray:
+    """Closed-form cf of non-signalling binary cycles, one per row of
+    cycle-ordered correlations (module docstring)."""
+    excess = s_odd_rows(correlations) - (np.shape(correlations)[1] - 2)
+    return np.maximum(0.0, excess / 2.0)
 
 
 @dataclass(frozen=True)
@@ -127,6 +169,12 @@ class CyclicSystem:
         # left-to-right: when delta is exactly 0.0 this is bit-identical
         # to the rank-4 correlation-bound excess below
         return s_odd(self.correlations) - self.delta - (self.rank - 2)
+
+    @property
+    def contextual_fraction(self) -> float:
+        """cf in closed form; it is the cf only when the model does not
+        signal (module docstring)."""
+        return max(0.0, (s_odd(self.correlations) - (self.rank - 2)) / 2)
 
     @property
     def contextual(self) -> bool:

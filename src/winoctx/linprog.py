@@ -9,13 +9,10 @@ the final objective row so every optimum ships with a certificate; callers
 are expected to check `LpSolution.gap`.
 
 Problems beyond 1024 rows or 1024 structural variables are refused by
-`check_size`, the package's one limit on LP size.
-
-A program whose rows all read `<=` with b >= 0 starts from the slack basis,
-and its solution carries the final `Basis`: the basic columns and B^-1,
-read off the final tableau under the slack columns.  Only b enters B^-1 b,
-so when just the right-hand side changes, `recertify` checks that basis
-against a whole batch of new right-hand sides without another solve.
+`check_size`, the package's one limit on LP size.  The one program solved
+here is `sheaf`'s contextual fraction, which reports reach only for
+signalling, non-binary and non-cyclic models: a non-signalling binary
+cycle has its cf in closed form (`cbd`).
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 MAX_SIZE = 1024
 MAX_ITER = 200_000
-CERTIFY_TOL = 1e-12  # least basic value a re-certified basis may carry
-GAP_TOL = 1e-9       # largest certificate gap a re-certified optimum may carry
 
 LEQ = "<="
 EQ = "="
@@ -94,19 +89,6 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
-class Basis:
-    """The optimal basis of an all-`<=` program with b >= 0.
-
-    columns[i] is the tableau column basic in row i (structural variables
-    first, then one slack per row), inverse is B^-1 and cost is c_B.
-    """
-
-    columns: tuple[int, ...]
-    inverse: np.ndarray
-    cost: np.ndarray
-
-
-@dataclass(frozen=True)
 class LpSolution:
     status: str
     x: Optional[np.ndarray]
@@ -115,7 +97,6 @@ class LpSolution:
     gap: Optional[float]        # |primal - dual| objective mismatch
     residual: Optional[float]   # worst primal constraint violation
     iterations: int
-    basis: Optional[Basis] = None  # optimal all-<= programs with b >= 0 only
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -262,44 +243,5 @@ def solve(problem: LpProblem) -> LpSolution:
     if viol > 1e-6 * scale:
         raise LpNumericalError(f"primal residual {viol:.3e} after optimal finish")
 
-    final = None
-    if not art_cols:
-        # the initial unit columns are the slacks, so B^-1 sits under them
-        final = Basis(tuple(basis), T[:m, unit_col], c_ext[basis])
-    return LpSolution(OPTIMAL, x, y, z, gap, viol, iterations, final)
+    return LpSolution(OPTIMAL, x, y, z, gap, viol, iterations)
 
-
-def recertify(
-    basis: Basis, dual: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check an optimal basis against a batch of right-hand sides.
-
-    `rhs` holds one right-hand side b >= 0 per row, for the program whose
-    solve gave `basis` and `dual`, with only b changed.  The basis's reduced
-    costs do not involve b, so it stays dual-feasible, and it is optimal for
-    every b with x_B = B^-1 b >= -CERTIFY_TOL.  Such a b is covered: its
-    optimum is c_B.x_B, and the solve's dual y = c_B B^-1 certifies it with
-    gap |c_B.x_B - b.y|.  Returns (covered, objective, gap), one entry per
-    row, NaN where not covered.  A covered b whose gap exceeds GAP_TOL
-    raises LpNumericalError.
-
-    The arithmetic is elementwise products summed along an axis, never a
-    matrix product, so each row's results depend only on that row and the
-    basis.  Temporaries take len(rhs) * m * m floats; callers chunk.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    m = basis.inverse.shape[0]
-    if rhs.ndim != 2 or rhs.shape[1] != m:
-        raise LpError(f"rhs batch has shape {rhs.shape}, expected (k, {m})")
-    if not (np.isfinite(rhs).all() and (rhs >= 0.0).all()):
-        raise LpError("recertify needs finite right-hand sides >= 0")
-    x_basic = (basis.inverse * rhs[:, None, :]).sum(axis=2)
-    covered = x_basic.min(axis=1) >= -CERTIFY_TOL
-    objective = (x_basic * basis.cost).sum(axis=1)
-    gap = np.abs(objective - (rhs * dual).sum(axis=1))
-    worst = gap[covered].max(initial=0.0)
-    if worst > GAP_TOL:
-        raise LpNumericalError(f"re-certified optimum has gap {worst:.3e}")
-    objective[~covered] = np.nan
-    gap[~covered] = np.nan
-    return covered, objective, gap

@@ -4,6 +4,10 @@ The same report renders as text (numbers at 6 decimal places) or as a dict
 for JSON output; both carry identical values.  Measures that do not apply
 (no binary cyclic structure, LP size cap exceeded) are omitted and explained
 in `notices` instead of failing the whole analysis.
+
+The contextual fraction of a non-signalling binary cycle is taken in closed
+form from its `cbd.CyclicSystem`, with certificate gap 0 (see `cbd`).  Every
+other model, signalling cycles included, gets the `sheaf` linear program.
 """
 
 from __future__ import annotations
@@ -200,25 +204,32 @@ def build_report(
             violation=violation,
             signs=signs,
         )
-        verdict_cbd = cnt1 > 0
+        # a model on a facet has cnt1 0 or a rounding step off it; decided
+        # at tol, as the sheaf verdict is
+        verdict_cbd = cnt1 > tol
 
     cf_report: Optional[CfReport] = None
     verdict_sheaf: Optional[bool] = None
-    try:
-        result = sheaf.contextual_fraction(model)
-    except LpSizeError as exc:
-        notices.append(f"contextual fraction omitted: {exc}")
+    if system is not None and non_signalling:
+        cf = system.contextual_fraction
+        cf_report = CfReport(cf=cf, ncf_weight=1.0 - cf, gap=0.0, reliable=True)
     else:
-        cf_report = CfReport(
-            cf=result.cf,
-            ncf_weight=result.ncf_weight,
-            gap=result.gap,
-            reliable=non_signalling,
-        )
+        try:
+            result = sheaf.contextual_fraction(model)
+        except LpSizeError as exc:
+            notices.append(f"contextual fraction omitted: {exc}")
+        else:
+            cf_report = CfReport(
+                cf=result.cf,
+                ncf_weight=result.ncf_weight,
+                gap=result.gap,
+                reliable=non_signalling,
+            )
+    if cf_report is not None:
         if non_signalling:
             # cf lands on 0 or a rounding step above it when noncontextual;
             # decided at tol, as sheaf.is_noncontextual does
-            verdict_sheaf = result.cf > tol
+            verdict_sheaf = cf_report.cf > tol
         else:
             notices.append(
                 "model signals beyond tol; contextual-fraction verdict withheld"

@@ -16,10 +16,10 @@ The same program answers the yes/no question too: a non-signalling model
 is noncontextual iff cf = 0, so `is_noncontextual` reads its verdict and
 witness off this solve.
 
-Every row reads `<=` and b >= 0, so each solve also returns its optimal
-basis (`CfResult.basis`).  Models that share a scenario differ only in b,
-and `linprog.recertify` reuses that basis for every b it still covers;
-the cf bootstrap solves only the draws that no basis covers.
+Reports and the bootstrap do not solve this program for a non-signalling
+binary cycle: there cf = max(0, (s_odd - (n - 2)) / 2) in closed form
+(`cbd`, with its proof), at any rank up to 16.  The program answers
+signalling, non-binary and non-cyclic models, within the cap.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .empirical import EmpiricalModel, outcome_tuples, signalling
-from .linprog import OPTIMAL, Basis, LpProblem, check_size, solve
+from .linprog import OPTIMAL, LpProblem, check_size, solve
 from .scenario import Context, MeasurementScenario, maximal_contexts
 
 
@@ -99,7 +99,6 @@ class CfResult:
     assignments: tuple[tuple[str, ...], ...]
     dual_certificate: np.ndarray           # row multipliers proving optimality
     gap: float                             # |primal - dual|, should be <= 1e-7
-    basis: Basis                           # optimal for any b it re-certifies
 
 
 def _rhs(model: EmpiricalModel, system: IncidenceSystem) -> np.ndarray:
@@ -133,7 +132,6 @@ def contextual_fraction(model: EmpiricalModel) -> CfResult:
         assignments=system.assignments,
         dual_certificate=solution.dual,
         gap=solution.gap,
-        basis=solution.basis,
     )
 
 

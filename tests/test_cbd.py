@@ -1,17 +1,20 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_model
 from oracles import chsh_patterns_by_enumeration, s_odd_by_enumeration
+from winoctx import sheaf
 from winoctx.cbd import (
     CyclicSystem,
     CyclicSystemError,
     chsh_pattern,
     chsh_violation,
     cnt1,
+    contextual_fraction,
     s_odd,
     s_odd_rows,
 )
@@ -200,3 +203,104 @@ def test_chsh_pattern_breaks_ties_toward_lowest_bitmask():
         expected = chsh_patterns_by_enumeration(vectors)
         got = np.array([chsh_pattern(v) for v in vectors])
         assert np.array_equal(got, expected), k
+
+
+def cycle_tables(m, c):
+    """Joint tables of the binary cycle x0..x(n-1) with expectations m and
+    correlations c (c[j] on {x_j, x_j+1}); outcome "0" is +1."""
+    n = len(m)
+    names = tuple(f"x{i}" for i in range(n))
+    scenario = MeasurementScenario.from_maximal(
+        names, [(names[j], names[(j + 1) % n]) for j in range(n)], ("0", "1"))
+    index = {name: i for i, name in enumerate(names)}
+    edge = {frozenset((j, (j + 1) % n)): c[j] for j in range(n)}
+    tables = {}
+    for ctx in maximal_contexts(scenario):
+        u, w = (index[name] for name in ctx)
+        tables[ctx] = {
+            (a, b): (1 + sa * m[u] + sb * m[w] + sa * sb * edge[frozenset((u, w))]) / 4
+            for a, sa in (("0", 1), ("1", -1))
+            for b, sb in (("0", 1), ("1", -1))
+        }
+    return scenario, tables
+
+
+@st.composite
+def non_signalling_cycles(draw, grid=32):
+    """(expectations, correlations) of a non-signalling binary n-cycle, all
+    multiples of 1/grid so that every table entry is an exact double.
+    Boundary expectations (+-1, 0) and boundary correlations, where a table
+    entry is 0, are drawn often, and so are correlations near the ends of
+    their range, which contextual cycles need."""
+    n = draw(st.integers(3, 10))
+    spread = draw(st.sampled_from((0, grid // 8, grid)))
+    ends = st.sampled_from((-spread, 0, spread))
+    m = draw(st.lists(st.one_of(ends, st.integers(-spread, spread)), min_size=n, max_size=n))
+    c = []
+    for j in range(n):
+        a, b = m[j], m[(j + 1) % n]
+        lo, hi = abs(a + b) - grid, grid - abs(a - b)
+        near = (hi - lo) // 8
+        c.append(draw(st.one_of(
+            st.sampled_from((lo, hi)), st.integers(lo, lo + near),
+            st.integers(hi - near, hi), st.integers(lo, hi))))
+    return [x / grid for x in m], [x / grid for x in c]
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_signalling_cycles())
+def test_closed_form_cf_matches_the_lp(cycle):
+    scenario, tables = cycle_tables(*cycle)
+    model = EmpiricalModel.build(scenario, tables)
+    system = CyclicSystem.from_model(model)
+    closed = system.contextual_fraction
+    assert type(closed) is float
+    assert closed == pytest.approx(sheaf.contextual_fraction(model).cf, abs=1e-12)
+    assert contextual_fraction(np.array([system.correlations]))[0] == pytest.approx(
+        closed, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def odd_patterns(n):
+    return np.array([s for s in itertools.product((1, -1), repeat=n) if s.count(-1) % 2])
+
+
+def test_noncontextual_part_of_the_closed_form_is_a_noncontextual_model():
+    """The decomposition e = lam PR_s + (1 - lam) e_NC behind the closed form
+    (cbd module docstring), built for random contextual cycles."""
+    rng = np.random.default_rng(2017)
+    checked = by_lp = 0
+    while checked < 400:
+        n = int(rng.integers(3, 13))
+        kind = rng.integers(3, size=n)  # 0: m = 0, 1: small, 2: boundary +-1
+        m = np.where(kind == 0, 0.0, np.where(kind == 1, rng.uniform(-0.3, 0.3, n),
+                                              rng.choice((-1.0, 1.0), n)))
+        s = odd_patterns(n)[rng.integers(len(odd_patterns(n)))]
+        nxt = np.roll(m, -1)
+        lo, hi = np.abs(m + nxt) - 1, 1 - np.abs(m - nxt)
+        # near the end the pattern favours; exactly on it a third of the time
+        slack = np.where(rng.random(n) < 1 / 3, 0.0, 0.2 * rng.random(n)) * (hi - lo)
+        c = np.where(s > 0, hi - slack, lo + slack)
+        lam = (s_odd(c) - (n - 2)) / 2
+        if not 0 < lam < 1:
+            continue
+        signs = np.array(chsh_pattern(c))
+        assert float(signs @ c) == pytest.approx(s_odd(c), abs=1e-12)
+        # e_NC's table entries on every edge, and its correlations
+        for j in range(n):
+            for a in (1, -1):
+                for b in (1, -1):
+                    p = (1 + a * m[j] + b * nxt[j] + a * b * c[j]) / 4
+                    pr = (1 + a * b * signs[j]) / 4
+                    assert (p - lam * pr) / (1 - lam) >= -1e-12
+        c_nc = (c - lam * signs) / (1 - lam)
+        assert (odd_patterns(n) @ c_nc).max() <= n - 2 + 1e-12
+        if n <= 6 and by_lp < 40:
+            # and the LP finds no contextuality in it
+            scenario, tables = cycle_tables(m / (1 - lam), c_nc)
+            model = EmpiricalModel.build(scenario, tables)
+            assert sheaf.contextual_fraction(model).cf <= 1e-9
+            by_lp += 1
+        checked += 1
+    assert by_lp == 40
+

@@ -94,7 +94,8 @@ def test_analyze_json_report(capsys):
     doc = json.loads(out)
     assert doc["cyclic"]["violation"] == pytest.approx(0.192, abs=1e-3)
     assert doc["cyclic"]["cnt1"] == doc["cyclic"]["violation"]
-    assert doc["contextual_fraction"]["cf"] == pytest.approx(0.096, abs=1e-3)
+    assert doc["contextual_fraction"]["cf"] == pytest.approx(0.096, abs=1e-12)
+    assert doc["contextual_fraction"]["certificate_gap"] == 0.0
     assert doc["non_signalling"] is True
     assert doc["verdicts"] == {"cbd": True, "sheaf": True}
 

@@ -4,10 +4,8 @@ import pytest
 from oracles import brute_force_lp, random_bounded_lp
 from winoctx.linprog import (
     LpError,
-    LpNumericalError,
     LpProblem,
     LpSizeError,
-    recertify,
     solve,
 )
 
@@ -136,75 +134,3 @@ def test_primal_residual_small_on_equalities():
                 assert lhs[i] <= problem.rhs[i] + 1e-8
         assert np.all(sol.x >= -1e-9)
 
-
-def test_basis_only_for_all_leq_programs_with_nonnegative_rhs():
-    sol = solve(lp([3.0, 2.0], [[2.0, 1.0], [1.0, 3.0]], [4.0, 6.0], ["<=", "<="]))
-    assert sol.basis is not None
-    # B^-1 applied to b reproduces the basic values of the solve
-    x_basic = (sol.basis.inverse * np.array([4.0, 6.0])).sum(axis=1)
-    assert np.allclose(x_basic, sol.x[list(sol.basis.columns)], atol=1e-12)
-    assert solve(lp([1.0, 1.0], [[1.0, 1.0]], [2.0], ["="])).basis is None
-    assert solve(lp([-1.0], [[-1.0]], [-3.0], ["<="])).basis is None
-
-
-def test_recertify_covers_rhs_the_basis_still_solves():
-    problem = lp([3.0, 2.0], [[2.0, 1.0], [1.0, 3.0]], [4.0, 6.0], ["<=", "<="])
-    sol = solve(problem)
-    # b itself, 2b and 0 keep the basis {x, y}; at (4, 1) its vertex has y < 0
-    batch = np.array([[4.0, 6.0], [8.0, 12.0], [4.0, 1.0], [0.0, 0.0]])
-    covered, objective, gap = recertify(sol.basis, sol.dual, batch)
-    assert covered.tolist() == [True, True, False, True]
-    x_basic = (sol.basis.inverse * batch[2]).sum(axis=1)
-    assert x_basic.min() < 0
-    assert np.isnan(objective[2]) and np.isnan(gap[2])
-    assert objective[0] == pytest.approx(sol.objective_value, abs=1e-12)
-    assert objective[1] == pytest.approx(2.0 * sol.objective_value, abs=1e-12)
-    assert objective[3] == 0.0
-    assert np.all(gap[covered] <= 1e-12)
-
-
-def test_recertify_agrees_with_cold_solves():
-    rng = np.random.default_rng(2024)
-    checked = uncovered = 0
-    for _ in range(30):
-        m, n = rng.integers(2, 7, size=2)
-        lhs = rng.integers(0, 2, size=(m, n)).astype(float)
-        lhs[rng.integers(m, size=n), np.arange(n)] = 1.0  # keeps it bounded
-        objective = rng.random(n) + 0.1
-        base = rng.random(m)
-        sol = solve(lp(objective, lhs, base, ["<="] * m))
-        batch = np.abs(base + 0.3 * rng.standard_normal((20, m)))
-        covered, value, gap = recertify(sol.basis, sol.dual, batch)
-        for b, ok, z, g in zip(batch, covered, value, gap):
-            if ok:
-                cold = solve(lp(objective, lhs, b, ["<="] * m))
-                assert z == pytest.approx(cold.objective_value, abs=1e-9)
-                assert g <= 1e-9
-                checked += 1
-            else:
-                assert (sol.basis.inverse * b).sum(axis=1).min() < -1e-12
-                uncovered += 1
-    assert checked > 100 and uncovered > 50
-
-
-def test_recertify_rows_do_not_depend_on_the_batch():
-    problem = lp([3.0, 2.0], [[2.0, 1.0], [1.0, 3.0]], [4.0, 6.0], ["<=", "<="])
-    sol = solve(problem)
-    batch = np.random.default_rng(5).random((50, 2)) * 6.0
-    whole = recertify(sol.basis, sol.dual, batch)
-    for i in range(50):
-        one = recertify(sol.basis, sol.dual, batch[i:i + 1])
-        for a, b in zip(whole, one):
-            assert a[i:i + 1].tobytes() == b.tobytes()
-
-
-def test_recertify_refuses_bad_rhs_and_loose_certificates():
-    sol = solve(lp([3.0, 2.0], [[2.0, 1.0], [1.0, 3.0]], [4.0, 6.0], ["<=", "<="]))
-    with pytest.raises(LpError, match="rhs batch"):
-        recertify(sol.basis, sol.dual, np.array([4.0, 6.0]))
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(LpError, match=">= 0"):
-            recertify(sol.basis, sol.dual, np.array([[4.0, bad]]))
-    # a dual that does not certify the basis's optimum is refused, not kept
-    with pytest.raises(LpNumericalError, match="gap"):
-        recertify(sol.basis, 2.0 * sol.dual, np.array([[4.0, 6.0]]))

@@ -132,15 +132,29 @@ def test_cf_size_refused_before_enumeration(monkeypatch):
         incidence(cycle(12))
 
 
-def test_report_on_rank_16_cycle_omits_cf_keeps_cnt1():
-    # fifteen perfect correlations and one perfect anticorrelation
+def test_report_on_rank_16_cycle_gives_closed_form_cf():
+    # fifteen perfect correlations and one perfect anticorrelation: a PR box
     scenario = cycle(16)
     model = EmpiricalModel.build(scenario, symmetric_tables(scenario, [0.5] * 15 + [0.0]))
     report = build_report(model)
     assert report.non_signalling
     assert report.cyclic.cnt1 == 2.0
+    assert report.cf.cf == 1.0 and report.cf.ncf_weight == 0.0 and report.cf.gap == 0.0
+    assert report.cf.reliable and report.verdict_sheaf is True
+    assert not any("omitted: " in notice and "cap" in notice for notice in report.notices)
+
+
+def test_report_on_signalling_rank_12_cycle_omits_cf_with_notice():
+    # perfect correlations, but x0 is fixed in its first context only
+    scenario = cycle(12)
+    tables = symmetric_tables(scenario, [0.5] * 12)
+    first = maximal_contexts(scenario)[0]
+    tables[first] = {("0", "0"): 1.0, ("0", "1"): 0.0, ("1", "0"): 0.0, ("1", "1"): 0.0}
+    report = build_report(EmpiricalModel.build(scenario, tables))
+    assert not report.non_signalling
+    assert report.cyclic is not None
     assert report.cf is None and report.verdict_sheaf is None
-    assert "contextual fraction omitted: 64x65536 problem exceeds the 1024x1024 cap" in (
+    assert "contextual fraction omitted: 48x4096 problem exceeds the 1024x1024 cap" in (
         report.notices
     )
 
@@ -310,6 +324,24 @@ def test_report_sheaf_verdict_decided_at_tol():
     assert report.verdict_cbd is False
     assert report.verdict_sheaf is False
     assert "sheaf contextual: no" in report.render_text()
+
+
+def test_report_cbd_verdict_decided_at_tol():
+    # correlations -1/3, 1, -1/3, -1/3 lie on the CHSH facet (s_odd = 2 in
+    # rationals); in floats cnt1 is a rounding step above 0
+    names = ("x1", "x2", "x3", "x4")
+    scenario = MeasurementScenario.from_maximal(
+        names, [(names[i], names[(i + 1) % 4]) for i in range(4)], ("A", "B"))
+    tables = {
+        ctx: tally_distribution(ContextTally(n, n, k, n - k))
+        for ctx, n, k in zip(cyclic_structure(scenario).contexts,
+                             (3, 17, 9, 3), (1, 17, 3, 1))
+    }
+    report = build_report(EmpiricalModel.build(scenario, tables))
+    assert 0.0 < report.cyclic.cnt1 <= 1e-15
+    assert report.verdict_cbd is False
+    assert report.verdict_sheaf is False
+    assert "verdicts: CbD contextual: no; sheaf contextual: no" in report.render_text()
 
 
 def test_mixture_of_global_weights_noncontextual(chsh_scenario):
