@@ -30,6 +30,8 @@ from .scenario import Context, MeasurementScenario, cyclic_structure
 
 GENERATOR = "philox4x64-10"
 STATISTICS = ("violation", "cnt1", "cf")
+# the draws are held in memory, about 125 MB per 10**6 at rank 4
+MAX_RESAMPLES = 10**7
 
 
 class BootstrapError(ValueError):
@@ -48,6 +50,10 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_resamples < 1:
             raise BootstrapError("n_resamples must be >= 1")
+        if self.n_resamples > MAX_RESAMPLES:
+            raise BootstrapError(
+                f"n_resamples {self.n_resamples} exceeds the cap of {MAX_RESAMPLES} draws"
+            )
         if self.statistic not in STATISTICS:
             raise BootstrapError(
                 f"unknown statistic {self.statistic!r}, pick one of {list(STATISTICS)}"

@@ -177,10 +177,6 @@ class CyclicSystem:
         return max(0.0, (s_odd(self.correlations) - (self.rank - 2)) / 2)
 
     @property
-    def contextual(self) -> bool:
-        return self.cnt1 > 0.0
-
-    @property
     def violation(self) -> float:
         """Excess of the best odd-signed correlation sum over the classical
         bound of 2.  Defined for rank-4 cycles only; negative means no

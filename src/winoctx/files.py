@@ -55,6 +55,8 @@ def load_json(path) -> dict:
             raise FileFormatError(f"{path}: not parseable as JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise FileFormatError(f"{path}: nested too deeply to parse") from None
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
     return doc
 

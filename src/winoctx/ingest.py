@@ -123,6 +123,8 @@ def parse_responses(path) -> ParseResult:
                 problems.append("file has a header but no data rows")
     except UnicodeDecodeError as exc:
         raise ResponseFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ResponseFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return ParseResult(records=tuple(records), problems=tuple(problems))
 
 

@@ -8,8 +8,10 @@ mass can such a global distribution explain?
     maximize  sum(w)   s.t.   M w <= b,  w >= 0
 
 where M is the 0/1 incidence of assignments against (context, outcome)
-rows and b stacks the empirical probabilities.  cf = 1 - optimum.  Every
-solve carries a dual certificate; `CfResult.gap` reports how tight it is.
+rows and b stacks the empirical probabilities.  cf = 1 - optimum.  Since
+b >= 0 (`_rhs` floors rounding noise at 0), w = 0 is a vertex, and
+`linprog` solves in one phase from the slack basis.  Every solve carries a
+dual certificate; `CfResult.gap` reports how tight it is.
 Both counts, rows and assignments, must stay within `linprog.MAX_SIZE`
 (1024, so binary cycles up to rank 10); `incidence` checks them first.
 The same program answers the yes/no question too: a non-signalling model
@@ -103,8 +105,8 @@ class CfResult:
 
 def _rhs(model: EmpiricalModel, system: IncidenceSystem) -> np.ndarray:
     b = np.array([model.distribution(ctx).prob(joint) for ctx, joint in system.rows])
-    # model validation admits entries down to -tol; those are rounding noise
-    # and would make the program infeasible, so floor at zero
+    # model validation admits entries down to -tol; those are rounding noise,
+    # and `LpProblem` refuses a negative rhs, so floor at zero
     return np.maximum(b, 0.0)
 
 
@@ -118,7 +120,6 @@ def contextual_fraction(model: EmpiricalModel) -> CfResult:
         objective=np.ones(n),
         lhs=system.matrix,
         rhs=b,
-        relations=("<=",) * len(b),
     )
     solution = solve(problem)
     if solution.status != OPTIMAL:

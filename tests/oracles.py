@@ -16,89 +16,52 @@ from winoctx.scenario import maximal_contexts
 def brute_force_lp(problem: LpProblem):
     """Optimum of a small LP by enumerating vertices of the standard form.
 
-    Adds a slack column per inequality row.  Without equality rows the
-    slack block gives full row rank, so every vertex extends to a square
-    basis and trying all size-m column subsets is enough.  Equality rows
-    can be redundant (rank < m), so there we enumerate every column
-    subset up to size m as a candidate support instead.  Returns the best
-    feasible candidate objective, or None when none exists (infeasible,
-    since x >= 0 keeps the region pointed).  Only meaningful for problems
-    known to be bounded.
+    Adds a slack column per row.  The slack block gives full row rank, so
+    every vertex extends to a square basis and trying all size-m column
+    subsets is enough.  Returns the best feasible candidate objective, or
+    None when none exists.  Only meaningful for problems known to be
+    bounded.
     """
     lhs = np.asarray(problem.lhs, dtype=float)
     rhs = np.asarray(problem.rhs, dtype=float)
     m, n = lhs.shape
-    ineq_rows = [i for i, rel in enumerate(problem.relations) if rel == "<="]
-    full = np.zeros((m, n + len(ineq_rows)))
-    full[:, :n] = lhs
-    for j, i in enumerate(ineq_rows):
-        full[i, n + j] = 1.0
-    cost = np.zeros(n + len(ineq_rows))
+    full = np.hstack([lhs, np.eye(m)])
+    cost = np.zeros(n + m)
     cost[:n] = problem.objective
-    ncols = full.shape[1]
 
-    def candidate(cols):
-        sub = full[:, cols]
-        if len(cols) == m:
-            try:
-                x_sub = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                return None
-        else:
-            x_sub = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-        if len(cols) and np.min(x_sub) < -1e-9:
-            return None
-        x = np.zeros(ncols)
+    best = None
+    for cols in itertools.combinations(range(n + m), m):
+        try:
+            x_sub = np.linalg.solve(full[:, cols], rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.min(x_sub) < -1e-9:
+            continue
+        x = np.zeros(n + m)
         x[list(cols)] = x_sub
         if np.max(np.abs(full @ x - rhs)) > 1e-7:
-            return None
-        return float(cost @ x)
-
-    if "=" in problem.relations:
-        sizes = range(min(m, ncols) + 1)
-    else:
-        sizes = [m]
-    best = None
-    for k in sizes:
-        for cols in itertools.combinations(range(ncols), k):
-            value = candidate(cols)
-            if value is not None and (best is None or value > best):
-                best = value
+            continue
+        value = float(cost @ x)
+        if best is None or value > best:
+            best = value
     return best
 
 
 def random_bounded_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 5):
     """A random LP that is feasible and bounded by construction.
 
-    x = 0 satisfies every inequality row (rhs >= 0), equality rows are
-    anchored on a known feasible point, and a final box row sum(x) <= U
-    bounds the feasible region.
+    Every row is <= with rhs >= 0, so x = 0 is feasible, and a final box
+    row sum(x) <= U bounds the feasible region.
     """
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(1, max_rows + 1))
     lhs = rng.uniform(-1.0, 1.0, size=(m, n))
-    relations = ["<="] * m
-    anchor = rng.uniform(0.0, 1.0, size=n)
-    rhs = np.empty(m)
-    for i in range(m):
-        if rng.random() < 0.25:
-            relations[i] = "="
-            rhs[i] = float(lhs[i] @ anchor)
-        else:
-            rhs[i] = float(rng.uniform(0.0, 2.0))
-    if "=" in relations:
-        # keep the anchor inside every inequality row so the system stays feasible
-        for i in range(m):
-            if relations[i] == "<=":
-                rhs[i] = max(rhs[i], float(lhs[i] @ anchor))
-    box = float(rng.uniform(float(np.sum(anchor)) + 0.5, float(np.sum(anchor)) + 3.0))
+    rhs = rng.uniform(0.0, 2.0, size=m)
+    box = float(rng.uniform(0.5, 3.0))
     lhs = np.vstack([lhs, np.ones((1, n))])
     rhs = np.append(rhs, box)
-    relations.append("<=")
     objective = rng.uniform(-1.0, 1.0, size=n)
-    return LpProblem(
-        objective=objective, lhs=lhs, rhs=rhs, relations=tuple(relations)
-    )
+    return LpProblem(objective=objective, lhs=lhs, rhs=rhs)
 
 
 def s_odd_by_enumeration(values) -> float:

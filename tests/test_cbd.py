@@ -81,7 +81,6 @@ def test_from_model_pr(pr_model):
     assert sorted(system.correlations) == [-1.0, 1.0, 1.0, 1.0]
     assert system.delta == 0.0
     assert system.cnt1 == 2.0
-    assert system.contextual
 
 
 def test_from_model_deterministic(chsh_scenario):
@@ -94,7 +93,6 @@ def test_from_model_deterministic(chsh_scenario):
     for before, after in system.expectations:
         assert before == 1.0 and after == 1.0
     assert system.cnt1 == 0.0
-    assert not system.contextual
 
 
 def test_delta_arithmetic():

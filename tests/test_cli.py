@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from winoctx.bootstrap import BootstrapConfig, cycle_order_tallies, run
+from winoctx.bootstrap import MAX_RESAMPLES, BootstrapConfig, cycle_order_tallies, run
 from winoctx.cli import main
 from winoctx.files import load_schema, scenario_from_dict
 from winoctx.fixtures import fixture_path
@@ -254,6 +254,66 @@ def test_oversized_table_exits_before_it_is_built(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err == (f"error: context {sorted(names)} has 6^8 joint outcomes, "
                    "over the supported 65536\n")
+
+
+def nested(key, depth=200_000):
+    return "{" + json.dumps(key) + ": " + "[" * depth + "]" * depth + "}"
+
+
+@pytest.mark.parametrize("command", ["analyze-model", "validate-scenario-path",
+                                     "bootstrap-schema"])
+def test_deeply_nested_json_is_unreadable(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    if command == "analyze-model":
+        deep.write_text(nested("distributions"))
+        argv = ["analyze", str(deep)]
+    elif command == "validate-scenario-path":
+        deep.write_text(nested("observables"))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"scenario": "deep.json", "distributions": []}))
+        argv = ["validate", str(model)]
+    else:
+        deep.write_text(nested("words"))
+        argv = ["bootstrap", fx("cannibal_responses.csv"), str(deep), "--samples", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {deep}: nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "bootstrap"])
+def test_oversized_csv_field_is_unreadable(tmp_path, capsys, command):
+    responses = tmp_path / "responses.csv"
+    responses.write_text("respondent_id,word1,word2,pick1,pick2\n"
+                         "r1,cannibalistic,hungry,AA,BB\n"
+                         f"r2,{'c' * 200_000},hungry,AA,BB\n")
+    argv = {
+        "validate": ["validate", str(responses)],
+        "analyze": ["analyze", "--responses", str(responses),
+                    "--schema", fx("cannibal_schema.json")],
+        "bootstrap": ["bootstrap", str(responses), fx("cannibal_schema.json"),
+                      "--samples", "10"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {responses}: line 3: "
+                   "field larger than field limit (131072)\n")
+
+
+def test_bootstrap_samples_over_the_cap_exit_before_drawing(capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("resamples were drawn past the cap")
+
+    monkeypatch.setattr("winoctx.bootstrap._resample_counts", draw)
+    code, out, err = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
+                             fx("cannibal_schema.json"),
+                             "--samples", str(MAX_RESAMPLES + 1))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: n_resamples {MAX_RESAMPLES + 1} exceeds the cap of "
+                   f"{MAX_RESAMPLES} draws\n")
+    assert BootstrapConfig(n_resamples=MAX_RESAMPLES).n_resamples == MAX_RESAMPLES
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

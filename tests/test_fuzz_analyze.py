@@ -1,8 +1,10 @@
-"""Fuzz the model loader and `winoctx analyze` with mutated fixture documents.
+"""Fuzz the model loader, the response parser and `winoctx analyze` with
+mutated fixture files.
 
-Every mutated document is written to a file and analysed through `main`.
-Whatever the damage, the command must end with exit code 0, 1 or 2 and
-never raise.
+Every mutated model document is written to a file and analysed through
+`main`; every mutated response file is validated and analysed under the
+cannibal schema.  Whatever the damage, the command must end with exit code
+0, 1 or 2 and never raise.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -116,3 +119,60 @@ def test_analyze_never_raises_on_mutated_models(doc):
         assert err.getvalue().startswith("error:")
     else:
         json.loads(out.getvalue())
+
+
+# -- response files ------------------------------------------------------------
+
+BASE_ROWS = [line.split(",") for line in
+             fixture_path("cannibal_responses.csv").read_text(encoding="utf-8").splitlines()]
+LONG_CELL = "c" * 200_000  # over the csv module's 131,072-character field limit
+CELLS = st.sampled_from(['"', "\x00", ",", "\r", "", "\n", 'a"b', LONG_CELL])
+
+
+@st.composite
+def mutated_rows(draw):
+    """The fixture's rows (header first) after one to three mutations: a
+    cell replaced, a row dropped or duplicated, or the header damaged."""
+    rows = [list(row) for row in BASE_ROWS]
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(("cell", "cell", "drop", "duplicate", "header")))
+        i = 0 if action == "header" else draw(st.integers(0, len(rows) - 1))
+        if action == "drop":
+            del rows[i]
+        elif action == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(CELLS)
+        if not rows:
+            break
+    return rows
+
+
+def cell_replaced(line, column, value):
+    rows = [list(row) for row in BASE_ROWS]
+    rows[line - 1][column] = value
+    return rows
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=mutated_rows())
+@example(rows=cell_replaced(2, 1, LONG_CELL))
+def test_validate_and_analyze_never_raise_on_mutated_responses(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "responses.csv"
+        # joined without quoting, so quotes, commas and line breaks in a
+        # cell damage the file's structure
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(",".join(row) + "\n" for row in rows))
+        for argv in (["validate", str(path)],
+                     ["analyze", "--responses", str(path),
+                      "--schema", str(fixture_path("cannibal_schema.json"))]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (0, 1, 2)
+            # a duplicated row repeats its respondent id, which only warns
+            assert all("appears more than once" in str(w.message) for w in caught)

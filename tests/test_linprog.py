@@ -10,48 +10,35 @@ from winoctx.linprog import (
 )
 
 
-def lp(objective, lhs, rhs, relations):
+def lp(objective, lhs, rhs):
     return LpProblem(
         objective=np.asarray(objective, dtype=float),
         lhs=np.asarray(lhs, dtype=float),
         rhs=np.asarray(rhs, dtype=float),
-        relations=tuple(relations),
     )
 
 
 def test_single_upper_bound():
-    sol = solve(lp([1.0], [[1.0]], [1.0], ["<="]))
+    sol = solve(lp([1.0], [[1.0]], [1.0]))
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_equality_split():
-    sol = solve(lp([1.0, 1.0], [[1.0, 1.0]], [2.0], ["="]))
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
-
-
-def test_contradictory_equalities_infeasible():
-    sol = solve(lp([1.0], [[1.0], [1.0]], [1.0, 2.0], ["=", "="]))
-    assert sol.status == "infeasible"
-
-
 def test_unbounded():
     # x can grow forever: the only row bounds it from below
-    sol = solve(lp([1.0], [[-1.0]], [1.0], ["<="]))
+    sol = solve(lp([1.0], [[-1.0]], [1.0]))
     assert sol.status == "unbounded"
 
 
 def test_negative_rhs_requires_phase_one():
-    # -x <= -3 means x >= 3; max -x puts x at the bound
-    sol = solve(lp([-1.0], [[-1.0]], [-3.0], ["<="]))
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
+    # -x <= -3 cuts the origin off; the one-phase solver has no start there
+    with pytest.raises(LpError, match="rhs must be >= 0"):
+        lp([-1.0], [[-1.0]], [-3.0])
 
 
 def test_zero_rhs_degenerate():
-    sol = solve(lp([1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0], ["<=", "<="]))
+    sol = solve(lp([1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
 
@@ -61,7 +48,6 @@ def test_dual_reported_and_gap_small():
         [3.0, 2.0],
         [[2.0, 1.0], [1.0, 3.0]],
         [4.0, 6.0],
-        ["<=", "<="],
     )
     sol = solve(problem)
     assert sol.status == "optimal"
@@ -102,22 +88,17 @@ def test_deterministic_replay():
 def test_dimension_cap():
     n = 1025
     with pytest.raises(LpSizeError):
-        lp(np.ones(n), np.ones((1, n)), [1.0], ["<="])
+        lp(np.ones(n), np.ones((1, n)), [1.0])
 
 
 def test_rejects_nonfinite_rhs():
     with pytest.raises(LpError):
-        lp([1.0], [[1.0]], [np.inf], ["<="])
+        lp([1.0], [[1.0]], [np.inf])
 
 
 def test_rejects_shape_mismatch():
     with pytest.raises(LpError):
-        lp([1.0, 2.0], [[1.0]], [1.0], ["<="])
-
-
-def test_rejects_unknown_relation():
-    with pytest.raises(LpError):
-        lp([1.0], [[1.0]], [1.0], [">="])
+        lp([1.0, 2.0], [[1.0]], [1.0])
 
 
 def test_primal_residual_small_on_equalities():
@@ -126,11 +107,6 @@ def test_primal_residual_small_on_equalities():
         problem = random_bounded_lp(rng)
         sol = solve(problem)
         assert sol.status == "optimal"
-        lhs = problem.lhs @ sol.x
-        for i, rel in enumerate(problem.relations):
-            if rel == "=":
-                assert abs(lhs[i] - problem.rhs[i]) <= 1e-8
-            else:
-                assert lhs[i] <= problem.rhs[i] + 1e-8
+        assert np.all(problem.lhs @ sol.x <= problem.rhs + 1e-8)
         assert np.all(sol.x >= -1e-9)
 
