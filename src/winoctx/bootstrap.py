@@ -5,9 +5,14 @@ context's valid responses from that context's empirical same/diff split,
 keeping the per-context sample sizes of the original design.  Resampled
 models are symmetric by construction, so their delta is 0, cnt1 equals the
 rank-4 violation, and cf is the closed form max(0, (s_odd - (n - 2)) / 2)
-of `cbd.contextual_fraction` on every draw.  Every statistic is one
-vectorised pass over the draws' correlations; no draw solves a linear
-program.
+of `cbd.CyclicSystem.contextual_fraction` on every draw.  Every statistic
+is one vectorised pass over the draws' correlations; no draw solves a
+linear program.  The row-wise forms live here, as `s_odd_rows` and
+`contextual_fraction`, since bootstrap is their one user.
+
+numpy is imported inside the functions that touch arrays, so that the
+commands that import this module without drawing (`winoctx analyze`,
+`validate`, `schema`) do not load it.
 
 Determinism contract: all randomness is drawn up front from a Philox
 generator (counter-based, documented algorithm philox4x64-10) in a fixed
@@ -20,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
-from .cbd import contextual_fraction, s_odd_rows
 from .ingest import ContextTally
 from .scenario import Context, MeasurementScenario, cyclic_structure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GENERATOR = "philox4x64-10"
 STATISTICS = ("violation", "cnt1", "cf")
@@ -48,6 +53,8 @@ class BootstrapConfig:
     tol: float = 1e-9  # a cf draw counts as positive when cf > tol
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise BootstrapError(f"seed must be >= 0, got {self.seed}")
         if self.n_resamples < 1:
             raise BootstrapError("n_resamples must be >= 1")
         if self.n_resamples > MAX_RESAMPLES:
@@ -85,6 +92,8 @@ class BootstrapResult:
 
 def histogram(samples: Sequence[float], bin_width: float = 0.02) -> Histogram:
     """Normalized histogram with bin edges pinned to multiples of bin_width."""
+    import numpy as np
+
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise BootstrapError("cannot histogram zero samples")
@@ -97,6 +106,33 @@ def histogram(samples: Sequence[float], bin_width: float = 0.02) -> Histogram:
     densities = counts / (data.size * bin_width)
     centers = (np.arange(lo, hi) + 0.5) * bin_width
     return Histogram(centers=centers, densities=densities, bin_width=bin_width)
+
+
+def s_odd_rows(rows: np.ndarray) -> np.ndarray:
+    """Closed-form `cbd.s_odd` applied to each row of a 2-d array.
+
+    Uses plain reductions (no BLAS) so results do not depend on thread
+    count; bootstrap determinism relies on that.
+    """
+    import numpy as np
+
+    a = np.asarray(rows, dtype=float)
+    if a.ndim != 2:
+        raise BootstrapError("expected a 2-d array of sign-sum inputs")
+    mags = np.abs(a)
+    totals = mags.sum(axis=1)
+    smallest = mags.min(axis=1)
+    odd = (a < 0).sum(axis=1) % 2 == 1
+    return np.where(odd, totals, totals - 2.0 * smallest)
+
+
+def contextual_fraction(correlations: np.ndarray) -> np.ndarray:
+    """Closed-form cf of non-signalling binary cycles, one per row of
+    cycle-ordered correlations (see `cbd`)."""
+    import numpy as np
+
+    excess = s_odd_rows(correlations) - (np.shape(correlations)[1] - 2)
+    return np.maximum(0.0, excess / 2.0)
 
 
 def cycle_order_tallies(
@@ -116,6 +152,8 @@ def cycle_order_tallies(
 
 def _resample_counts(tallies: Sequence[ContextTally], config: BootstrapConfig) -> np.ndarray:
     """Same-pick counts per (resample, context), all drawn up front."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(config.seed))
     columns = []
     for t in tallies:
@@ -131,6 +169,8 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     reflection gives the same statistics; see cycle_order_tallies for the
     canonical arrangement).
     """
+    import numpy as np
+
     tallies = list(tallies)
     rank = len(tallies)
     if rank < 3:

@@ -15,7 +15,9 @@ non-signalling input.
 s_odd <= n - 2 are the n-cycle noncontextuality facets (Araujo et al.,
 PRA 88, 022118, 2013).  s_odd and the sign pattern attaining it have an
 O(n) closed form (`chsh_pattern`); the sign-vector enumeration lives only
-in the test oracles.
+in the test oracles.  The same closed form over many rows at once,
+`s_odd_rows`, and the vectorised cf below, `contextual_fraction`, live in
+`bootstrap`, their one user, so that this module needs no numpy.
 
 The contextual fraction of a non-signalling binary cycle is closed form too:
 
@@ -59,8 +61,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .empirical import EmpiricalModel
 from .scenario import Context, Observable, cyclic_structure
 
@@ -77,29 +77,6 @@ def s_odd(values: Sequence[float]) -> float:
     """
     v = [float(x) for x in values]
     return math.fsum(s * x for s, x in zip(chsh_pattern(v), v))
-
-
-def s_odd_rows(rows: np.ndarray) -> np.ndarray:
-    """Closed-form s_odd applied to each row of a 2-d array.
-
-    Uses plain reductions (no BLAS) so results do not depend on thread
-    count; bootstrap determinism relies on that.
-    """
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2:
-        raise CyclicSystemError("expected a 2-d array of sign-sum inputs")
-    mags = np.abs(a)
-    totals = mags.sum(axis=1)
-    smallest = mags.min(axis=1)
-    odd = (a < 0).sum(axis=1) % 2 == 1
-    return np.where(odd, totals, totals - 2.0 * smallest)
-
-
-def contextual_fraction(correlations: np.ndarray) -> np.ndarray:
-    """Closed-form cf of non-signalling binary cycles, one per row of
-    cycle-ordered correlations (module docstring)."""
-    excess = s_odd_rows(correlations) - (np.shape(correlations)[1] - 2)
-    return np.maximum(0.0, excess / 2.0)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ HEADER = ("respondent_id", "word1", "word2", "pick1", "pick2")
 PICKS = ("AA", "AB", "BA", "BB")
 SAME = frozenset({"AA", "BB"})
 DIFF = frozenset({"AB", "BA"})
+# every well-formed (pick1, pick2): two known, distinct labels.  One lookup
+# validates a row's picks and shares the frozenset among its records.
+PICK_PAIRS = {(a, b): frozenset((a, b)) for a in PICKS for b in PICKS if a != b}
 
 
 class IngestError(ValueError):
@@ -80,6 +83,23 @@ def validate_response(record: ResponseRecord) -> bool:
     return record.picks == SAME or record.picks == DIFF
 
 
+def _row_problem(lineno: int, row: list[str]) -> str | None:
+    """The first problem of a row that is not well-formed, or None for a
+    blank line."""
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    if len(row) != len(HEADER):
+        return f"line {lineno}: {len(row)} fields, expected {len(HEADER)}"
+    rid, _, _, pick1, pick2 = (cell.strip() for cell in row)
+    if not rid:
+        return f"line {lineno}: empty respondent_id"
+    bad = [p for p in (pick1, pick2) if p not in PICKS]
+    if bad:
+        return f"line {lineno}: unknown pick label(s) {bad}, expected one of {list(PICKS)}"
+    # an id and two known picks that are not a pair: the picks repeat
+    return f"line {lineno}: duplicate pick {pick1!r}, need two distinct"
+
+
 def parse_responses(path) -> ParseResult:
     """Read a response file.  Malformed data lines land in `problems` with
     their line number; well-formed lines always come back as records."""
@@ -98,27 +118,15 @@ def parse_responses(path) -> ParseResult:
             records: list[ResponseRecord] = []
             problems: list[str] = []
             for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(HEADER):
-                    problems.append(f"line {lineno}: {len(row)} fields, expected {len(HEADER)}")
-                    continue
-                rid, word1, word2, pick1, pick2 = (cell.strip() for cell in row)
-                if not rid:
-                    problems.append(f"line {lineno}: empty respondent_id")
-                    continue
-                bad = [p for p in (pick1, pick2) if p not in PICKS]
-                if bad:
-                    problems.append(
-                        f"line {lineno}: unknown pick label(s) {bad}, expected one of {list(PICKS)}"
-                    )
-                    continue
-                if pick1 == pick2:
-                    problems.append(f"line {lineno}: duplicate pick {pick1!r}, need two distinct")
-                    continue
-                records.append(
-                    ResponseRecord(rid, word1, word2, frozenset((pick1, pick2)))
-                )
+                if len(row) == len(HEADER):
+                    rid, word1, word2, pick1, pick2 = map(str.strip, row)
+                    picks = PICK_PAIRS.get((pick1, pick2))
+                    if rid and picks is not None:
+                        records.append(ResponseRecord(rid, word1, word2, picks))
+                        continue
+                problem = _row_problem(lineno, row)
+                if problem is not None:
+                    problems.append(problem)
             if not records and not problems:
                 problems.append("file has a header but no data rows")
     except UnicodeDecodeError as exc:

@@ -36,7 +36,7 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
-class LpError(Exception):
+class LpError(ValueError):
     pass
 
 

@@ -7,7 +7,8 @@ in `notices` instead of failing the whole analysis.
 
 The contextual fraction of a non-signalling binary cycle is taken in closed
 form from its `cbd.CyclicSystem`, with certificate gap 0 (see `cbd`).  Every
-other model, signalling cycles included, gets the `sheaf` linear program.
+other model, signalling cycles included, gets the `sheaf` linear program;
+`sheaf` and `linprog` (and with them numpy) are imported only on that path.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import cbd, sheaf
+from . import cbd
 from .empirical import EmpiricalModel, is_outcome_symmetric, signalling
 from .ingest import ContextTally
-from .linprog import LpSizeError
 from .scenario import Context
 
 
@@ -214,6 +214,9 @@ def build_report(
         cf = system.contextual_fraction
         cf_report = CfReport(cf=cf, ncf_weight=1.0 - cf, gap=0.0, reliable=True)
     else:
+        from . import sheaf
+        from .linprog import LpSizeError
+
         try:
             result = sheaf.contextual_fraction(model)
         except LpSizeError as exc:

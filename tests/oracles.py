@@ -4,11 +4,19 @@ Deliberately dumb and slow: the point is that they cannot share a bug
 with the code under test.
 """
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
+from winoctx.ingest import (
+    HEADER,
+    PICKS,
+    ParseResult,
+    ResponseFormatError,
+    ResponseRecord,
+)
 from winoctx.linprog import LpProblem
 from winoctx.scenario import maximal_contexts
 
@@ -156,3 +164,51 @@ def signalling_by_faces(model) -> float:
                 a, b = marginal(first, face), marginal(second, face)
                 worst = max(worst, math.fsum(abs(a[key] - b[key]) for key in a))
     return worst
+
+
+def parse_responses_by_row(path) -> ParseResult:
+    """`ingest.parse_responses` as a plain row loop: every check in turn on
+    every row, each record with its own frozenset of picks."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ResponseFormatError(f"{path}: empty file, expected header "
+                                          + ",".join(HEADER)) from None
+            if tuple(h.strip() for h in header) != HEADER:
+                raise ResponseFormatError(
+                    f"{path}: header is {','.join(header)!r}, expected {','.join(HEADER)!r}"
+                )
+            records = []
+            problems = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(HEADER):
+                    problems.append(f"line {lineno}: {len(row)} fields, expected {len(HEADER)}")
+                    continue
+                rid, word1, word2, pick1, pick2 = (cell.strip() for cell in row)
+                if not rid:
+                    problems.append(f"line {lineno}: empty respondent_id")
+                    continue
+                bad = [p for p in (pick1, pick2) if p not in PICKS]
+                if bad:
+                    problems.append(
+                        f"line {lineno}: unknown pick label(s) {bad}, expected one of {list(PICKS)}"
+                    )
+                    continue
+                if pick1 == pick2:
+                    problems.append(f"line {lineno}: duplicate pick {pick1!r}, need two distinct")
+                    continue
+                records.append(
+                    ResponseRecord(rid, word1, word2, frozenset((pick1, pick2)))
+                )
+            if not records and not problems:
+                problems.append("file has a header but no data rows")
+    except UnicodeDecodeError as exc:
+        raise ResponseFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ResponseFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return ParseResult(records=tuple(records), problems=tuple(problems))

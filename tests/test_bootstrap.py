@@ -194,6 +194,8 @@ def test_config_validation():
     for tol in (-1e-9, float("nan"), float("inf")):
         with pytest.raises(BootstrapError, match="tol"):
             BootstrapConfig(tol=tol)
+    with pytest.raises(BootstrapError, match="seed must be >= 0, got -1"):
+        BootstrapConfig(seed=-1)
 
 
 def test_metadata_records_the_rng_contract():

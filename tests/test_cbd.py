@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_symmetric_model
 from oracles import chsh_patterns_by_enumeration, s_odd_by_enumeration
 from winoctx import sheaf
+from winoctx.bootstrap import contextual_fraction, s_odd_rows
 from winoctx.cbd import (
     CyclicSystem,
     CyclicSystemError,
     chsh_pattern,
     chsh_violation,
     cnt1,
-    contextual_fraction,
     s_odd,
-    s_odd_rows,
 )
 from winoctx.empirical import EmpiricalModel
 from winoctx.scenario import MeasurementScenario, maximal_contexts

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import winoctx
 from winoctx.bootstrap import MAX_RESAMPLES, BootstrapConfig, cycle_order_tallies, run
 from winoctx.cli import main
 from winoctx.files import load_schema, scenario_from_dict
@@ -151,7 +156,8 @@ def test_analyze_non_cyclic_model_omits_cbd_with_notice(tmp_path, capsys):
     assert "contextual fraction: 0.000000" in out
 
 
-def test_analyze_three_outcome_cycle_omits_cbd_with_notice(tmp_path, capsys):
+def three_outcome_cycle(path):
+    """Write the uniform model on a rank-4 cycle with three outcomes."""
     outcomes = ["0", "1", "2"]
     uniform = {f"{a}|{b}": 1 / 9 for a in outcomes for b in outcomes}
     contexts = [["a1", "b1"], ["b1", "a2"], ["a2", "b2"], ["a1", "b2"]]
@@ -160,8 +166,12 @@ def test_analyze_three_outcome_cycle_omits_cbd_with_notice(tmp_path, capsys):
                      "contexts": contexts, "outcomes": outcomes},
         "distributions": [{"context": c, "probs": uniform} for c in contexts],
     }
-    path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_analyze_three_outcome_cycle_omits_cbd_with_notice(tmp_path, capsys):
+    path = three_outcome_cycle(tmp_path / "model.json")
     code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
     assert code == 0
     report = json.loads(out)
@@ -477,3 +487,61 @@ def test_schema_needs_exactly_one_mode(capsys):
     code, _, err = run_cli(capsys, "schema", fx("cannibal_schema.json"),
                            "--compile", "--instantiate", "herbivorous", "alive")
     assert code == 2
+
+
+def python_process(*args, **env):
+    """Run a fresh interpreter that imports this copy of the package."""
+    src = str(Path(winoctx.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_duplicate_respondent_id_is_a_warning_line(tmp_path):
+    lines = fixture_path("cannibal_responses.csv").read_text(encoding="utf-8").splitlines()
+    first = next(line for line in lines if line.startswith("r001,"))
+    responses = tmp_path / "dup.csv"
+    responses.write_text("\n".join(lines + [first]) + "\n", encoding="utf-8")
+    proc = python_process("-m", "winoctx.cli", "analyze", "--responses", str(responses),
+                          "--schema", fx("cannibal_schema.json"), PYTHONWARNINGS="error")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: respondent id 'r001' appears more than once\n"
+    assert "bell-chsh violation:" in proc.stdout
+
+
+def test_bootstrap_negative_seed_is_named(capsys):
+    code, out, err = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
+                             fx("cannibal_schema.json"), "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from winoctx.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
+"""
+
+
+def test_numpy_is_imported_only_for_the_lp(tmp_path):
+    responses = ["--responses", fx("cannibal_responses.csv"),
+                 "--schema", fx("cannibal_schema.json")]
+    numpy_free = [
+        ["analyze", fx("cannibal_judgment_model.json")],
+        ["analyze", *responses],
+        ["validate", fx("cannibal_responses.csv")],
+        ["validate", fx("cannibal_scenario.json")],
+        ["schema", fx("cannibal_schema.json"), "--compile"],
+    ]
+    lp = ["analyze", str(three_outcome_cycle(tmp_path / "model.json")), "--format", "json"]
+    proc = python_process("-c", NUMPY_PROBE, json.dumps(numpy_free + [lp]))
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [code for code, _, _ in steps] == [0] * len(steps)
+    assert [loaded for _, loaded, _ in steps] == [False] * len(numpy_free) + [True]
+    assert json.loads(steps[-1][2])["contextual_fraction"]["cf"] == 0.0

@@ -1,7 +1,11 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import parse_responses_by_row
 from winoctx.empirical import is_outcome_symmetric, signalling
 from winoctx.files import load_schema
 from winoctx.fixtures import fixture_path
@@ -89,6 +93,45 @@ def test_parse_collects_problems_without_dropping_good_lines(tmp_path):
     assert any("unknown pick" in p for p in result.problems)
     assert any("fields" in p for p in result.problems)
     assert any("respondent_id" in p for p in result.problems)
+
+
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+IDS = st.sampled_from(["r1", "r2", "r10", ""])
+WORDS = st.sampled_from(["cannibalistic", "hungry", "alive", ""])
+PICK_CELLS = st.sampled_from(["AA", "AB", "BA", "BB", "XX", "ab", ""])
+
+
+@st.composite
+def padded(draw, cells):
+    return draw(PADDING) + draw(cells) + draw(PADDING)
+
+
+@st.composite
+def response_lines(draw):
+    """One data line: a 5-field row (well-formed or not), a 4- or 6-field
+    row, a blank line or a line of whitespace-only cells."""
+    kind = draw(st.sampled_from(("row", "row", "row", "short", "long", "blank", "spaces")))
+    if kind == "blank":
+        return ""
+    if kind == "spaces":
+        return ",".join(draw(st.lists(PADDING, min_size=1, max_size=6)))
+    cells = [draw(padded(IDS)), draw(padded(WORDS)), draw(padded(WORDS)),
+             draw(padded(PICK_CELLS)), draw(padded(PICK_CELLS))]
+    if kind == "short":
+        del cells[draw(st.integers(0, 4))]
+    elif kind == "long":
+        cells.append(draw(padded(PICK_CELLS)))
+    return ",".join(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(response_lines(), max_size=12))
+def test_parse_matches_the_row_by_row_reference(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "responses.csv"
+        path.write_text("\n".join(["respondent_id,word1,word2,pick1,pick2", *lines]) + "\n",
+                        encoding="utf-8")
+        assert parse_responses(path) == parse_responses_by_row(path)
 
 
 def test_parse_header_only_file_warns(tmp_path):
