@@ -5,20 +5,29 @@ context's valid responses from that context's empirical same/diff split,
 keeping the per-context sample sizes of the original design.  Resampled
 models are symmetric by construction, so their delta is 0, cnt1 equals the
 rank-4 violation, and cf is the closed form max(0, (s_odd - (n - 2)) / 2)
-of `cbd.CyclicSystem.contextual_fraction` on every draw.  Every statistic
-is one vectorised pass over the draws' correlations; no draw solves a
-linear program.  The row-wise forms live here, as `s_odd_rows` and
-`contextual_fraction`, since bootstrap is their one user.
+of `cbd.CyclicSystem.contextual_fraction` on every draw.  No draw solves a
+linear program.
+
+Draws are made context by context in blocks of `_BLOCK`, and each block of
+correlations is folded at once into three values per draw: the running sum
+of |correlation|, the least |correlation| and the parity of the negative
+ones.  s_odd follows from those, and the statistic is computed in place, so
+a run holds 17 bytes per draw plus one block's temporaries, and never a
+draws x contexts array.  The same fold gives `s_odd_rows` on the columns of
+a matrix; `contextual_fraction` turns each draw's s_odd into cf.  Both live
+here, since bootstrap is their one user.
 
 numpy is imported inside the functions that touch arrays, so that the
 commands that import this module without drawing (`winoctx analyze`,
 `validate`, `schema`) do not load it.
 
-Determinism contract: all randomness is drawn up front from a Philox
-generator (counter-based, documented algorithm philox4x64-10) in a fixed
-context order, and statistic values are written into the samples vector by
-resample index.  Everything runs on one thread; `workers` is validated and
-otherwise ignored, so it cannot change a single bit of the output.
+Determinism contract: all randomness comes from one Philox generator
+(counter-based, documented algorithm philox4x64-10), every draw of context
+0 first, then every draw of context 1, and so on.  Drawing a context in
+blocks gives the same numbers as one call for all its draws, and statistic
+values are written into the samples vector by resample index.  Everything
+runs on one thread; `workers` is validated and otherwise ignored, so it
+cannot change a single bit of the output.
 """
 
 from __future__ import annotations
@@ -35,8 +44,10 @@ if TYPE_CHECKING:
 
 GENERATOR = "philox4x64-10"
 STATISTICS = ("violation", "cnt1", "cf")
-# the draws are held in memory, about 125 MB per 10**6 at rank 4
+# a run holds 17 bytes per draw (two floats and a flag) plus one block's
+# temporaries: at the cap, 179 MB traced and 200 MB process RSS at rank 4
 MAX_RESAMPLES = 10**7
+_BLOCK = 2**16  # draws per binomial call
 
 
 class BootstrapError(ValueError):
@@ -108,31 +119,56 @@ def histogram(samples: Sequence[float], bin_width: float = 0.02) -> Histogram:
     return Histogram(centers=centers, densities=densities, bin_width=bin_width)
 
 
-def s_odd_rows(rows: np.ndarray) -> np.ndarray:
-    """Closed-form `cbd.s_odd` applied to each row of a 2-d array.
+def _fold_s_odd(n_rows: int, blocks) -> np.ndarray:
+    """Closed-form `cbd.s_odd` of `n_rows` rows, folded in column by column.
 
-    Uses plain reductions (no BLAS) so results do not depend on thread
-    count; bootstrap determinism relies on that.
+    `blocks` yields (rows, values): a column's `values` on the slice `rows`.
+    Each block updates three per-row values, the running sum of |value|, the
+    least |value| and the parity of negative values, so no rows x columns
+    array is built.  The sum runs left to right from 0, as numpy's row sum
+    does for up to 7 terms; from 8 on numpy sums pairwise and can differ in
+    the last bits.  Only elementwise ufuncs, so the result does not depend
+    on thread count.
     """
     import numpy as np
 
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2:
-        raise BootstrapError("expected a 2-d array of sign-sum inputs")
-    mags = np.abs(a)
-    totals = mags.sum(axis=1)
-    smallest = mags.min(axis=1)
-    odd = (a < 0).sum(axis=1) % 2 == 1
-    return np.where(odd, totals, totals - 2.0 * smallest)
+    total = np.zeros(n_rows)
+    least = np.full(n_rows, np.inf)
+    odd = np.zeros(n_rows, dtype=bool)
+    for rows, values in blocks:
+        block_total, block_least, block_odd = total[rows], least[rows], odd[rows]
+        mags = np.abs(values)
+        block_total += mags
+        np.minimum(block_least, mags, out=block_least)
+        block_odd ^= values < 0.0
+    # an even count of negatives flips the least term; an odd one keeps all
+    least *= 2.0
+    least[odd] = 0.0
+    total -= least
+    return total
 
 
-def contextual_fraction(correlations: np.ndarray) -> np.ndarray:
-    """Closed-form cf of non-signalling binary cycles, one per row of
-    cycle-ordered correlations (see `cbd`)."""
+def s_odd_rows(rows: np.ndarray) -> np.ndarray:
+    """Closed-form `cbd.s_odd` applied to each row of a 2-d array: the fold
+    that `run` applies to its draws, applied to the array's columns."""
     import numpy as np
 
-    excess = s_odd_rows(correlations) - (np.shape(correlations)[1] - 2)
-    return np.maximum(0.0, excess / 2.0)
+    a = np.asarray(rows, dtype=float)
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise BootstrapError("expected a 2-d array of sign-sum inputs")
+    columns = range(a.shape[1])
+    return _fold_s_odd(a.shape[0], ((slice(None), a[:, j]) for j in columns))
+
+
+def contextual_fraction(s_odd: np.ndarray, rank: int) -> np.ndarray:
+    """Closed-form cf of non-signalling binary rank-`rank` cycles, one per
+    entry of `s_odd` (see `cbd`).  Computed in place: `s_odd` is overwritten
+    and returned."""
+    import numpy as np
+
+    s_odd -= rank - 2
+    s_odd /= 2.0
+    return np.maximum(0.0, s_odd, out=s_odd)
 
 
 def cycle_order_tallies(
@@ -150,16 +186,10 @@ def cycle_order_tallies(
     return ordered
 
 
-def _resample_counts(tallies: Sequence[ContextTally], config: BootstrapConfig) -> np.ndarray:
-    """Same-pick counts per (resample, context), all drawn up front."""
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    columns = []
-    for t in tallies:
-        p = t.n_same / t.n_valid
-        columns.append(rng.binomial(t.n_valid, p, size=config.n_resamples))
-    return np.stack(columns, axis=1)
+def _draw_correlations(rng: np.random.Generator, tally: ContextTally, size: int) -> np.ndarray:
+    """Correlations of `size` resamples of one context's valid responses."""
+    counts = rng.binomial(tally.n_valid, tally.n_same / tally.n_valid, size=size)
+    return (2.0 * counts - tally.n_valid) / tally.n_valid
 
 
 def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapResult:
@@ -181,17 +211,22 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     if config.statistic == "violation" and rank != 4:
         raise BootstrapError("the violation statistic is defined for rank 4 only")
 
-    counts = _resample_counts(tallies, config)
-    n_valid = np.array([t.n_valid for t in tallies], dtype=float)
-    correlations = (2.0 * counts - n_valid) / n_valid
+    # all of context 0's draws, then all of context 1's, ..., each context in
+    # blocks: the same numbers as one binomial call per context
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    n = config.n_resamples
+    blocks = [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
+    samples = _fold_s_odd(n, (
+        (rows, _draw_correlations(rng, t, rows.stop - rows.start))
+        for t in tallies for rows in blocks))
 
     if config.statistic == "violation":
-        samples = s_odd_rows(correlations) - 2.0
+        samples -= 2.0
     elif config.statistic == "cnt1":
         # resampled models are symmetric, so delta = 0 identically
-        samples = s_odd_rows(correlations) - float(rank - 2)
+        samples -= float(rank - 2)
     else:
-        samples = contextual_fraction(correlations)
+        samples = contextual_fraction(samples, rank)
 
     hist = histogram(samples, config.bin_width)
     metadata = {

@@ -15,9 +15,10 @@ non-signalling input.
 s_odd <= n - 2 are the n-cycle noncontextuality facets (Araujo et al.,
 PRA 88, 022118, 2013).  s_odd and the sign pattern attaining it have an
 O(n) closed form (`chsh_pattern`); the sign-vector enumeration lives only
-in the test oracles.  The same closed form over many rows at once,
-`s_odd_rows`, and the vectorised cf below, `contextual_fraction`, live in
-`bootstrap`, their one user, so that this module needs no numpy.
+in the test oracles.  The same closed form folded over the columns of
+many rows at once, `s_odd_rows`, and the cf below taken from each row's
+s_odd, `contextual_fraction`, live in `bootstrap`, their one user, so that
+this module needs no numpy.
 
 The contextual fraction of a non-signalling binary cycle is closed form too:
 

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 from .bootstrap import BootstrapConfig, cycle_order_tallies, run
@@ -168,10 +169,10 @@ def cmd_bootstrap(args) -> int:
         workers=args.workers,
         tol=args.tol,
     )
-    result = run(ordered, config)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # open --out before drawing, so that an unwritable path costs no draws
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fh:
+        result = run(ordered, config)
+        if fh is not None:
             fh.write("bin_center,density\n")
             for center, density in zip(result.histogram.centers,
                                        result.histogram.densities):

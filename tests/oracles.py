@@ -212,3 +212,31 @@ def parse_responses_by_row(path) -> ParseResult:
     except csv.Error as exc:
         raise ResponseFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return ParseResult(records=tuple(records), problems=tuple(problems))
+
+
+def resample_counts_matrix(tallies, n_resamples: int, seed: int) -> np.ndarray:
+    """Same-pick counts per (resample, context), every draw at once: one
+    binomial call per context on one Philox generator, contexts in order."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    columns = [
+        rng.binomial(t.n_valid, t.n_same / t.n_valid, size=n_resamples) for t in tallies
+    ]
+    return np.stack(columns, axis=1)
+
+
+def bootstrap_samples_matrix(tallies, config) -> np.ndarray:
+    """`bootstrap.run`'s samples from the whole (resample, context) matrix:
+    correlations, then s_odd by numpy row reductions."""
+    counts = resample_counts_matrix(tallies, config.n_resamples, config.seed)
+    n_valid = np.array([t.n_valid for t in tallies], dtype=float)
+    correlations = (2.0 * counts - n_valid) / n_valid
+    mags = np.abs(correlations)
+    totals = mags.sum(axis=1)
+    odd = (correlations < 0).sum(axis=1) % 2 == 1
+    s_odd = np.where(odd, totals, totals - 2.0 * mags.min(axis=1))
+    rank = len(tallies)
+    if config.statistic == "violation":
+        return s_odd - 2.0
+    if config.statistic == "cnt1":
+        return s_odd - float(rank - 2)
+    return np.maximum(0.0, (s_odd - (rank - 2)) / 2.0)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import bootstrap_samples_matrix, resample_counts_matrix
 from winoctx import bootstrap, sheaf
 from winoctx.bootstrap import (
     BootstrapConfig,
@@ -49,7 +52,7 @@ def draw_model(scenario, contexts, n_valid, same_counts):
 def cold_cf(tallies, config):
     """Oracle: each draw's model solved cold by sheaf.contextual_fraction
     (once per distinct count vector)."""
-    counts = bootstrap._resample_counts(tallies, config)
+    counts = resample_counts_matrix(tallies, config.n_resamples, config.seed)
     n_valid = [t.n_valid for t in tallies]
     scenario, contexts = cycle(len(tallies))
     unique, inverse = np.unique(counts, axis=0, return_inverse=True)
@@ -262,3 +265,46 @@ def test_cf_fraction_positive_is_decided_at_tol():
     # the other statistics keep counting > 0
     v = run(tallies, BootstrapConfig(n_resamples=400, seed=5, tol=0.05))
     assert v.fraction_positive == float((v.samples > 0.0).mean())
+
+
+BLOCK = bootstrap._BLOCK
+
+
+def random_tallies(rank, seed):
+    rng = np.random.default_rng(seed)
+    return make_tallies(rng.integers(1, 200, size=(rank, 2)).tolist())
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+@pytest.mark.parametrize("draws", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_block_draws_match_the_matrix_oracle_bit_for_bit(rank, draws):
+    tallies = random_tallies(rank, seed=rank * draws)
+    for statistic in ("violation", "cnt1", "cf") if rank == 4 else ("cnt1", "cf"):
+        config = BootstrapConfig(n_resamples=draws, seed=draws, statistic=statistic)
+        assert np.array_equal(run(tallies, config).samples,
+                              bootstrap_samples_matrix(tallies, config))
+
+
+@pytest.mark.parametrize("rank", [8, 12, 16])
+def test_block_draws_match_the_matrix_oracle_at_high_rank(rank):
+    # numpy sums rows of 8 or more terms pairwise; the fold sums left to right
+    tallies = random_tallies(rank, seed=rank)
+    for statistic in ("cnt1", "cf"):
+        config = BootstrapConfig(n_resamples=BLOCK + 3, seed=rank, statistic=statistic)
+        samples = run(tallies, config).samples
+        assert np.max(np.abs(samples - bootstrap_samples_matrix(tallies, config))) <= 1e-12
+
+
+@pytest.mark.parametrize("statistic", ["violation", "cnt1", "cf"])
+def test_peak_memory_per_draw_is_bounded(statistic):
+    tallies = make_tallies(SKEWED)
+    draws = 200_000
+    run(tallies, BootstrapConfig(n_resamples=10, statistic=statistic))  # warm up
+    tracemalloc.start()
+    try:
+        run(tallies, BootstrapConfig(n_resamples=draws, statistic=statistic))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # drawing the whole draws x contexts matrix took about 130 bytes per draw
+    assert peak <= 40 * draws

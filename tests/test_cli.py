@@ -311,11 +311,20 @@ def test_oversized_csv_field_is_unreadable(tmp_path, capsys, command):
                    "field larger than field limit (131072)\n")
 
 
-def test_bootstrap_samples_over_the_cap_exit_before_drawing(capsys, monkeypatch):
+@pytest.fixture
+def refuse_draws(monkeypatch):
+    """Makes every block of bootstrap draws raise, and checks that a run draws
+    through the patched function."""
     def draw(*args):
-        raise AssertionError("resamples were drawn past the cap")
+        raise AssertionError("resamples were drawn")
 
-    monkeypatch.setattr("winoctx.bootstrap._resample_counts", draw)
+    monkeypatch.setattr("winoctx.bootstrap._draw_correlations", draw)
+    with pytest.raises(AssertionError, match="resamples were drawn"):
+        main(["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json"),
+              "--samples", "1"])
+
+
+def test_bootstrap_samples_over_the_cap_exit_before_drawing(capsys, refuse_draws):
     code, out, err = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
                              fx("cannibal_schema.json"),
                              "--samples", str(MAX_RESAMPLES + 1))
@@ -386,6 +395,15 @@ def test_bootstrap_text_and_histogram(tmp_path, capsys):
     for line in lines[1:]:
         center, density = line.split(",")
         float(center), float(density)
+
+
+def test_bootstrap_unwritable_out_exits_before_drawing(tmp_path, capsys, refuse_draws):
+    target = tmp_path / "missing" / "hist.csv"
+    code, out, err = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
+                             fx("cannibal_schema.json"), "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_bootstrap_tol_decides_cf_positivity(capsys):
