@@ -5,8 +5,9 @@
     winoctx bootstrap R.csv S.json [--samples N] [--statistic v] [--out hist.csv]
     winoctx schema S.json --compile [--out scenario.json] | --instantiate WORD...
 
-Shared flags: --format text|json, --tol (signalling tolerance, default 1e-9;
-for bootstrap --statistic cf, the least cf counted as positive), --seed
+Flags, on the subcommands that read them: --format text|json (validate,
+analyze, bootstrap), --tol (analyze: signalling tolerance, default 1e-9;
+bootstrap --statistic cf: the least cf counted as positive), --seed
 (bootstrap resampling seed).
 
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
@@ -37,17 +38,7 @@ from .files import (
 from .ingest import ResponseFormatError, aggregate, parse_responses
 from .report import build_report, fmt
 from .scenario import validate
-from .schema import (
-    GeneralisedWinogradSchema,
-    SchemaError,
-    WinogradSchema,
-    gws_scenario,
-    instantiate,
-    instantiate_ws,
-    validate_gws,
-    validate_ws,
-    ws_scenario,
-)
+from .schema import SchemaError, instantiate, validate_ws, ws_scenario
 
 STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError)
 
@@ -57,15 +48,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= value < math.inf:  # written so that NaN fails it
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
-
-
-def _shared_flags(parser: argparse.ArgumentParser,
-                  tol_help: str = "signalling tolerance (default 1e-9)") -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report style (default text)")
-    parser.add_argument("--tol", type=_tolerance, default=1e-9, help=tol_help)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="resampling seed (bootstrap only)")
 
 
 def _emit(args, text_lines: list[str], doc: dict) -> None:
@@ -107,15 +89,13 @@ def cmd_validate(args) -> int:
               {"kind": "model", "valid": True, "contexts": len(model.distributions)})
         return 0
     schema = schema_from_dict(doc)
-    problems = (validate_ws(schema) if isinstance(schema, WinogradSchema)
-                else validate_gws(schema))
+    problems = validate_ws(schema)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    flavor = "one-pronoun" if isinstance(schema, WinogradSchema) else "two-pronoun"
-    _emit(args, [f"OK: {flavor} schema"], {"kind": "schema", "valid": True,
-                                           "flavor": flavor})
+    _emit(args, [f"OK: {schema.flavor} schema"],
+          {"kind": "schema", "valid": True, "flavor": schema.flavor})
     return 0
 
 
@@ -126,7 +106,7 @@ def _aggregate_responses(responses, schema_path, needs: str):
     for problem in parsed.problems:
         print(f"warning: {problem}", file=sys.stderr)
     schema = schema_from_dict(load_json(schema_path))
-    if not isinstance(schema, GeneralisedWinogradSchema):
+    if len(schema.pronouns) != 2:
         raise SchemaError(f"{needs} needs a two-pronoun schema")
     # aggregate warns of duplicate respondent ids; they reach the user as
     # lines like the parse problems, whatever the warnings filter says
@@ -207,11 +187,11 @@ def cmd_schema(args) -> int:
     schema = schema_from_dict(load_json(args.schema))
     if bool(args.compile) == bool(args.instantiate):
         raise FileFormatError("pick exactly one of --compile or --instantiate")
+    if args.out and not args.compile:
+        raise FileFormatError("--out needs --compile")
 
     if args.compile:
-        scenario = (ws_scenario(schema) if isinstance(schema, WinogradSchema)
-                    else gws_scenario(schema))
-        doc = scenario_to_dict(scenario)
+        doc = scenario_to_dict(ws_scenario(schema))
         payload = json.dumps(doc, indent=2)
         if args.out:
             Path(args.out).write_text(payload + "\n", encoding="utf-8")
@@ -220,15 +200,7 @@ def cmd_schema(args) -> int:
             print(payload)
         return 0
 
-    words = args.instantiate
-    if isinstance(schema, WinogradSchema):
-        if len(words) != 1:
-            raise SchemaError("one-pronoun schema takes exactly one word")
-        print(instantiate_ws(schema, words[0]))
-    else:
-        if len(words) != 2:
-            raise SchemaError("two-pronoun schema takes exactly two words")
-        print(instantiate(schema, words[0], words[1]))
+    print(instantiate(schema, *args.instantiate))
     return 0
 
 
@@ -241,14 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario/model/schema/response file")
     p.add_argument("path")
-    _shared_flags(p)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="report style (default text)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="full contextuality report for a model")
     p.add_argument("model", nargs="?", help="model file (or use --responses/--schema)")
     p.add_argument("--responses", help="response CSV to aggregate")
     p.add_argument("--schema", help="schema file for --responses")
-    _shared_flags(p)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="report style (default text)")
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="signalling tolerance (default 1e-9)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bootstrap", help="resample responses, estimate statistic spread")
@@ -262,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and checked (>= 1) for compatibility; the cf "
                         "statistic runs on one thread and this has no effect")
-    _shared_flags(p, "a cf draw counts toward fraction_positive when cf > tol "
-                     "(default 1e-9); violation and cnt1 count > 0")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="report style (default text)")
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="a cf draw counts toward fraction_positive when cf > tol "
+                        "(default 1e-9); violation and cnt1 count > 0")
+    p.add_argument("--seed", type=int, default=0, help="resampling seed (default 0)")
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("schema", help="compile a schema to a scenario, or render text")
@@ -273,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instantiate", nargs="+", metavar="WORD",
                    help="render the discourse for the given word choice(s)")
     p.add_argument("--out", help="target file for --compile")
-    _shared_flags(p)
     p.set_defaults(func=cmd_schema)
 
     return parser

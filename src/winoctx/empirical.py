@@ -50,7 +50,6 @@ class Distribution:
         context: Context,
         outcome_set: Iterable[str],
         probs: Mapping[tuple[str, ...], float],
-        tol: float = PROB_TOL,
     ) -> "Distribution":
         outcome_set = tuple(outcome_set)
         full = outcome_tuples(outcome_set, len(context))
@@ -62,12 +61,12 @@ class Distribution:
                 )
         table = {o: float(probs.get(o, 0.0)) for o in full}
         for o, p in table.items():
-            if not -tol <= p <= 1.0 + tol:  # written so that NaN fails it
+            if not -PROB_TOL <= p <= 1.0 + PROB_TOL:  # written so that NaN fails it
                 raise EmpiricalModelError(
                     f"probability {p!r} for {o!r} in context {context!r} out of range"
                 )
         total = math.fsum(table.values())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > PROB_TOL:
             raise EmpiricalModelError(
                 f"context {context!r} probabilities sum to {total!r}, not 1"
             )
@@ -121,7 +120,6 @@ class EmpiricalModel:
         cls,
         scenario: MeasurementScenario,
         tables: Mapping[Context, Mapping[tuple[str, ...], float]],
-        tol: float = PROB_TOL,
     ) -> "EmpiricalModel":
         contexts = maximal_contexts(scenario)
         given = set(tables)
@@ -136,7 +134,7 @@ class EmpiricalModel:
                 parts.append(f"distributions for non-contexts {extra}")
             raise EmpiricalModelError("; ".join(parts))
         dists = tuple(
-            Distribution.from_mapping(ctx, scenario.outcomes, tables[ctx], tol=tol)
+            Distribution.from_mapping(ctx, scenario.outcomes, tables[ctx])
             for ctx in contexts
         )
         return cls(scenario=scenario, distributions=dists)
@@ -213,7 +211,6 @@ def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
 def from_global_weights(
     scenario: MeasurementScenario,
     weights: Mapping[tuple[str, ...], float],
-    tol: float = PROB_TOL,
 ) -> EmpiricalModel:
     """Model induced by a distribution on global assignments.
 
@@ -222,9 +219,9 @@ def from_global_weights(
     this the reference generator for property tests.
     """
     total = math.fsum(weights.values())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_TOL:
         raise EmpiricalModelError(f"global weights sum to {total!r}, not 1")
-    if any(w < -tol for w in weights.values()):
+    if any(w < -PROB_TOL for w in weights.values()):
         raise EmpiricalModelError("negative global weight")
     order = {obs: i for i, obs in enumerate(scenario.observables)}
     tables: dict[Context, dict[tuple[str, ...], float]] = {}
@@ -239,4 +236,4 @@ def from_global_weights(
             key = tuple(assignment[i] for i in idx)
             buckets.setdefault(key, []).append(w)
         tables[ctx] = {key: math.fsum(ws) for key, ws in buckets.items()}
-    return EmpiricalModel.build(scenario, tables, tol=tol)
+    return EmpiricalModel.build(scenario, tables)

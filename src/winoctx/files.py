@@ -21,15 +21,13 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Union
+from typing import Any
 
-from .empirical import EmpiricalModel
+from .empirical import PROB_TOL, EmpiricalModel
 from .scenario import MeasurementScenario, maximal_contexts
-from .schema import GeneralisedWinogradSchema, WinogradSchema
+from .schema import MAX_SLOTS, WinogradSchema, flavor_of
 
 RENORM_BAND = 1e-2  # rows off by at most this much are rescaled on load
-
-SchemaLike = Union[WinogradSchema, GeneralisedWinogradSchema]
 
 
 class FileFormatError(ValueError):
@@ -139,7 +137,7 @@ def _renormalize(probs: dict[tuple[str, ...], float]) -> dict[tuple[str, ...], f
         total = math.fsum(probs.values())
     except OverflowError:  # entries near the float limit; the range check rejects them
         return probs
-    if total > 0 and 1e-9 < abs(total - 1.0) <= RENORM_BAND:
+    if total > 0 and PROB_TOL < abs(total - 1.0) <= RENORM_BAND:
         return {k: v / total for k, v in probs.items()}
     return probs
 
@@ -208,7 +206,7 @@ def _word_pair(doc: dict, slot: str) -> tuple[str, str]:
     return raw["special"], raw["alternate"]
 
 
-def schema_from_dict(doc: dict) -> SchemaLike:
+def schema_from_dict(doc: dict) -> WinogradSchema:
     for key in ("noun_phrases", "pronouns", "words", "template"):
         _require(key in doc, f"schema document lacks {key!r}")
     nps = _string_list(doc["noun_phrases"], "noun_phrases")
@@ -217,58 +215,40 @@ def schema_from_dict(doc: dict) -> SchemaLike:
     _require(isinstance(doc["template"], str), "template must be a string")
     words = doc["words"]
     _require(isinstance(words, dict), "words must be an object")
-    slots = set(words)
-    if len(pronouns) == 1:
-        _require(slots == {"slot1"}, "one-pronoun schema needs words.slot1 only")
-        special, alternate = _word_pair(words, "slot1")
-        return WinogradSchema(
-            noun_phrases=(nps[0], nps[1]),
-            pronoun=pronouns[0],
-            special=special,
-            alternate=alternate,
-            template=doc["template"],
-        )
-    if len(pronouns) == 2:
-        _require(slots == {"slot1", "slot2"},
-                 "two-pronoun schema needs words.slot1 and words.slot2")
-        s1, a1 = _word_pair(words, "slot1")
-        s2, a2 = _word_pair(words, "slot2")
-        return GeneralisedWinogradSchema(
-            noun_phrases=(nps[0], nps[1]),
-            pronouns=(pronouns[0], pronouns[1]),
-            special=(s1, s2),
-            alternate=(a1, a2),
-            template=doc["template"],
-        )
-    raise FileFormatError(f"pronouns must have 1 or 2 entries, got {len(pronouns)}")
+    n = len(pronouns)
+    _require(1 <= n <= MAX_SLOTS, f"pronouns must have 1 or {MAX_SLOTS} entries, got {n}")
+    slots = [f"slot{i}" for i in range(1, n + 1)]
+    needs = " and ".join(f"words.{slot}" for slot in slots)
+    _require(set(words) == set(slots),
+             f"{flavor_of(n)} schema needs {needs}" + (" only" if n == 1 else ""))
+    special, alternate = zip(*(_word_pair(words, slot) for slot in slots))
+    return WinogradSchema(
+        noun_phrases=(nps[0], nps[1]),
+        pronouns=tuple(pronouns),
+        special=special,
+        alternate=alternate,
+        template=doc["template"],
+    )
 
 
-def schema_to_dict(schema: SchemaLike) -> dict:
-    if isinstance(schema, WinogradSchema):
-        return {
-            "noun_phrases": list(schema.noun_phrases),
-            "pronouns": [schema.pronoun],
-            "words": {
-                "slot1": {"special": schema.special, "alternate": schema.alternate}
-            },
-            "template": schema.template,
-        }
+def schema_to_dict(schema: WinogradSchema) -> dict:
     return {
         "noun_phrases": list(schema.noun_phrases),
         "pronouns": list(schema.pronouns),
         "words": {
-            "slot1": {"special": schema.special[0], "alternate": schema.alternate[0]},
-            "slot2": {"special": schema.special[1], "alternate": schema.alternate[1]},
+            f"slot{i}": {"special": special, "alternate": alternate}
+            for i, (special, alternate) in enumerate(
+                zip(schema.special, schema.alternate), start=1)
         },
         "template": schema.template,
     }
 
 
-def load_schema(path) -> SchemaLike:
+def load_schema(path) -> WinogradSchema:
     return schema_from_dict(load_json(path))
 
 
-def save_schema(schema: SchemaLike, path) -> None:
+def save_schema(schema: WinogradSchema, path) -> None:
     _dump(schema_to_dict(schema), path)
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .empirical import EmpiricalModel
 from .scenario import Context
-from .schema import GeneralisedWinogradSchema, gws_scenario, observable_id
+from .schema import WinogradSchema, version_contexts, ws_scenario
 
 HEADER = ("respondent_id", "word1", "word2", "pick1", "pick2")
 # pick labels are positional: first letter = first pronoun's referent,
@@ -136,26 +136,19 @@ def parse_responses(path) -> ParseResult:
     return ParseResult(records=tuple(records), problems=tuple(problems))
 
 
-def _context_map(schema: GeneralisedWinogradSchema) -> dict[tuple[str, str], Context]:
-    p1, p2 = schema.pronouns
-    out = {}
-    for w1 in (schema.special[0], schema.alternate[0]):
-        for w2 in (schema.special[1], schema.alternate[1]):
-            out[(w1, w2)] = (observable_id(p1, w1), observable_id(p2, w2))
-    return out
-
-
 def aggregate(
-    records: Iterable[ResponseRecord], schema: GeneralisedWinogradSchema
+    records: Iterable[ResponseRecord], schema: WinogradSchema
 ) -> tuple[EmpiricalModel, dict[Context, ContextTally]]:
     """Tally per context and build the symmetric empirical model.
 
-    Order-independent: tallies are pure counts.  Every context of the
-    schema's scenario must end up with at least one valid response,
-    otherwise there is no distribution to put there and we refuse.
+    The schema has two pronoun slots; a record's (word1, word2) names its
+    version of the discourse, and so its context.  Order-independent:
+    tallies are pure counts.  Every context of the schema's scenario must
+    end up with at least one valid response, otherwise there is no
+    distribution to put there and we refuse.
     """
-    scenario = gws_scenario(schema)
-    ctx_of = _context_map(schema)
+    scenario = ws_scenario(schema)
+    ctx_of = version_contexts(schema)
 
     counts = {ctx: {"total": 0, "same": 0, "diff": 0} for ctx in ctx_of.values()}
     seen_ids: set[str] = set()

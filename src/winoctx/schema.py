@@ -1,10 +1,13 @@
 """Ambiguous-discourse schemas and their compilation to measurement scenarios.
 
-The one-pronoun schema gives two observables that can never be measured
-together (two disjoint singleton contexts): a judge sees either the special
-or the alternate wording, never both.  The two-pronoun generalisation pairs
-each slot-1 wording with each slot-2 wording, which yields four two-element
-contexts arranged in a cycle of rank 4.
+A schema has one or two pronoun slots, each with a special and an alternate
+word.  A version of the discourse picks one word per slot, and its context
+is the version's (pronoun, word) observables, so the contexts are the
+product of the slots' word choices.  One slot gives two observables that
+can never be measured together (two disjoint singleton contexts): a judge
+sees either the special or the alternate wording, never both.  Two slots
+pair each slot-1 wording with each slot-2 wording, which yields four
+two-element contexts arranged in a cycle of rank 4.
 
 Observables are identified as "(pronoun,word)".  Outcomes are the two noun
 phrases the pronouns can refer to, first phrase mapping to +1.  Templates
@@ -15,44 +18,59 @@ ${pron1}/${pron2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from string import Template
 
-from .scenario import MeasurementScenario
+from .scenario import Context, MeasurementScenario
 
-WORD1 = "${word1}"
-WORD2 = "${word2}"
-PRON1 = "${pron1}"
-PRON2 = "${pron2}"
+# slot counts spelled out; a schema has 1 to MAX_SLOTS pronoun slots
+_COUNTS = ("one", "two")
+MAX_SLOTS = len(_COUNTS)
 
 
 class SchemaError(ValueError):
     """The schema violates a structural requirement."""
 
 
+def flavor_of(slots: int) -> str:
+    """'one-pronoun' or 'two-pronoun'."""
+    return f"{_COUNTS[slots - 1]}-pronoun"
+
+
 @dataclass(frozen=True)
 class WinogradSchema:
-    """One pronoun, one special/alternate word pair."""
+    """Slot i has pronoun pronouns[i] and words special[i]/alternate[i];
+    one or two slots, else construction raises SchemaError."""
 
     noun_phrases: tuple[str, str]
-    pronoun: str
-    special: str
-    alternate: str
+    pronouns: tuple[str, ...]
+    special: tuple[str, ...]
+    alternate: tuple[str, ...]
     template: str
 
+    def __post_init__(self) -> None:
+        shape = (len(self.pronouns), len(self.special), len(self.alternate))
+        if not 1 <= shape[0] <= MAX_SLOTS or len(set(shape)) != 1:
+            raise SchemaError(f"pronouns, special and alternate need the same "
+                              f"number of entries, 1 to {MAX_SLOTS}; got {shape}")
 
-@dataclass(frozen=True)
-class GeneralisedWinogradSchema:
-    """Two pronouns, one special/alternate pair per word slot."""
-
-    noun_phrases: tuple[str, str]
-    pronouns: tuple[str, str]
-    special: tuple[str, str]
-    alternate: tuple[str, str]
-    template: str
+    @property
+    def flavor(self) -> str:
+        return flavor_of(len(self.pronouns))
 
 
 def observable_id(pronoun: str, word: str) -> str:
     return f"({pronoun},{word})"
+
+
+def _observables(schema: WinogradSchema) -> list[str]:
+    """Slot by slot, the special word's observable before the alternate's."""
+    return [
+        observable_id(pronoun, word)
+        for pronoun, special, alternate in zip(schema.pronouns, schema.special,
+                                               schema.alternate)
+        for word in (special, alternate)
+    ]
 
 
 def _check_pair(label: str, pair: tuple[str, str], problems: list[str]) -> None:
@@ -66,116 +84,65 @@ def _check_pair(label: str, pair: tuple[str, str], problems: list[str]) -> None:
 def validate_ws(schema: WinogradSchema) -> list[str]:
     problems: list[str] = []
     _check_pair("noun_phrases", schema.noun_phrases, problems)
-    if not schema.pronoun:
-        problems.append("pronoun must be non-empty")
-    _check_pair("special/alternate words", (schema.special, schema.alternate), problems)
-    for marker, want in ((WORD1, 1), (PRON1, 1), (WORD2, 0), (PRON2, 0)):
-        got = schema.template.count(marker)
-        if got != want:
-            problems.append(f"template has {got} of {marker}, needs exactly {want}")
-    return problems
-
-
-def validate_gws(schema: GeneralisedWinogradSchema) -> list[str]:
-    problems: list[str] = []
-    _check_pair("noun_phrases", schema.noun_phrases, problems)
     # the two pronouns may be the same surface string (subscripts in print);
-    # only the four (pronoun, word) ids must stay distinct
-    if not schema.pronouns[0] or not schema.pronouns[1]:
+    # only the (pronoun, word) ids must stay distinct
+    if not all(schema.pronouns):
         problems.append("pronouns must be non-empty")
-    for slot in (0, 1):
-        _check_pair(
-            f"slot{slot + 1} special/alternate words",
-            (schema.special[slot], schema.alternate[slot]),
-            problems,
-        )
-    ids = [
-        observable_id(schema.pronouns[0], schema.special[0]),
-        observable_id(schema.pronouns[0], schema.alternate[0]),
-        observable_id(schema.pronouns[1], schema.special[1]),
-        observable_id(schema.pronouns[1], schema.alternate[1]),
-    ]
-    if len(set(ids)) != 4:
+    for slot, pair in enumerate(zip(schema.special, schema.alternate), start=1):
+        _check_pair(f"slot{slot} special/alternate words", pair, problems)
+    ids = _observables(schema)
+    if len(set(ids)) != len(ids):
         problems.append(f"observable ids collide: {ids}")
-    for marker in (WORD1, WORD2, PRON1, PRON2):
-        got = schema.template.count(marker)
-        if got != 1:
-            problems.append(f"template has {got} of {marker}, needs exactly 1")
+    for kind in ("word", "pron"):
+        for slot in range(1, MAX_SLOTS + 1):
+            marker = f"${{{kind}{slot}}}"
+            want = int(slot <= len(schema.pronouns))
+            got = schema.template.count(marker)
+            if got != want:
+                problems.append(f"template has {got} of {marker}, needs exactly {want}")
     return problems
 
 
-def _require_valid(problems: list[str]) -> None:
-    if problems:
-        raise SchemaError("; ".join(problems))
+def version_contexts(schema: WinogradSchema) -> dict[tuple[str, ...], Context]:
+    """Each version of the discourse (one word per slot) and its context."""
+    return {
+        words: tuple(observable_id(p, w) for p, w in zip(schema.pronouns, words))
+        for words in product(*zip(schema.special, schema.alternate))
+    }
 
 
 def ws_scenario(schema: WinogradSchema) -> MeasurementScenario:
-    """Two observables, each alone in its own maximal context."""
-    _require_valid(validate_ws(schema))
-    x_s = observable_id(schema.pronoun, schema.special)
-    x_a = observable_id(schema.pronoun, schema.alternate)
+    """One maximal context per version: two singletons for one slot, a
+    rank-4 cycle for two."""
+    if problems := validate_ws(schema):
+        raise SchemaError("; ".join(problems))
     return MeasurementScenario.from_maximal(
-        observables=(x_s, x_a),
-        maximal_faces=((x_s,), (x_a,)),
+        observables=_observables(schema),
+        maximal_faces=tuple(version_contexts(schema).values()),
         outcomes=schema.noun_phrases,
     )
 
 
-def gws_scenario(schema: GeneralisedWinogradSchema) -> MeasurementScenario:
-    """Four observables; contexts pair a slot-1 wording with a slot-2
-    wording, so the result is always a rank-4 cycle."""
-    _require_valid(validate_gws(schema))
-    p1, p2 = schema.pronouns
-    obs = (
-        observable_id(p1, schema.special[0]),
-        observable_id(p1, schema.alternate[0]),
-        observable_id(p2, schema.special[1]),
-        observable_id(p2, schema.alternate[1]),
-    )
-    x1, x2, y1, y2 = obs
-    faces = ((x1, y1), (x1, y2), (x2, y1), (x2, y2))
-    return MeasurementScenario.from_maximal(
-        observables=obs, maximal_faces=faces, outcomes=schema.noun_phrases
-    )
-
-
-def context_words(schema: GeneralisedWinogradSchema, word1: str, word2: str) -> tuple[str, str]:
-    """Check both words belong to their slots; returns them unchanged."""
-    if word1 not in (schema.special[0], schema.alternate[0]):
-        raise SchemaError(
-            f"{word1!r} is not the slot-1 special ({schema.special[0]!r}) "
-            f"or alternate ({schema.alternate[0]!r}) word"
-        )
-    if word2 not in (schema.special[1], schema.alternate[1]):
-        raise SchemaError(
-            f"{word2!r} is not the slot-2 special ({schema.special[1]!r}) "
-            f"or alternate ({schema.alternate[1]!r}) word"
-        )
-    return word1, word2
-
-
-def _fill(template: str, **slots: str) -> str:
+def instantiate(schema: WinogradSchema, *words: str) -> str:
+    """The discourse text for one version (one word per slot)."""
+    n = len(schema.pronouns)
+    if len(words) != n:
+        count = f"{_COUNTS[n - 1]} word" + ("s" if n > 1 else "")
+        raise SchemaError(f"{schema.flavor} schema takes exactly {count}")
+    if problems := validate_ws(schema):
+        raise SchemaError("; ".join(problems))
+    slots = {}
+    for slot, (pronoun, special, alternate, word) in enumerate(
+        zip(schema.pronouns, schema.special, schema.alternate, words), start=1
+    ):
+        if word not in (special, alternate):
+            raise SchemaError(
+                f"{word!r} is not the slot-{slot} special ({special!r}) "
+                f"or alternate ({alternate!r}) word"
+            )
+        slots[f"word{slot}"] = word
+        slots[f"pron{slot}"] = pronoun
     try:
-        return Template(template).substitute(**slots)
+        return Template(schema.template).substitute(slots)
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"template has markers beyond the supported set: {exc}") from exc
-
-
-def instantiate(schema: GeneralisedWinogradSchema, word1: str, word2: str) -> str:
-    """The discourse text for one context (a choice of both words)."""
-    _require_valid(validate_gws(schema))
-    context_words(schema, word1, word2)
-    return _fill(
-        schema.template,
-        word1=word1, word2=word2, pron1=schema.pronouns[0], pron2=schema.pronouns[1],
-    )
-
-
-def instantiate_ws(schema: WinogradSchema, word: str) -> str:
-    _require_valid(validate_ws(schema))
-    if word not in (schema.special, schema.alternate):
-        raise SchemaError(
-            f"{word!r} is not the special ({schema.special!r}) "
-            f"or alternate ({schema.alternate!r}) word"
-        )
-    return _fill(schema.template, word1=word, pron1=schema.pronoun)

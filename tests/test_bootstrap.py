@@ -18,7 +18,7 @@ from winoctx.files import load_schema
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import ContextTally, aggregate, parse_responses, tally_distribution
 from winoctx.scenario import MeasurementScenario, cyclic_structure, maximal_contexts
-from winoctx.schema import gws_scenario
+from winoctx.schema import ws_scenario
 
 
 def make_tallies(pairs):
@@ -68,7 +68,7 @@ def cannibal_tallies():
     schema = load_schema(fixture_path("cannibal_schema.json"))
     result = parse_responses(fixture_path("cannibal_responses.csv"))
     _, tallies = aggregate(result.records, schema)
-    return cycle_order_tallies(gws_scenario(schema), tallies)
+    return cycle_order_tallies(ws_scenario(schema), tallies)
 
 
 def test_histogram_single_bin():
@@ -213,7 +213,7 @@ def test_metadata_records_the_rng_contract():
 
 def test_cycle_order_follows_the_cycle():
     schema = load_schema(fixture_path("cannibal_schema.json"))
-    scenario = gws_scenario(schema)
+    scenario = ws_scenario(schema)
     structure = cyclic_structure(scenario)
     # give every context a recognizable same-count
     tallies = {}

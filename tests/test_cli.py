@@ -13,7 +13,7 @@ from winoctx.files import load_schema, scenario_from_dict
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import aggregate, parse_responses
 from winoctx.scenario import cyclic_structure
-from winoctx.schema import gws_scenario
+from winoctx.schema import ws_scenario
 
 
 def fx(name):
@@ -418,7 +418,7 @@ def test_bootstrap_tol_decides_cf_positivity(capsys):
     schema = load_schema(fixture_path("cannibal_schema.json"))
     _, tallies = aggregate(parse_responses(fixture_path("cannibal_responses.csv")).records,
                            schema)
-    ordered = cycle_order_tallies(gws_scenario(schema), tallies)
+    ordered = cycle_order_tallies(ws_scenario(schema), tallies)
     samples = run(ordered, BootstrapConfig(n_resamples=300, statistic="cf")).samples
     assert fractions["1e-9"] == float((samples > 1e-9).mean())
     assert fractions["0.1"] == float((samples > 0.1).mean())
@@ -505,6 +505,31 @@ def test_schema_needs_exactly_one_mode(capsys):
     code, _, err = run_cli(capsys, "schema", fx("cannibal_schema.json"),
                            "--compile", "--instantiate", "herbivorous", "alive")
     assert code == 2
+
+
+def test_schema_out_needs_compile(tmp_path, capsys):
+    target = tmp_path / "text.txt"
+    code, out, err = run_cli(capsys, "schema", fx("cannibal_schema.json"),
+                             "--instantiate", "herbivorous", "alive", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "--out needs --compile" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("schema", fx("cannibal_schema.json"), "--compile", "--format", "json"),
+    ("schema", fx("cannibal_schema.json"), "--compile", "--tol", "5"),
+    ("schema", fx("cannibal_schema.json"), "--compile", "--seed", "3"),
+    ("validate", fx("cannibal_schema.json"), "--tol", "5"),
+    ("validate", fx("cannibal_schema.json"), "--seed", "3"),
+    ("analyze", fx("pr_box_model.json"), "--seed", "3"),
+])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def python_process(*args, **env):

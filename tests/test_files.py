@@ -18,7 +18,6 @@ from winoctx.files import (
     schema_from_dict,
 )
 from winoctx.fixtures import fixture_path
-from winoctx.schema import GeneralisedWinogradSchema, WinogradSchema
 
 CHSH = {
     "observables": ["a1", "b1", "a2", "b2"],
@@ -202,9 +201,9 @@ def test_bad_prob_entries():
 
 def test_schema_dispatch_on_pronoun_count():
     ws = load_json(fixture_path("trophy_schema.json"))
-    assert isinstance(schema_from_dict(ws), WinogradSchema)
+    assert len(schema_from_dict(ws).pronouns) == 1
     gws = load_json(fixture_path("trophy_generalised_schema.json"))
-    assert isinstance(schema_from_dict(gws), GeneralisedWinogradSchema)
+    assert len(schema_from_dict(gws).pronouns) == 2
     three = dict(gws)
     three["pronouns"] = ["it", "it", "it"]
     with pytest.raises(FileFormatError, match="1 or 2"):

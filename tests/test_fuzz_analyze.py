@@ -1,10 +1,11 @@
-"""Fuzz the model loader, the response parser and `winoctx analyze` with
-mutated fixture files.
+"""Fuzz the model loader, the response parser, the schema loader and
+`winoctx analyze` with mutated fixture files.
 
 Every mutated model document is written to a file and analysed through
 `main`; every mutated response file is validated and analysed under the
-cannibal schema.  Whatever the damage, the command must end with exit code
-0, 1 or 2 and never raise.
+cannibal schema; every mutated schema is validated, compiled, instantiated
+and used to analyse the cannibal responses.  Whatever the damage, the
+command must end with exit code 0, 1 or 2 and never raise.
 """
 
 import contextlib
@@ -176,3 +177,43 @@ def test_validate_and_analyze_never_raise_on_mutated_responses(rows):
             assert code in (0, 1, 2)
             # a duplicated row repeats its respondent id, which only warns
             assert all("appears more than once" in str(w.message) for w in caught)
+
+
+# -- schema files --------------------------------------------------------------
+
+SCHEMAS = ("cannibal_schema.json", "councilmen_schema.json", "trophy_schema.json",
+           "trophy_generalised_schema.json", "sid_mark_schema.json")
+BASE_SCHEMAS = [load(name) for name in SCHEMAS]
+
+
+@st.composite
+def schema_documents(draw):
+    """A fixture schema after one to three mutations, and two words drawn
+    from that fixture's word pairs."""
+    doc = draw(st.sampled_from(BASE_SCHEMAS))
+    words = [word for pair in doc["words"].values() for word in pair.values()]
+    for _ in range(draw(st.integers(1, 3))):
+        doc = draw(mutated(doc, top=True))
+        if doc is DELETE:
+            doc = {}
+    return doc, draw(st.lists(st.sampled_from(words), min_size=2, max_size=2))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=schema_documents())
+def test_schema_commands_never_raise_on_mutated_schemas(case):
+    doc, words = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "schema.json")
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["validate", path],
+                     ["schema", path, "--compile"],
+                     ["schema", path, "--instantiate", words[0]],
+                     ["schema", path, "--instantiate", *words],
+                     ["analyze", "--responses", str(fixture_path("cannibal_responses.csv")),
+                      "--schema", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,10 @@ from winoctx.files import load_schema, schema_from_dict, schema_to_dict
 from winoctx.fixtures import fixture_path
 from winoctx.scenario import cyclic_structure, maximal_contexts, validate
 from winoctx.schema import (
-    GeneralisedWinogradSchema,
     SchemaError,
     WinogradSchema,
-    gws_scenario,
     instantiate,
-    instantiate_ws,
     observable_id,
-    validate_gws,
     validate_ws,
     ws_scenario,
 )
@@ -41,7 +39,7 @@ def cannibal():
 
 
 def test_councilmen_scenario(councilmen):
-    assert isinstance(councilmen, WinogradSchema)
+    assert len(councilmen.pronouns) == 1
     assert validate_ws(councilmen) == []
     scenario = ws_scenario(councilmen)
     assert set(scenario.observables) == {"(they,feared)", "(they,advocated)"}
@@ -58,8 +56,8 @@ def test_trophy_ws_two_singleton_contexts(trophy):
 
 
 def test_trophy_generalised_contexts(trophy_generalised):
-    assert isinstance(trophy_generalised, GeneralisedWinogradSchema)
-    scenario = gws_scenario(trophy_generalised)
+    assert len(trophy_generalised.pronouns) == 2
+    scenario = ws_scenario(trophy_generalised)
     contexts = {frozenset(c) for c in maximal_contexts(scenario)}
     assert contexts == {
         frozenset({"(it1,small)", "(it2,light)"}),
@@ -71,7 +69,7 @@ def test_trophy_generalised_contexts(trophy_generalised):
 
 def test_gws_scenario_is_rank_four_cycle(cannibal, trophy_generalised):
     for schema in (cannibal, trophy_generalised):
-        scenario = gws_scenario(schema)
+        scenario = ws_scenario(schema)
         assert validate(scenario).ok
         structure = cyclic_structure(scenario)
         assert structure is not None
@@ -82,39 +80,69 @@ def test_shared_pronoun_text_is_allowed(cannibal):
     # both pronouns print as "one of them"; the four observables stay
     # distinct because the word half of the id differs
     assert cannibal.pronouns == ("one of them", "one of them")
-    assert validate_gws(cannibal) == []
-    scenario = gws_scenario(cannibal)
+    assert validate_ws(cannibal) == []
+    scenario = ws_scenario(cannibal)
     assert len(set(scenario.observables)) == 4
 
 
 def test_sid_mark_flagged_non_conforming():
     schema = load_schema(fixture_path("sid_mark_schema.json"))
-    problems = validate_gws(schema)
+    problems = validate_ws(schema)
     assert problems != []
 
 
 def test_gws_validation_catches_bad_templates(cannibal):
-    broken = GeneralisedWinogradSchema(
+    broken = WinogradSchema(
         noun_phrases=cannibal.noun_phrases,
         pronouns=cannibal.pronouns,
         special=cannibal.special,
         alternate=cannibal.alternate,
         template="no markers at all",
     )
-    problems = validate_gws(broken)
+    problems = validate_ws(broken)
     assert any("word1" in p for p in problems)
     assert any("pron2" in p for p in problems)
+
+
+def test_problem_list_of_templates_without_markers(cannibal, councilmen):
+    def unmarked(schema):
+        return WinogradSchema(schema.noun_phrases, schema.pronouns, schema.special,
+                              schema.alternate, template="no markers at all")
+
+    assert validate_ws(unmarked(cannibal)) == [
+        "template has 0 of ${word1}, needs exactly 1",
+        "template has 0 of ${word2}, needs exactly 1",
+        "template has 0 of ${pron1}, needs exactly 1",
+        "template has 0 of ${pron2}, needs exactly 1",
+    ]
+    assert validate_ws(unmarked(councilmen)) == [
+        "template has 0 of ${word1}, needs exactly 1",
+        "template has 0 of ${pron1}, needs exactly 1",
+    ]
 
 
 def test_ws_validation_requires_distinct_words(councilmen):
     broken = WinogradSchema(
         noun_phrases=councilmen.noun_phrases,
-        pronoun=councilmen.pronoun,
-        special="feared",
-        alternate="feared",
+        pronouns=councilmen.pronouns,
+        special=("feared",),
+        alternate=("feared",),
         template=councilmen.template,
     )
     assert validate_ws(broken) != []
+
+
+@pytest.mark.parametrize("pronouns, special, alternate, shape", [
+    ("they", "feared", "advocated", (4, 6, 9)),  # strings, not one entry per slot
+    ((), (), (), (0, 0, 0)),
+    (("a", "b", "c"), ("x", "y", "z"), ("u", "v", "w"), (3, 3, 3)),
+    (("they",), ("feared", "hungry"), ("advocated",), (1, 2, 1)),
+])
+def test_malformed_slots_raise_on_construction(councilmen, pronouns, special,
+                                               alternate, shape):
+    with pytest.raises(SchemaError, match=re.escape(f"1 to 2; got {shape}")):
+        WinogradSchema(councilmen.noun_phrases, pronouns, special, alternate,
+                       councilmen.template)
 
 
 def test_instantiate_special_special(cannibal):
@@ -144,11 +172,11 @@ def test_instantiate_rejects_unknown_word(cannibal):
 
 
 def test_instantiate_ws(trophy):
-    text = instantiate_ws(trophy, "small")
+    text = instantiate(trophy, "small")
     assert "small" in text
     assert "it" in text
     with pytest.raises(SchemaError):
-        instantiate_ws(trophy, "tiny")
+        instantiate(trophy, "tiny")
 
 
 def test_observable_id_format():
