@@ -12,18 +12,24 @@ each of its two picks, so p(AA) = p(BB) = n_same / (2 n_valid) and
 p(AB) = p(BA) = 1/2 - p(AA) exactly.  Models built this way are
 outcome-symmetric, and their single-observable marginals are (1/2, 1/2)
 bit-for-bit, so the signalling discrepancy is exactly 0.0.
+
+Records are named tuples, built without a Python-level constructor call per
+row.  Aggregation counts the distinct (word1, word2, picks) keys in one C
+loop and checks words and tallies contexts per key, not per record.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .empirical import EmpiricalModel
 from .scenario import Context
-from .schema import WinogradSchema, version_contexts, ws_scenario
+from .schema import SchemaError, WinogradSchema, version_contexts, ws_scenario
 
 HEADER = ("respondent_id", "word1", "word2", "pick1", "pick2")
 # pick labels are positional: first letter = first pronoun's referent,
@@ -44,8 +50,7 @@ class ResponseFormatError(IngestError):
     """Structural problem with a response file (missing/bad header)."""
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
+class ResponseRecord(NamedTuple):
     respondent_id: str
     word1: str
     word2: str
@@ -102,7 +107,8 @@ def _row_problem(lineno: int, row: list[str]) -> str | None:
 
 def parse_responses(path) -> ParseResult:
     """Read a response file.  Malformed data lines land in `problems` with
-    their line number; well-formed lines always come back as records."""
+    the number of the physical line they start on; well-formed lines always
+    come back as records."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -117,16 +123,22 @@ def parse_responses(path) -> ParseResult:
                 )
             records: list[ResponseRecord] = []
             problems: list[str] = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) == len(HEADER):
+            append, new, width = records.append, tuple.__new__, len(HEADER)
+            # a record starts on the line after the previous one ends; a
+            # quoted field may span lines, so rows are not lines
+            last = reader.line_num
+            for row in reader:
+                if len(row) == width:
                     rid, word1, word2, pick1, pick2 = map(str.strip, row)
                     picks = PICK_PAIRS.get((pick1, pick2))
                     if rid and picks is not None:
-                        records.append(ResponseRecord(rid, word1, word2, picks))
+                        append(new(ResponseRecord, (rid, word1, word2, picks)))
+                        last = reader.line_num
                         continue
-                problem = _row_problem(lineno, row)
+                problem = _row_problem(last + 1, row)
                 if problem is not None:
                     problems.append(problem)
+                last = reader.line_num
             if not records and not problems:
                 problems.append("file has a header but no data rows")
     except UnicodeDecodeError as exc:
@@ -141,39 +153,51 @@ def aggregate(
 ) -> tuple[EmpiricalModel, dict[Context, ContextTally]]:
     """Tally per context and build the symmetric empirical model.
 
-    The schema has two pronoun slots; a record's (word1, word2) names its
-    version of the discourse, and so its context.  Order-independent:
-    tallies are pure counts.  Every context of the schema's scenario must
-    end up with at least one valid response, otherwise there is no
-    distribution to put there and we refuse.
+    The schema must have two pronoun slots (else SchemaError, before any
+    record is read); a record's (word1, word2) names its version of the
+    discourse, and so its context.  Order-independent: tallies are pure
+    counts.  A repeated respondent id warns once per repeat, in input order;
+    words matching no context raise IngestError naming the first such
+    record, after the repeats that come before it have warned.  Every
+    context of the schema's scenario must end up with at least one valid
+    response, otherwise there is no distribution to put there and we refuse.
     """
+    if len(schema.pronouns) != 2:
+        raise SchemaError("aggregation needs a two-pronoun schema")
     scenario = ws_scenario(schema)
     ctx_of = version_contexts(schema)
 
-    counts = {ctx: {"total": 0, "same": 0, "diff": 0} for ctx in ctx_of.values()}
-    seen_ids: set[str] = set()
-    for rec in records:
-        key = (rec.word1, rec.word2)
-        if key not in ctx_of:
-            raise IngestError(
-                f"record {rec.respondent_id!r}: words {key} match no context of the schema"
-            )
-        if rec.respondent_id in seen_ids:
-            warnings.warn(
-                f"respondent id {rec.respondent_id!r} appears more than once",
-                stacklevel=2,
-            )
-        seen_ids.add(rec.respondent_id)
-        c = counts[ctx_of[key]]
-        c["total"] += 1
-        if rec.picks == SAME:
-            c["same"] += 1
-        elif rec.picks == DIFF:
-            c["diff"] += 1
+    records = tuple(records)
+    counts = Counter(map(itemgetter(1, 2, 3), records))
+    stop = None  # index of the first record whose words match no context
+    if any(key[:2] not in ctx_of for key in counts):
+        stop = next(i for i, rec in enumerate(records)
+                    if (rec.word1, rec.word2) not in ctx_of)
+    head = records[:stop]
+    if len(set(map(itemgetter(0), head))) != len(head):
+        seen_ids: set[str] = set()
+        for rid in map(itemgetter(0), head):
+            if rid in seen_ids:
+                warnings.warn(f"respondent id {rid!r} appears more than once",
+                              stacklevel=2)
+            seen_ids.add(rid)
+    if stop is not None:
+        rec = records[stop]
+        raise IngestError(f"record {rec.respondent_id!r}: words {(rec.word1, rec.word2)} "
+                          "match no context of the schema")
+
+    totals = {ctx: {"total": 0, "same": 0, "diff": 0} for ctx in ctx_of.values()}
+    for (word1, word2, picks), n in counts.items():
+        c = totals[ctx_of[word1, word2]]
+        c["total"] += n
+        if picks == SAME:
+            c["same"] += n
+        elif picks == DIFF:
+            c["diff"] += n
 
     tallies: dict[Context, ContextTally] = {}
     tables: dict[Context, dict[tuple[str, str], float]] = {}
-    for ctx, c in counts.items():
+    for ctx, c in totals.items():
         tally = ContextTally(
             n_total=c["total"],
             n_valid=c["same"] + c["diff"],

@@ -7,18 +7,26 @@ with the code under test.
 import csv
 import itertools
 import math
+import warnings
 
 import numpy as np
 
+from winoctx.empirical import EmpiricalModel
 from winoctx.ingest import (
+    DIFF,
     HEADER,
     PICKS,
+    SAME,
+    ContextTally,
+    IngestError,
     ParseResult,
     ResponseFormatError,
     ResponseRecord,
+    tally_distribution,
 )
 from winoctx.linprog import LpProblem
 from winoctx.scenario import maximal_contexts
+from winoctx.schema import version_contexts, ws_scenario
 
 
 def brute_force_lp(problem: LpProblem):
@@ -183,7 +191,10 @@ def parse_responses_by_row(path) -> ParseResult:
                 )
             records = []
             problems = []
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:
+                # the physical line the record starts on
+                lineno, end = end + 1, reader.line_num
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(HEADER):
@@ -212,6 +223,54 @@ def parse_responses_by_row(path) -> ParseResult:
     except csv.Error as exc:
         raise ResponseFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return ParseResult(records=tuple(records), problems=tuple(problems))
+
+
+def aggregate_by_record(records, schema):
+    """`ingest.aggregate` as a per-record loop: each record's words looked
+    up, its id checked against the ids before it, its context's counts
+    bumped, all in input order."""
+    scenario = ws_scenario(schema)
+    ctx_of = version_contexts(schema)
+
+    counts = {ctx: {"total": 0, "same": 0, "diff": 0} for ctx in ctx_of.values()}
+    seen_ids: set[str] = set()
+    for rec in records:
+        key = (rec.word1, rec.word2)
+        if key not in ctx_of:
+            raise IngestError(
+                f"record {rec.respondent_id!r}: words {key} match no context of the schema"
+            )
+        if rec.respondent_id in seen_ids:
+            warnings.warn(
+                f"respondent id {rec.respondent_id!r} appears more than once",
+                stacklevel=2,
+            )
+        seen_ids.add(rec.respondent_id)
+        c = counts[ctx_of[key]]
+        c["total"] += 1
+        if rec.picks == SAME:
+            c["same"] += 1
+        elif rec.picks == DIFF:
+            c["diff"] += 1
+
+    tallies = {}
+    tables = {}
+    for ctx, c in counts.items():
+        tally = ContextTally(
+            n_total=c["total"],
+            n_valid=c["same"] + c["diff"],
+            n_same=c["same"],
+            n_diff=c["diff"],
+        )
+        tallies[ctx] = tally
+        if tally.n_valid == 0:
+            raise IngestError(
+                f"context {ctx} has no valid responses; cannot estimate a distribution"
+            )
+        tables[ctx] = tally_distribution(tally, scenario.outcomes)
+
+    model = EmpiricalModel.build(scenario, tables)
+    return model, tallies
 
 
 def resample_counts_matrix(tallies, n_resamples: int, seed: int) -> np.ndarray:

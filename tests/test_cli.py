@@ -380,6 +380,15 @@ def test_analyze_needs_some_input(capsys):
     assert "need a model file" in err
 
 
+@pytest.mark.parametrize("command, caller", [
+    (["analyze", "--responses", fx("cannibal_responses.csv"), "--schema"], "aggregation"),
+    (["bootstrap", fx("cannibal_responses.csv")], "bootstrap"),
+])
+def test_response_commands_name_the_one_pronoun_schema(capsys, command, caller):
+    code, out, err = run_cli(capsys, *command, fx("trophy_schema.json"))
+    assert (code, out, err) == (1, "", f"error: {caller} needs a two-pronoun schema\n")
+
+
 def test_bootstrap_text_and_histogram(tmp_path, capsys):
     out_csv = tmp_path / "hist.csv"
     code, out, _ = run_cli(

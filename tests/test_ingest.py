@@ -1,15 +1,17 @@
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parse_responses_by_row
+from oracles import aggregate_by_record, parse_responses_by_row
 from winoctx.empirical import is_outcome_symmetric, signalling
 from winoctx.files import load_schema
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import (
+    PICKS,
     ContextTally,
     IngestError,
     ResponseFormatError,
@@ -19,6 +21,7 @@ from winoctx.ingest import (
     tally_distribution,
     validate_response,
 )
+from winoctx.schema import SchemaError
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,21 @@ def spread_records(counts):
             records.append(record(f"r{k}", w1, w2, ("AB", "BA")))
             k += 1
     return records
+
+
+def test_record_contract():
+    picks = frozenset(("AA", "BB"))
+    positional = ResponseRecord("r1", "cannibalistic", "hungry", picks)
+    keyword = ResponseRecord(respondent_id="r1", word1="cannibalistic", word2="hungry",
+                             picks=picks)
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    assert len({positional, keyword}) == 1
+    assert (positional.respondent_id, positional.word1, positional.word2,
+            positional.picks) == ("r1", "cannibalistic", "hungry", picks)
+    assert positional != ResponseRecord("r2", "cannibalistic", "hungry", picks)
+    with pytest.raises(AttributeError):
+        positional.word1 = "herbivorous"
 
 
 def test_validity_rule():
@@ -93,6 +111,22 @@ def test_parse_collects_problems_without_dropping_good_lines(tmp_path):
     assert any("unknown pick" in p for p in result.problems)
     assert any("fields" in p for p in result.problems)
     assert any("respondent_id" in p for p in result.problems)
+
+
+def test_parse_names_the_line_a_record_starts_on(tmp_path):
+    # r1's quoted field spans lines 2-3, so the second data record, r2, is on line 4
+    path = tmp_path / "responses.csv"
+    path.write_text(
+        "respondent_id,word1,word2,pick1,pick2\n"
+        'r1,"canni\nbalistic",hungry,AA,BB\n'
+        "r2,x,y,AA,ZZ\n"
+        "\n"
+        "r3,x\n"
+    )
+    result = parse_responses(path)
+    assert result.records == (record("r1", "canni\nbalistic", "hungry", ("AA", "BB")),)
+    assert [p.split(":")[0] for p in result.problems] == ["line 4", "line 6"]
+    assert result == parse_responses_by_row(path)
 
 
 PADDING = st.sampled_from(["", " ", "\t", "  "])
@@ -286,6 +320,80 @@ def test_aggregate_warns_on_duplicate_ids(cannibal):
     records.append(record("r0", "cannibalistic", "hungry", ("AA", "BB")))
     with pytest.warns(UserWarning, match="r0"):
         aggregate(records, cannibal)
+
+
+def test_aggregate_needs_a_two_pronoun_schema():
+    trophy = load_schema(fixture_path("trophy_schema.json"))
+
+    def records():
+        raise AssertionError("read a record")
+        yield
+
+    with pytest.raises(SchemaError, match="^aggregation needs a two-pronoun schema$"):
+        aggregate(records(), trophy)
+    with pytest.raises(SchemaError, match="^aggregation needs a two-pronoun schema$"):
+        aggregate([record("r1", "small", "", ("AA", "BB"))], trophy)
+
+
+AGG_IDS = st.sampled_from(["r1", "r2", "r3", "r4", "r5", "r6"])
+AGG_WORDS = st.sampled_from([("cannibalistic", "hungry"), ("cannibalistic", "alive"),
+                             ("herbivorous", "hungry"), ("herbivorous", "alive")])
+AGG_UNKNOWN = st.sampled_from([("ferocious", "hungry"), ("herbivorous", ""),
+                               ("alive", "herbivorous")])
+AGG_PICKS = st.sampled_from([frozenset((a, b)) for a in PICKS for b in PICKS if a < b])
+
+
+@st.composite
+def aggregate_inputs(draw):
+    """Records with repeated ids and invalid picks, now and then with words
+    of no context slipped in anywhere; and whether to pass them as a
+    one-shot iterator."""
+    records = [ResponseRecord(draw(AGG_IDS), *draw(AGG_WORDS), draw(AGG_PICKS))
+               for _ in range(draw(st.integers(0, 40)))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        records.insert(draw(st.integers(0, len(records))),
+                       ResponseRecord(draw(AGG_IDS), *draw(AGG_UNKNOWN), draw(AGG_PICKS)))
+    return records, draw(st.booleans())
+
+
+def _outcome(fn, records):
+    """(result, warning messages, (exception type, text))."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = fn(records), None
+        except Exception as exc:
+            result, error = None, (type(exc), str(exc))
+    return result, [str(w.message) for w in caught], error
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=aggregate_inputs())
+def test_aggregate_matches_the_per_record_reference(case, cannibal):
+    records, one_shot = case
+    feed = (lambda: iter(records)) if one_shot else (lambda: records)
+    got, got_warnings, got_error = _outcome(lambda r: aggregate(r, cannibal), feed())
+    want, want_warnings, want_error = _outcome(lambda r: aggregate_by_record(r, cannibal),
+                                               feed())
+    assert got_warnings == want_warnings
+    assert got_error == want_error
+    if want is not None:
+        (model, tallies), (want_model, want_tallies) = got, want
+        assert list(tallies.items()) == list(want_tallies.items())
+        assert model.contexts == want_model.contexts
+        for ctx in want_model.contexts:
+            assert model.distribution(ctx).table == want_model.distribution(ctx).table
+
+
+def test_aggregate_warns_of_repeats_before_the_unknown_record(cannibal):
+    records = [record(rid, w1, w2, ("AA", "BB")) for rid, w1, w2 in (
+        ("r1", "cannibalistic", "hungry"), ("r1", "herbivorous", "alive"),
+        ("r2", "ferocious", "hungry"), ("r1", "cannibalistic", "alive"))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IngestError, match=r"^record 'r2': words \('ferocious', 'hungry'\)"):
+            aggregate(iter(records), cannibal)
+    assert [str(w.message) for w in caught] == ["respondent id 'r1' appears more than once"]
 
 
 def test_tally_invariants():
