@@ -1,0 +1,129 @@
+"""Golden outputs: the whole stdout of `winoctx analyze`, text and JSON.
+
+Each case's expected stdout lives in tests/golden/<case>.<text|json>.  The
+cases are every bundled model file, the response-file path and a few models
+built here: a rank-6 cycle, a 3-outcome 4-cycle, a signalling 4-cycle (at
+the default tol and at a tol wide enough to call it non-signalling) and a
+model with no cyclic structure.
+
+A change that means to alter the output rewrites the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and the diff of tests/golden/ then shows what it altered.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from winoctx.cli import main
+from winoctx.fixtures import fixture_path
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("text", "json")
+
+
+def binary_cycle(rank, correlations, marginals=None):
+    """A binary rank-n cycle model; context i gets correlation
+    correlations[i], and the marginals default to uniform."""
+    names = [f"x{i}" for i in range(rank)]
+    contexts = [[names[i], names[(i + 1) % rank]] for i in range(rank)]
+    distributions = []
+    for i, (ctx, c) in enumerate(zip(contexts, correlations)):
+        m1, m2 = marginals[i] if marginals else (0.0, 0.0)
+        distributions.append({"context": ctx, "probs": {
+            f"{a}|{b}": (1 + sa * m1 + sb * m2 + sa * sb * c) / 4
+            for a, sa in (("A", 1), ("B", -1)) for b, sb in (("A", 1), ("B", -1))
+        }})
+    return {"scenario": {"observables": names, "contexts": contexts,
+                         "outcomes": ["A", "B"]},
+            "distributions": distributions}
+
+
+def three_outcome_cycle():
+    """A 3-outcome chained PR box (three contexts a = b, the last
+    a = b + 1 mod 3) at weight 3/4, mixed with uniform noise."""
+    outcomes = ["0", "1", "2"]
+    contexts = [["a1", "b1"], ["b1", "a2"], ["a2", "b2"], ["a1", "b2"]]
+    distributions = []
+    for shift, ctx in zip((0, 0, 0, 1), contexts):
+        distributions.append({"context": ctx, "probs": {
+            f"{a}|{b}": 1 / 36 + (1 / 4 if (a - b - shift) % 3 == 0 else 0.0)
+            for a in range(3) for b in range(3)
+        }})
+    return {"scenario": {"observables": ["a1", "b1", "a2", "b2"],
+                         "contexts": contexts, "outcomes": outcomes},
+            "distributions": distributions}
+
+
+NON_CYCLIC = {
+    "scenario": {"observables": ["p", "q"], "contexts": [["p"], ["q"]],
+                 "outcomes": ["A", "B"]},
+    "distributions": [{"context": ["p"], "probs": {"A": 0.5, "B": 0.5}},
+                      {"context": ["q"], "probs": {"A": 0.25, "B": 0.75}}],
+}
+
+SIGNALLING = binary_cycle(4, (0.75, 0.75, 0.75, -0.75),
+                          ((0.0, 0.25), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
+
+INLINE = {
+    "rank6_cycle": binary_cycle(6, (0.75,) * 5 + (-0.75,)),
+    "three_outcome_cycle": three_outcome_cycle(),
+    "signalling_cycle": SIGNALLING,
+    "non_cyclic": NON_CYCLIC,
+}
+
+MODEL_FILES = sorted(
+    p.name for p in fixture_path("pr_box_model.json").parent.glob("*_model.json"))
+
+CASES = {
+    **{name.removesuffix(".json"): [str(fixture_path(name))] for name in MODEL_FILES},
+    "cannibal_responses": ["--responses", str(fixture_path("cannibal_responses.csv")),
+                           "--schema", str(fixture_path("cannibal_schema.json"))],
+    **{name: [f"{{tmp}}/{name}.json"] for name in INLINE},
+    "signalling_cycle_tol_0.3": ["{tmp}/signalling_cycle.json", "--tol", "0.3"],
+}
+
+
+def analyze(case, fmt, workdir):
+    """Exit code and stdout of `winoctx analyze` on one case; inline
+    models are written to `workdir` first."""
+    for name, doc in INLINE.items():
+        Path(workdir, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [arg.replace("{tmp}", str(workdir)) for arg in CASES[case]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", *argv, "--format", fmt])
+    return code, out.getvalue()
+
+
+def test_every_bundled_model_is_a_case():
+    assert len(MODEL_FILES) == 4
+    assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} == {
+        p.name for p in GOLDEN.iterdir()}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_analyze_output_is_golden(case, fmt, tmp_path):
+    code, out = analyze(case, fmt, tmp_path)
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            for fmt in FORMATS:
+                code, out = analyze(case, fmt, tmp)
+                if code != 0:
+                    sys.exit(f"{case} ({fmt}) exited {code}")
+                (GOLDEN / f"{case}.{fmt}").write_text(out, encoding="utf-8")
