@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .empirical import EmpiricalModel
@@ -85,7 +86,8 @@ class CyclicSystem:
     """Cycle-ordered correlations plus each content's two expectations.
 
     contents[i] sits in contexts[i-1] and contexts[i]; expectations[i] holds
-    its expectation in those two contexts, in that order.
+    its expectation in those two contexts, in that order.  delta and s_odd
+    are computed once, on first use: a report reads them several times.
     """
 
     contents: tuple[Observable, ...]
@@ -137,22 +139,26 @@ class CyclicSystem:
             expectations=tuple(expectations),
         )
 
-    @property
+    @cached_property
     def delta(self) -> float:
         """Total movement of content expectations across their two contexts."""
         return math.fsum(abs(a - b) for a, b in self.expectations)
+
+    @cached_property
+    def _s_odd(self) -> float:
+        return s_odd(self.correlations)
 
     @property
     def cnt1(self) -> float:
         # left-to-right: when delta is exactly 0.0 this is bit-identical
         # to the rank-4 correlation-bound excess below
-        return s_odd(self.correlations) - self.delta - (self.rank - 2)
+        return self._s_odd - self.delta - (self.rank - 2)
 
     @property
     def contextual_fraction(self) -> float:
         """cf in closed form; it is the cf only when the model does not
         signal (module docstring)."""
-        return max(0.0, (s_odd(self.correlations) - (self.rank - 2)) / 2)
+        return max(0.0, (self._s_odd - (self.rank - 2)) / 2)
 
     @property
     def violation(self) -> float:
@@ -163,7 +169,7 @@ class CyclicSystem:
             raise CyclicSystemError(
                 f"correlation-bound statistic needs a rank-4 cycle, got rank {self.rank}"
             )
-        return s_odd(self.correlations) - 2
+        return self._s_odd - 2
 
 
 def cnt1(model: EmpiricalModel) -> float:
