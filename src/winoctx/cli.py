@@ -109,13 +109,15 @@ def _aggregate_responses(responses, schema_path, needs: str):
     if len(schema.pronouns) != 2:
         raise SchemaError(f"{needs} needs a two-pronoun schema")
     # aggregate warns of duplicate respondent ids; they reach the user as
-    # lines like the parse problems, whatever the warnings filter says
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = aggregate(parsed.records, schema)
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
-    return result
+    # lines like the parse problems, whatever the warnings filter says, and
+    # before the error when a later record makes aggregate raise
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return aggregate(parsed.records, schema)
+    finally:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_analysis_inputs(args):

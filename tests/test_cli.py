@@ -561,6 +561,25 @@ def test_duplicate_respondent_id_is_a_warning_line(tmp_path):
     assert "bell-chsh violation:" in proc.stdout
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--responses", "{csv}", "--schema", fx("cannibal_schema.json")],
+    ["bootstrap", "{csv}", fx("cannibal_schema.json")],
+])
+def test_duplicate_id_warnings_precede_an_unknown_words_error(tmp_path, capsys, command):
+    responses = tmp_path / "dup.csv"
+    responses.write_text("respondent_id,word1,word2,pick1,pick2\n"
+                         + "r1,cannibalistic,hungry,AA,BB\n" * 2
+                         + "r2,herbivorous,alive,AA,BB\n" * 2
+                         + "zz1,nope,never,AA,BB\n", encoding="utf-8")
+    argv = [arg.replace("{csv}", str(responses)) for arg in command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("warning: respondent id 'r1' appears more than once\n"
+                   "warning: respondent id 'r2' appears more than once\n"
+                   "error: record 'zz1': words ('nope', 'never') match no context "
+                   "of the schema\n")
+
+
 def test_bootstrap_negative_seed_is_named(capsys):
     code, out, err = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
                              fx("cannibal_schema.json"), "--seed", "-1")
