@@ -47,6 +47,7 @@ STATISTICS = ("violation", "cnt1", "cf")
 # a run holds 17 bytes per draw (two floats and a flag) plus one block's
 # temporaries: at the cap, 179 MB traced and 200 MB process RSS at rank 4
 MAX_RESAMPLES = 10**7
+BIN_WIDTH = 0.02  # of the histogram of draws
 _BLOCK = 2**16  # draws per binomial call
 
 
@@ -60,7 +61,6 @@ class BootstrapConfig:
     seed: int = 0
     statistic: str = "violation"
     workers: int = 1  # accepted for compatibility; runs are single-threaded
-    bin_width: float = 0.02
     tol: float = 1e-9  # a cf draw counts as positive when cf > tol
 
     def __post_init__(self):
@@ -78,8 +78,6 @@ class BootstrapConfig:
             )
         if self.workers < 1:
             raise BootstrapError("workers must be >= 1")
-        if self.bin_width <= 0:
-            raise BootstrapError("bin_width must be positive")
         if not 0.0 <= self.tol < math.inf:  # written so that NaN fails it
             raise BootstrapError("tol must be a finite number >= 0")
 
@@ -101,7 +99,7 @@ class BootstrapResult:
     metadata: dict = field(default_factory=dict)
 
 
-def histogram(samples: Sequence[float], bin_width: float = 0.02) -> Histogram:
+def histogram(samples: Sequence[float], bin_width: float = BIN_WIDTH) -> Histogram:
     """Normalized histogram with bin edges pinned to multiples of bin_width."""
     import numpy as np
 
@@ -228,14 +226,14 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     else:
         samples = contextual_fraction(samples, rank)
 
-    hist = histogram(samples, config.bin_width)
+    hist = histogram(samples)
     metadata = {
         "generator": GENERATOR,
         "seed": config.seed,
         "n_resamples": config.n_resamples,
         "statistic": config.statistic,
         "contexts": rank,
-        "bin_width": config.bin_width,
+        "bin_width": BIN_WIDTH,
     }
     # a noncontextual draw's cf can sit a rounding step above 0, so cf is
     # counted as positive above tol, as sheaf.is_noncontextual decides it

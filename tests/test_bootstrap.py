@@ -192,8 +192,6 @@ def test_config_validation():
         BootstrapConfig(statistic="median")
     with pytest.raises(BootstrapError):
         BootstrapConfig(workers=0)
-    with pytest.raises(BootstrapError):
-        BootstrapConfig(bin_width=-0.1)
     for tol in (-1e-9, float("nan"), float("inf")):
         with pytest.raises(BootstrapError, match="tol"):
             BootstrapConfig(tol=tol)
