@@ -1,10 +1,23 @@
-"""Golden outputs: the whole stdout of `winoctx analyze`, text and JSON.
+"""Golden outputs: the whole output of every `winoctx` command.
 
-Each case's expected stdout lives in tests/golden/<case>.<text|json>.  The
-cases are every bundled model file, the response-file path and a few models
+`analyze` cases pin stdout, text and JSON, in tests/golden/<case>.<text|json>.
+They are every bundled model file, the response-file path and a few models
 built here: a rank-6 cycle, a 3-outcome 4-cycle, a signalling 4-cycle (at
 the default tol and at a tol wide enough to call it non-signalling) and a
 model with no cyclic structure.
+
+Command cases pin the exit code, stdout, stderr and every file the command
+writes into its working directory, in one record per case and format,
+tests/golden/<case>.<text|json> (`schema` has no --format and so has one
+record, <case>.out).  They are `validate` on every bundled fixture;
+`bootstrap` of each statistic, with and without a relative --out; `schema
+--compile` and `schema --instantiate`; and the `bootstrap` errors for a
+one-pronoun schema and for --workers 0.  Fixture paths print as
+{fixtures}.
+
+The bootstrap records pin numpy's Philox bit generator and its binomial
+sampler as of numpy 2.4.6.  A numpy whose binomial stream differs, or the
+table-inversion sampler of ROADMAP item 7, changes them on purpose.
 
 A change that means to alter the output rewrites the files with
 
@@ -16,6 +29,7 @@ and the diff of tests/golden/ then shows what it altered.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -89,6 +103,28 @@ CASES = {
     "signalling_cycle_tol_0.3": ["{tmp}/signalling_cycle.json", "--tol", "0.3"],
 }
 
+FIXTURES = fixture_path("pr_box_model.json").parent
+RESPONSES = [str(FIXTURES / "cannibal_responses.csv"), str(FIXTURES / "cannibal_schema.json")]
+SEEDED = ["--samples", "3000", "--seed", "11"]
+
+COMMANDS = {
+    **{f"validate_{p.stem}": ["validate", str(p)]
+       for p in sorted(FIXTURES.iterdir()) if p.suffix in (".json", ".csv")},
+    **{f"bootstrap_{stat}{suffix}": ["bootstrap", *RESPONSES, "--statistic", stat,
+                                     *SEEDED, *out]
+       for stat in ("violation", "cnt1", "cf")
+       for suffix, out in (("", []), ("_out", ["--out", "hist.csv"]))},
+    "bootstrap_one_pronoun": ["bootstrap", RESPONSES[0],
+                              str(FIXTURES / "trophy_schema.json"), *SEEDED],
+    "bootstrap_workers_0": ["bootstrap", *RESPONSES, *SEEDED, "--workers", "0"],
+}
+
+SCHEMA_COMMANDS = {
+    "schema_compile": ["schema", RESPONSES[1], "--compile"],
+    "schema_instantiate": ["schema", RESPONSES[1], "--instantiate",
+                           "cannibalistic", "alive"],
+}
+
 
 def analyze(case, fmt, workdir):
     """Exit code and stdout of `winoctx analyze` on one case; inline
@@ -102,10 +138,37 @@ def analyze(case, fmt, workdir):
     return code, out.getvalue()
 
 
-def test_every_bundled_model_is_a_case():
+def command(argv, workdir):
+    """The record of one command run in `workdir`: exit code, stdout,
+    stderr, then each file it wrote there."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    parts = [f"exit: {code}\n", "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
+    for path in sorted(Path(workdir).iterdir()):
+        parts += [f"--- file {path.name}\n", path.read_text(encoding="utf-8")]
+    return "".join(parts).replace(str(FIXTURES), "{fixtures}")
+
+
+def command_records():
+    """Golden file name -> argv, for every command case."""
+    return {
+        **{f"{case}.{fmt}": [*argv, "--format", fmt]
+           for case, argv in COMMANDS.items() for fmt in FORMATS},
+        **{f"{case}.out": argv for case, argv in SCHEMA_COMMANDS.items()},
+    }
+
+
+def test_every_bundled_model_and_fixture_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} == {
-        p.name for p in GOLDEN.iterdir()}
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 12
+    assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
+        command_records()) == {p.name for p in GOLDEN.iterdir()}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -114,6 +177,12 @@ def test_analyze_output_is_golden(case, fmt, tmp_path):
     code, out = analyze(case, fmt, tmp_path)
     assert code == 0
     assert out == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(command_records()))
+def test_command_output_is_golden(name, tmp_path):
+    record = command(command_records()[name], tmp_path)
+    assert record == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -127,3 +196,6 @@ if __name__ == "__main__":
                 if code != 0:
                     sys.exit(f"{case} ({fmt}) exited {code}")
                 (GOLDEN / f"{case}.{fmt}").write_text(out, encoding="utf-8")
+    for name, argv in command_records().items():
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / name).write_text(command(argv, tmp), encoding="utf-8")
