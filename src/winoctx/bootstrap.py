@@ -218,9 +218,8 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
         (rows, _draw_correlations(rng, t, rows.stop - rows.start))
         for t in tallies for rows in blocks))
 
-    if config.statistic == "violation":
-        samples -= 2.0
-    elif config.statistic == "cnt1":
+    if config.statistic != "cf":
+        # violation (rank 4 only) and cnt1 are both s_odd - (rank - 2):
         # resampled models are symmetric, so delta = 0 identically
         samples -= float(rank - 2)
     else:

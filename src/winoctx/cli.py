@@ -5,6 +5,9 @@
     winoctx bootstrap R.csv S.json [--samples N] [--statistic v] [--out hist.csv]
     winoctx schema S.json --compile [--out scenario.json] | --instantiate WORD...
 
+Each of validate, analyze and bootstrap builds one JSON document, the single
+source of its output: --format json prints it, and the text is a view of it.
+
 Flags, on the subcommands that read them: --format text|json (validate,
 analyze, bootstrap), --tol (analyze: signalling tolerance, default 1e-9;
 bootstrap --statistic cf: the least cf counted as positive), --seed
@@ -36,7 +39,7 @@ from .files import (
     schema_from_dict,
 )
 from .ingest import ResponseFormatError, aggregate, parse_responses
-from .report import build_report, fmt
+from .report import build_report, render_text
 from .scenario import validate
 from .schema import SchemaError, instantiate, validate_ws, ws_scenario
 
@@ -50,52 +53,44 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _emit(args, text_lines: list[str], doc: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(args, doc: dict, render) -> None:
+    """Print a command's one document: as JSON, or as the text `render`
+    makes of that same dict."""
+    print(json.dumps(doc, indent=2) if args.format == "json" else render(doc))
 
 
-def cmd_validate(args) -> int:
-    path = Path(args.path)
+VALIDATE_TEXT = {
+    "responses": "OK: response file with {records} records",
+    "scenario": "OK: scenario with {observables} observables",
+    "model": "OK: model with {contexts} contexts",
+    "schema": "OK: {flavor} schema",
+}
+
+
+def _check(path: Path) -> tuple:
+    """Kind, problems and facts of one file; a model that loads has no
+    problems left to report."""
     if path.suffix.lower() == ".csv":
         result = parse_responses(path)
-        if result.problems:
-            for problem in result.problems:
-                print(problem, file=sys.stderr)
-            return 1
-        _emit(args, [f"OK: response file with {len(result.records)} records"],
-              {"kind": "responses", "valid": True, "records": len(result.records)})
-        return 0
-
+        return "responses", result.problems, {"records": len(result.records)}
     doc = load_json(path)
     kind = detect_kind(doc)
     if kind == "scenario":
         scenario = scenario_from_dict(doc)
-        report = validate(scenario)
-        if not report.ok:
-            for problem in report.problems:
-                print(problem, file=sys.stderr)
-            return 1
-        _emit(args, [f"OK: scenario with {len(scenario.observables)} observables"],
-              {"kind": "scenario", "valid": True,
-               "observables": len(scenario.observables)})
-        return 0
+        return kind, validate(scenario).problems, {"observables": len(scenario.observables)}
     if kind == "model":
         model = model_from_dict(doc, base_dir=path.parent)
-        _emit(args, [f"OK: model with {len(model.distributions)} contexts"],
-              {"kind": "model", "valid": True, "contexts": len(model.distributions)})
-        return 0
+        return kind, [], {"contexts": len(model.distributions)}
     schema = schema_from_dict(doc)
-    problems = validate_ws(schema)
+    return kind, validate_ws(schema), {"flavor": schema.flavor}
+
+
+def cmd_validate(args) -> int:
+    kind, problems, facts = _check(Path(args.path))
     if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
+        print("\n".join(problems), file=sys.stderr)
         return 1
-    _emit(args, [f"OK: {schema.flavor} schema"],
-          {"kind": "schema", "valid": True, "flavor": schema.flavor})
+    _emit(args, {"kind": kind, "valid": True, **facts}, VALIDATE_TEXT[kind].format_map)
     return 0
 
 
@@ -124,8 +119,7 @@ def _load_analysis_inputs(args):
     if args.model and (args.responses or args.schema):
         raise FileFormatError("give either a model file or --responses with --schema")
     if args.model:
-        doc = load_json(args.model)
-        return model_from_dict(doc, base_dir=Path(args.model).parent), None
+        return model_from_dict(load_json(args.model), base_dir=Path(args.model).parent), None
     if not (args.responses and args.schema):
         raise FileFormatError("need a model file, or both --responses and --schema")
     return _aggregate_responses(args.responses, args.schema, "aggregation")
@@ -133,12 +127,16 @@ def _load_analysis_inputs(args):
 
 def cmd_analyze(args) -> int:
     model, tallies = _load_analysis_inputs(args)
-    report = build_report(model, tol=args.tol, tallies=tallies)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render_text(), end="")
+    _emit(args, build_report(model, tol=args.tol, tallies=tallies).to_dict(), render_text)
     return 0
+
+
+BOOTSTRAP_TEXT = (
+    "statistic: {statistic}   resamples: {n_resamples}   seed: {seed}   "
+    "generator: {generator}\n"
+    "mean: {mean:.6f}   std: {std:.6f}   fraction_positive: {fraction_positive:.6f}\n"
+    "histogram: {bins} bins of width {bin_width:g}"
+)
 
 
 def cmd_bootstrap(args) -> int:
@@ -156,9 +154,8 @@ def cmd_bootstrap(args) -> int:
         result = run(ordered, config)
         if fh is not None:
             fh.write("bin_center,density\n")
-            for center, density in zip(result.histogram.centers,
-                                       result.histogram.densities):
-                fh.write(f"{center:.6f},{density:.6f}\n")
+            fh.writelines(f"{center:.6f},{density:.6f}\n" for center, density
+                          in zip(result.histogram.centers, result.histogram.densities))
 
     meta = result.metadata
     doc = {
@@ -173,15 +170,8 @@ def cmd_bootstrap(args) -> int:
         "bin_width": meta["bin_width"],
         "histogram_file": args.out,
     }
-    lines = [
-        f"statistic: {meta['statistic']}   resamples: {meta['n_resamples']}   "
-        f"seed: {meta['seed']}   generator: {meta['generator']}",
-        f"mean: {fmt(result.mean)}   std: {fmt(result.std)}   "
-        f"fraction_positive: {fmt(result.fraction_positive)}",
-        f"histogram: {len(result.histogram.centers)} bins of width "
-        f"{meta['bin_width']:g}" + (f" -> {args.out}" if args.out else ""),
-    ]
-    _emit(args, lines, doc)
+    _emit(args, doc, lambda d: BOOTSTRAP_TEXT.format_map(d) + (
+        f" -> {d['histogram_file']}" if d["histogram_file"] else ""))
     return 0
 
 
@@ -192,17 +182,15 @@ def cmd_schema(args) -> int:
     if args.out and not args.compile:
         raise FileFormatError("--out needs --compile")
 
-    if args.compile:
-        doc = scenario_to_dict(ws_scenario(schema))
-        payload = json.dumps(doc, indent=2)
-        if args.out:
-            Path(args.out).write_text(payload + "\n", encoding="utf-8")
-            print(f"wrote scenario to {args.out}")
-        else:
-            print(payload)
+    if args.instantiate:
+        print(instantiate(schema, *args.instantiate))
         return 0
-
-    print(instantiate(schema, *args.instantiate))
+    payload = json.dumps(scenario_to_dict(ws_scenario(schema)), indent=2)
+    if args.out:
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        print(f"wrote scenario to {args.out}")
+    else:
+        print(payload)
     return 0
 
 

@@ -77,12 +77,13 @@ class Distribution:
 
     def marginalize(self, keep: Iterable[str]) -> "Distribution":
         """Marginal over a subset of the context's observables."""
-        keep = tuple(k for k in self.context if k in set(keep))
-        if not keep:
-            raise EmpiricalModelError("cannot marginalize onto the empty face")
-        missing = set(keep) - set(self.context)
+        keep = set(keep)
+        missing = keep.difference(self.context)
         if missing:
             raise EmpiricalModelError(f"{sorted(missing)} not in context {self.context!r}")
+        keep = tuple(k for k in self.context if k in keep)
+        if not keep:
+            raise EmpiricalModelError("cannot marginalize onto the empty face")
         idx = [self.context.index(k) for k in keep]
         buckets: dict[tuple[str, ...], list[float]] = {
             o: [] for o in outcome_tuples(self.outcome_set, len(keep))

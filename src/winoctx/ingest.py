@@ -186,25 +186,16 @@ def aggregate(
         raise IngestError(f"record {rec.respondent_id!r}: words {(rec.word1, rec.word2)} "
                           "match no context of the schema")
 
-    totals = {ctx: {"total": 0, "same": 0, "diff": 0} for ctx in ctx_of.values()}
-    for (word1, word2, picks), n in counts.items():
-        c = totals[ctx_of[word1, word2]]
-        c["total"] += n
-        if picks == SAME:
-            c["same"] += n
-        elif picks == DIFF:
-            c["diff"] += n
+    totals: Counter = Counter()
+    for key, n in counts.items():
+        totals[key[:2]] += n
 
     tallies: dict[Context, ContextTally] = {}
     tables: dict[Context, dict[tuple[str, str], float]] = {}
-    for ctx, c in totals.items():
-        tally = ContextTally(
-            n_total=c["total"],
-            n_valid=c["same"] + c["diff"],
-            n_same=c["same"],
-            n_diff=c["diff"],
-        )
-        tallies[ctx] = tally
+    for words, ctx in ctx_of.items():
+        same, diff = counts[(*words, SAME)], counts[(*words, DIFF)]
+        tally = tallies[ctx] = ContextTally(n_total=totals[words], n_valid=same + diff,
+                                            n_same=same, n_diff=diff)
         if tally.n_valid == 0:
             raise IngestError(
                 f"context {ctx} has no valid responses; cannot estimate a distribution"

@@ -2,8 +2,8 @@
 
 A report keeps the model, its cyclic system, its cf and the verdicts.  The
 JSON document of `AnalysisReport.to_dict` is the single source of what is
-reported; the text output is a view of that document (numbers at 6 decimal
-places).  Measures that do not apply (no binary cyclic structure, LP size
+reported; `render_text` renders the text output from it (numbers at 6
+decimal places).  Measures that do not apply (no binary cyclic structure, LP size
 cap exceeded) are omitted and explained in `notices` instead of failing the
 whole analysis.
 
@@ -33,7 +33,6 @@ class CfReport:
     cf: float
     ncf_weight: float
     gap: float
-    reliable: bool
 
 
 @dataclass
@@ -92,7 +91,8 @@ class AnalysisReport:
         if self.cf is not None:
             cf = self.cf
             doc["contextual_fraction"] = {"cf": cf.cf, "ncf_weight": cf.ncf_weight,
-                                          "certificate_gap": cf.gap, "reliable": cf.reliable}
+                                          "certificate_gap": cf.gap,
+                                          "reliable": self.non_signalling}
         if self.tallies is not None:
             doc["tallies"] = [
                 {"context": list(ctx), "n_total": t.n_total, "n_valid": t.n_valid,
@@ -101,59 +101,60 @@ class AnalysisReport:
             ]
         return doc
 
-    def render_text(self) -> str:
-        doc = self.to_dict()
-        scenario = doc["scenario"]
-        lines = [
-            f"scenario: {scenario['observables']} observables, "
-            f"{scenario['contexts']} contexts, outcomes {'/'.join(scenario['outcomes'])}",
-            "distributions:",
-        ]
-        for entry in doc["distributions"]:
-            cells = "  ".join(f"{k}={fmt(v)}" for k, v in entry["probs"].items())
-            lines.append(f"  ({', '.join(entry['context'])}):  {cells}")
-        if "tallies" in doc:
-            lines.append("tallies (total/valid/same/diff):")
-            for entry in doc["tallies"]:
-                lines.append(
-                    f"  ({', '.join(entry['context'])}):  "
-                    f"{entry['n_total']}/{entry['n_valid']}/{entry['n_same']}/{entry['n_diff']}"
-                )
-        verdict = "non-signalling" if doc["non_signalling"] else "SIGNALLING"
-        lines.append(
-            f"signalling discrepancy: {fmt(doc['signalling'])} ({verdict} at tol {doc['tol']:g})"
-        )
-        if doc["outcome_symmetric"] is not None:
-            lines.append(f"outcome symmetric: {'yes' if doc['outcome_symmetric'] else 'no'}")
-        if "cyclic" in doc:
-            c = doc["cyclic"]
-            lines.append(f"cyclic structure: rank {c['rank']}, cycle {' -> '.join(c['ordering'])}")
-            lines.append("correlations:")
-            for ctx, corr in zip(c["contexts"], c["correlations"]):
-                lines.append(f"  <{' '.join(ctx)}> = {fmt(corr)}")
-            lines.append(f"delta: {fmt(c['delta'])}")
-            lines.append(f"cnt1: {fmt(c['cnt1'])}")
-            if "violation" in c:
-                signs = " ".join("+" if s > 0 else "-" for s in c["signs"])
-                lines.append(f"bell-chsh violation: {fmt(c['violation'])} (signs {signs})")
-        if "contextual_fraction" in doc:
-            cf = doc["contextual_fraction"]
-            flag = "" if cf["reliable"] else "  [unreliable: signalling input]"
+
+def render_text(doc: dict) -> str:
+    """The text view of an `AnalysisReport.to_dict` document."""
+    scenario = doc["scenario"]
+    lines = [
+        f"scenario: {scenario['observables']} observables, "
+        f"{scenario['contexts']} contexts, outcomes {'/'.join(scenario['outcomes'])}",
+        "distributions:",
+    ]
+    for entry in doc["distributions"]:
+        cells = "  ".join(f"{k}={fmt(v)}" for k, v in entry["probs"].items())
+        lines.append(f"  ({', '.join(entry['context'])}):  {cells}")
+    if "tallies" in doc:
+        lines.append("tallies (total/valid/same/diff):")
+        for entry in doc["tallies"]:
             lines.append(
-                f"contextual fraction: {fmt(cf['cf'])} "
-                f"(explained mass {fmt(cf['ncf_weight'])}, "
-                f"certificate gap {cf['certificate_gap']:.2e}){flag}"
+                f"  ({', '.join(entry['context'])}):  "
+                f"{entry['n_total']}/{entry['n_valid']}/{entry['n_same']}/{entry['n_diff']}"
             )
-        verdicts = [
-            f"{name} contextual: {'yes' if doc['verdicts'][key] else 'no'}"
-            for key, name in (("cbd", "CbD"), ("sheaf", "sheaf"))
-            if doc["verdicts"][key] is not None
-        ]
-        if verdicts:
-            lines.append("verdicts: " + "; ".join(verdicts))
-        for notice in doc["notices"]:
-            lines.append(f"notice: {notice}")
-        return "\n".join(lines) + "\n"
+    verdict = "non-signalling" if doc["non_signalling"] else "SIGNALLING"
+    lines.append(
+        f"signalling discrepancy: {fmt(doc['signalling'])} ({verdict} at tol {doc['tol']:g})"
+    )
+    if doc["outcome_symmetric"] is not None:
+        lines.append(f"outcome symmetric: {'yes' if doc['outcome_symmetric'] else 'no'}")
+    if "cyclic" in doc:
+        c = doc["cyclic"]
+        lines.append(f"cyclic structure: rank {c['rank']}, cycle {' -> '.join(c['ordering'])}")
+        lines.append("correlations:")
+        for ctx, corr in zip(c["contexts"], c["correlations"]):
+            lines.append(f"  <{' '.join(ctx)}> = {fmt(corr)}")
+        lines.append(f"delta: {fmt(c['delta'])}")
+        lines.append(f"cnt1: {fmt(c['cnt1'])}")
+        if "violation" in c:
+            signs = " ".join("+" if s > 0 else "-" for s in c["signs"])
+            lines.append(f"bell-chsh violation: {fmt(c['violation'])} (signs {signs})")
+    if "contextual_fraction" in doc:
+        cf = doc["contextual_fraction"]
+        flag = "" if cf["reliable"] else "  [unreliable: signalling input]"
+        lines.append(
+            f"contextual fraction: {fmt(cf['cf'])} "
+            f"(explained mass {fmt(cf['ncf_weight'])}, "
+            f"certificate gap {cf['certificate_gap']:.2e}){flag}"
+        )
+    verdicts = [
+        f"{name} contextual: {'yes' if doc['verdicts'][key] else 'no'}"
+        for key, name in (("cbd", "CbD"), ("sheaf", "sheaf"))
+        if doc["verdicts"][key] is not None
+    ]
+    if verdicts:
+        lines.append("verdicts: " + "; ".join(verdicts))
+    for notice in doc["notices"]:
+        lines.append(f"notice: {notice}")
+    return "\n".join(lines)
 
 
 def build_report(
@@ -188,7 +189,7 @@ def build_report(
     verdict_sheaf: Optional[bool] = None
     if system is not None and non_signalling:
         cf = system.contextual_fraction
-        cf_report = CfReport(cf=cf, ncf_weight=1.0 - cf, gap=0.0, reliable=True)
+        cf_report = CfReport(cf=cf, ncf_weight=1.0 - cf, gap=0.0)
     else:
         from . import sheaf
         from .linprog import LpSizeError
@@ -198,12 +199,7 @@ def build_report(
         except LpSizeError as exc:
             notices.append(f"contextual fraction omitted: {exc}")
         else:
-            cf_report = CfReport(
-                cf=result.cf,
-                ncf_weight=result.ncf_weight,
-                gap=result.gap,
-                reliable=non_signalling,
-            )
+            cf_report = CfReport(cf=result.cf, ncf_weight=result.ncf_weight, gap=result.gap)
     if cf_report is not None:
         if non_signalling:
             # cf lands on 0 or a rounding step above it when noncontextual;

@@ -204,8 +204,6 @@ def cyclic_structure(scenario: MeasurementScenario) -> Optional[CyclicStructure]
         neighbors[b].append(a)
     if any(len(adj) != 2 for adj in neighbors.values()):
         return None
-    if len(contexts) != len(scenario.observables):
-        return None
 
     index = scenario._index
     start = min(scenario.observables, key=index.__getitem__)
@@ -213,11 +211,8 @@ def cyclic_structure(scenario: MeasurementScenario) -> Optional[CyclicStructure]
     current = min(neighbors[start], key=index.__getitem__)
     while current != start:
         ordering.append(current)
-        prev = ordering[-2]
-        nxt = [o for o in neighbors[current] if o != prev]
-        if len(nxt) != 1:
-            return None
-        current = nxt[0]
+        a, b = neighbors[current]
+        current = b if a == ordering[-2] else a
     if len(ordering) != len(scenario.observables):
         return None  # more than one cycle component
     n = len(ordering)

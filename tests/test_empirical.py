@@ -54,6 +54,14 @@ def test_marginalize_requires_subset():
         dist.marginalize(["p3"])
 
 
+def test_marginalize_refuses_an_observable_outside_the_context():
+    dist = Distribution.from_mapping(
+        context=("p1", "p2"), outcome_set=("A", "B"), probs={("A", "A"): 1.0}
+    )
+    with pytest.raises(EmpiricalModelError, match=r"\['p3'\] not in context"):
+        dist.marginalize(["p1", "p3"])
+
+
 @given(st.lists(st.floats(0.001, 1.0), min_size=8, max_size=8))
 def test_marginalization_is_associative(raw):
     total = math.fsum(raw)

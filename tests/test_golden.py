@@ -164,7 +164,7 @@ def command_records():
     }
 
 
-def test_every_bundled_model_and_fixture_is_a_case():
+def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
     assert sum(case.startswith("validate_") for case in COMMANDS) == 12
     assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(

@@ -192,6 +192,15 @@ def test_two_disjoint_edges_not_cyclic():
     assert cyclic_structure(scenario) is None
 
 
+def test_two_disjoint_triangles_not_cyclic():
+    scenario = MeasurementScenario.from_maximal(
+        observables=("x", "y", "z", "u", "v", "w"),
+        maximal_faces=[("x", "y"), ("y", "z"), ("z", "x"), ("u", "v"), ("v", "w"), ("w", "u")],
+        outcomes=("0", "1"),
+    )
+    assert cyclic_structure(scenario) is None
+
+
 def test_observable_in_three_contexts_not_cyclic():
     scenario = MeasurementScenario.from_maximal(
         observables=("a", "b", "c", "d"),

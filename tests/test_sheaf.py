@@ -8,7 +8,7 @@ from winoctx.cbd import chsh_violation
 from winoctx.empirical import EmpiricalModel, from_global_weights, outcome_tuples
 from winoctx.ingest import ContextTally, tally_distribution
 from winoctx.linprog import LpSizeError
-from winoctx.report import build_report
+from winoctx.report import build_report, render_text
 from winoctx.scenario import (
     InvalidScenarioError,
     MeasurementScenario,
@@ -140,7 +140,8 @@ def test_report_on_rank_16_cycle_gives_closed_form_cf():
     assert report.non_signalling
     assert report.cyclic.cnt1 == 2.0
     assert report.cf.cf == 1.0 and report.cf.ncf_weight == 0.0 and report.cf.gap == 0.0
-    assert report.cf.reliable and report.verdict_sheaf is True
+    assert report.to_dict()["contextual_fraction"]["reliable"]
+    assert report.verdict_sheaf is True
     assert not any("omitted: " in notice and "cap" in notice for notice in report.notices)
 
 
@@ -299,11 +300,13 @@ def test_signalling_model_refused():
 
 def test_report_marks_cf_of_signalling_model_unreliable(pr_model):
     report = build_report(signalling_model())
-    assert report.cf is not None and not report.cf.reliable
+    assert report.cf is not None
+    assert not report.to_dict()["contextual_fraction"]["reliable"]
     assert report.verdict_sheaf is None
     assert any("verdict withheld" in notice for notice in report.notices)
     report = build_report(pr_model)
-    assert report.cf.reliable and report.verdict_sheaf is True
+    assert report.to_dict()["contextual_fraction"]["reliable"]
+    assert report.verdict_sheaf is True
 
 
 def test_report_sheaf_verdict_decided_at_tol():
@@ -323,7 +326,7 @@ def test_report_sheaf_verdict_decided_at_tol():
     report = build_report(model)
     assert report.verdict_cbd is False
     assert report.verdict_sheaf is False
-    assert "sheaf contextual: no" in report.render_text()
+    assert "sheaf contextual: no" in render_text(report.to_dict())
 
 
 def test_report_cbd_verdict_decided_at_tol():
@@ -341,7 +344,7 @@ def test_report_cbd_verdict_decided_at_tol():
     assert 0.0 < report.cyclic.cnt1 <= 1e-15
     assert report.verdict_cbd is False
     assert report.verdict_sheaf is False
-    assert "verdicts: CbD contextual: no; sheaf contextual: no" in report.render_text()
+    assert "verdicts: CbD contextual: no; sheaf contextual: no" in render_text(report.to_dict())
 
 
 def test_mixture_of_global_weights_noncontextual(chsh_scenario):
