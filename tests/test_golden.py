@@ -3,17 +3,20 @@
 `analyze` cases pin stdout, text and JSON, in tests/golden/<case>.<text|json>.
 They are every bundled model file, the response-file path and a few models
 built here: a rank-6 cycle, a 3-outcome 4-cycle, a signalling 4-cycle (at
-the default tol and at a tol wide enough to call it non-signalling) and a
-model with no cyclic structure.
+the default tol, at a tol wide enough to call it non-signalling, and with
+its outcomes declared in reverse order) and a model with no cyclic
+structure.
 
 Command cases pin the exit code, stdout, stderr and every file the command
 writes into its working directory, in one record per case and format,
 tests/golden/<case>.<text|json> (`schema` has no --format and so has one
 record, <case>.out).  They are `validate` on every bundled fixture;
 `bootstrap` of each statistic, with and without a relative --out; `schema
---compile` and `schema --instantiate`; and the `bootstrap` errors for a
-one-pronoun schema and for --workers 0.  Fixture paths print as
-{fixtures}.
+--compile` and `schema --instantiate`; the `bootstrap` errors for a
+one-pronoun schema and for --workers 0; and `validate`, `analyze` and
+`bootstrap` on inputs whose outcome label or noun phrase contains "|", the
+joint-outcome separator.  Fixture paths print as {fixtures}, and the
+directory holding the inputs built here as {tmp}.
 
 The bootstrap records pin numpy's Philox bit generator and its binomial
 sampler as of numpy 2.4.6.  A numpy whose binomial stream differs, or the
@@ -89,7 +92,21 @@ INLINE = {
     "rank6_cycle": binary_cycle(6, (0.75,) * 5 + (-0.75,)),
     "three_outcome_cycle": three_outcome_cycle(),
     "signalling_cycle": SIGNALLING,
+    "signalling_cycle_reversed": {
+        **SIGNALLING, "scenario": {**SIGNALLING["scenario"], "outcomes": ["B", "A"]}},
     "non_cyclic": NON_CYCLIC,
+}
+
+# inputs whose outcome label or noun phrase contains the "|" separator
+PIPE_SCENARIO = {"observables": ["p", "q"], "contexts": [["p", "q"]],
+                 "outcomes": ["x|y", "z"]}
+PIPE_INPUTS = {
+    "pipe_label_scenario": PIPE_SCENARIO,
+    "pipe_label_model": {"scenario": PIPE_SCENARIO, "distributions": [
+        {"context": ["p", "q"], "probs": {"x|y|x|y": 0.5, "z|z": 0.5}}]},
+    "pipe_phrase_schema": {
+        **json.loads(fixture_path("cannibal_schema.json").read_text(encoding="utf-8")),
+        "noun_phrases": ["a", "a|a"]},
 }
 
 MODEL_FILES = sorted(
@@ -117,6 +134,12 @@ COMMANDS = {
     "bootstrap_one_pronoun": ["bootstrap", RESPONSES[0],
                               str(FIXTURES / "trophy_schema.json"), *SEEDED],
     "bootstrap_workers_0": ["bootstrap", *RESPONSES, *SEEDED, "--workers", "0"],
+    **{f"validate_{name}": ["validate", f"{{tmp}}/{name}.json"] for name in PIPE_INPUTS},
+    "analyze_pipe_label_model": ["analyze", "{tmp}/pipe_label_model.json"],
+    "analyze_pipe_phrase": ["analyze", "--responses", RESPONSES[0],
+                            "--schema", "{tmp}/pipe_phrase_schema.json"],
+    "bootstrap_pipe_phrase": ["bootstrap", RESPONSES[0], "{tmp}/pipe_phrase_schema.json",
+                              *SEEDED],
 }
 
 SCHEMA_COMMANDS = {
@@ -126,11 +149,16 @@ SCHEMA_COMMANDS = {
 }
 
 
+def write_inputs(directory):
+    """Write every input built here into `directory`, as <name>.json."""
+    for name, doc in {**INLINE, **PIPE_INPUTS}.items():
+        Path(directory, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
+
+
 def analyze(case, fmt, workdir):
-    """Exit code and stdout of `winoctx analyze` on one case; inline
-    models are written to `workdir` first."""
-    for name, doc in INLINE.items():
-        Path(workdir, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
+    """Exit code and stdout of `winoctx analyze` on one case; the inputs
+    built here are written to `workdir` first."""
+    write_inputs(workdir)
     argv = [arg.replace("{tmp}", str(workdir)) for arg in CASES[case]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -138,9 +166,15 @@ def analyze(case, fmt, workdir):
     return code, out.getvalue()
 
 
-def command(argv, workdir):
-    """The record of one command run in `workdir`: exit code, stdout,
-    stderr, then each file it wrote there."""
+def command(argv, tmp):
+    """The record of one command run in a fresh working directory under
+    `tmp`: exit code, stdout, stderr, then each file it wrote there.  The
+    inputs built here sit in a sibling directory."""
+    inputs, workdir = Path(tmp, "inputs"), Path(tmp, "work")
+    inputs.mkdir()
+    workdir.mkdir()
+    write_inputs(inputs)
+    argv = [arg.replace("{tmp}", str(inputs)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -150,9 +184,9 @@ def command(argv, workdir):
     finally:
         os.chdir(cwd)
     parts = [f"exit: {code}\n", "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
-    for path in sorted(Path(workdir).iterdir()):
+    for path in sorted(workdir.iterdir()):
         parts += [f"--- file {path.name}\n", path.read_text(encoding="utf-8")]
-    return "".join(parts).replace(str(FIXTURES), "{fixtures}")
+    return "".join(parts).replace(str(FIXTURES), "{fixtures}").replace(str(inputs), "{tmp}")
 
 
 def command_records():
@@ -166,7 +200,7 @@ def command_records():
 
 def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert sum(case.startswith("validate_") for case in COMMANDS) == 12
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 15
     assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
         command_records()) == {p.name for p in GOLDEN.iterdir()}
 
