@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from .empirical import PROB_TOL
 from .ingest import ContextTally
 from .scenario import Context, MeasurementScenario, cyclic_structure
 
@@ -61,7 +62,7 @@ class BootstrapConfig:
     seed: int = 0
     statistic: str = "violation"
     workers: int = 1  # accepted for compatibility; runs are single-threaded
-    tol: float = 1e-9  # a cf draw counts as positive when cf > tol
+    tol: float = PROB_TOL  # a cf draw counts as positive when cf > tol
 
     def __post_init__(self):
         if self.seed < 0:

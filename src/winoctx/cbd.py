@@ -1,5 +1,9 @@
 """Cyclic systems of binary measurements and their contextuality measure.
 
+Sign convention: the first declared label of a binary outcome set is +1,
+the second -1.  `CyclicSystem.from_model` is the one place that applies it,
+reading expectations and correlations off the model's tables.
+
 A rank-n cyclic system has contents x_1..x_n and contexts K_i = {x_i, x_i+1}
 (indices mod n).  The measure used here is
 
@@ -118,26 +122,18 @@ class CyclicSystem:
             )
         order = structure.ordering
         contexts = structure.contexts
-        sign = model.sign
+        first = outcomes[0]
+        tables = [model.distribution(ctx).table for ctx in contexts]
         correlations = tuple(
-            model.distribution(ctx).correlation(sign) for ctx in contexts
+            math.fsum(p if a == b else -p for (a, b), p in table.items()) for table in tables
         )
-        expectations = []
-        for i, content in enumerate(order):
-            before = contexts[i - 1]
-            after = contexts[i]
-            expectations.append(
-                (
-                    model.distribution(before).expectation(content, sign),
-                    model.distribution(after).expectation(content, sign),
-                )
-            )
-        return cls(
-            contents=order,
-            contexts=contexts,
-            correlations=correlations,
-            expectations=tuple(expectations),
-        )
+        means = [
+            {obs: math.fsum(p if joint[at] == first else -p for joint, p in table.items())
+             for at, obs in enumerate(ctx)}
+            for ctx, table in zip(contexts, tables)
+        ]
+        expectations = tuple((means[i - 1][c], means[i][c]) for i, c in enumerate(order))
+        return cls(order, contexts, correlations, expectations)
 
     @cached_property
     def delta(self) -> float:

@@ -29,6 +29,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .bootstrap import BootstrapConfig, cycle_order_tallies, run
+from .empirical import PROB_TOL
 from .files import (
     FileFormatError,
     detect_kind,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="schema file for --responses")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style (default text)")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=PROB_TOL,
                    help="signalling tolerance (default 1e-9)")
     p.set_defaults(func=cmd_analyze)
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "statistic runs on one thread and this has no effect")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style (default text)")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=PROB_TOL,
                    help="a cf draw counts toward fraction_positive when cf > tol "
                         "(default 1e-9); violation and cnt1 count > 0")
     p.add_argument("--seed", type=int, default=0, help="resampling seed (default 0)")

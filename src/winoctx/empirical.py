@@ -1,8 +1,8 @@
 """Empirical models: one outcome distribution per maximal context.
 
 All probability sums go through math.fsum so that algebraically-zero
-quantities (symmetric-model expectations, marginal mismatches of models
-built from tallies) come out exactly 0.0 rather than merely small.
+quantities (marginal mismatches of models built from tallies) come out
+exactly 0.0 rather than merely small; `cbd` sums expectations the same way.
 """
 
 from __future__ import annotations
@@ -93,23 +93,6 @@ class Distribution:
         table = {o: math.fsum(ps) for o, ps in buckets.items()}
         return Distribution(context=keep, outcome_set=self.outcome_set, table=table)
 
-    def expectation(self, observable: str, sign: Mapping[str, float]) -> float:
-        """<x> under the +-1 encoding given by `sign`."""
-        if observable not in self.context:
-            raise EmpiricalModelError(f"{observable!r} not in context {self.context!r}")
-        i = self.context.index(observable)
-        return math.fsum(p * sign[joint[i]] for joint, p in self.table.items())
-
-    def correlation(self, sign: Mapping[str, float]) -> float:
-        """<product of all context members> under the +-1 encoding."""
-        terms = []
-        for joint, p in self.table.items():
-            s = 1.0
-            for label in joint:
-                s *= sign[label]
-            terms.append(p * s)
-        return math.fsum(terms)
-
 
 @dataclass(frozen=True)
 class EmpiricalModel:
@@ -154,11 +137,6 @@ class EmpiricalModel:
         except KeyError:
             raise EmpiricalModelError(f"no distribution for context {context!r}") from None
 
-    @cached_property
-    def sign(self) -> dict[str, float]:
-        """First declared outcome -> +1, second -> -1 (binary scenarios)."""
-        return {label: self.scenario.outcome_sign(label) for label in self.scenario.outcomes}
-
 
 @dataclass(frozen=True)
 class SignallingReport:
@@ -199,14 +177,14 @@ def is_non_signalling(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
 
 
 def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
-    """True when every distribution is invariant under flipping every outcome."""
-    scenario = model.scenario
-    for dist in model.distributions:
-        for joint, p in dist.table.items():
-            flipped = tuple(scenario.flip_outcome(label) for label in joint)
-            if abs(p - dist.table[flipped]) > tol:
-                return False
-    return True
+    """True when every distribution is invariant under exchanging the two
+    outcomes (binary only)."""
+    outcomes = model.scenario.outcomes
+    if len(outcomes) != 2:
+        raise InvalidScenarioError("outcome flip needs a binary outcome set")
+    flip = dict(zip(outcomes, reversed(outcomes)))
+    return all(abs(p - dist.table[tuple(flip[label] for label in joint)]) <= tol
+               for dist in model.distributions for joint, p in dist.table.items())
 
 
 def from_global_weights(

@@ -9,7 +9,8 @@ Three kinds of documents:
              "words": {"slot1": {"special":.., "alternate":..}, "slot2": {..}},
              "template": ".."}
 
-Joint-outcome keys join outcome labels with "|" in context member order.
+Joint-outcome keys join outcome labels with scenario.SEPARATOR "|" in
+context member order.
 Structural problems (wrong shapes, bad keys, unparseable JSON) raise
 FileFormatError; semantic problems (nested or oversized contexts, bad
 probabilities) surface from the domain modules so callers can tell the two
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from .empirical import PROB_TOL, EmpiricalModel
-from .scenario import MeasurementScenario, maximal_contexts
+from .scenario import SEPARATOR, MeasurementScenario, maximal_contexts
 from .schema import MAX_SLOTS, WinogradSchema, flavor_of
 
 RENORM_BAND = 1e-2  # rows off by at most this much are rescaled on load
@@ -107,7 +108,7 @@ def _parse_probs(raw: Any, context: tuple[str, ...]) -> dict[tuple[str, ...], fl
     probs: dict[tuple[str, ...], float] = {}
     for key, value in raw.items():
         _require(isinstance(key, str), f"prob key {key!r} must be a string")
-        joint = tuple(key.split("|"))
+        joint = tuple(key.split(SEPARATOR))
         _require(
             len(joint) == len(context),
             f"prob key {key!r} has {len(joint)} outcomes for the "
@@ -157,34 +158,41 @@ def model_from_dict(doc: dict, base_dir=None) -> EmpiricalModel:
     _require(isinstance(doc["distributions"], list), "'distributions' must be a list")
     index = {obs: i for i, obs in enumerate(scenario.observables)}
     tables = {}
-    for entry in doc["distributions"]:
-        _require(isinstance(entry, dict), "each distribution must be an object")
-        _require("context" in entry and "probs" in entry,
-                 "each distribution needs 'context' and 'probs'")
-        listed = tuple(_string_list(entry["context"], "distribution context"))
-        probs = _renormalize(_parse_probs(entry["probs"], listed))
-        # prob keys follow the order the file listed the context in; store
-        # under the scenario's declaration order, permuting keys to match
-        order = sorted(range(len(listed)), key=lambda i: index.get(listed[i], len(index)))
-        context = tuple(listed[i] for i in order)
-        if context != listed:
-            probs = {tuple(joint[i] for i in order): p for joint, p in probs.items()}
-        _require(context not in tables, f"two distributions for context {context}")
-        tables[context] = probs
+    try:
+        for entry in doc["distributions"]:
+            _require(isinstance(entry, dict), "each distribution must be an object")
+            _require("context" in entry and "probs" in entry,
+                     "each distribution needs 'context' and 'probs'")
+            listed = tuple(_string_list(entry["context"], "distribution context"))
+            probs = _renormalize(_parse_probs(entry["probs"], listed))
+            # prob keys follow the order the file listed the context in; store
+            # under the scenario's declaration order, permuting keys to match
+            order = sorted(range(len(listed)), key=lambda i: index.get(listed[i], len(index)))
+            context = tuple(listed[i] for i in order)
+            if context != listed:
+                probs = {tuple(joint[i] for i in order): p for joint, p in probs.items()}
+            _require(context not in tables, f"two distributions for context {context}")
+            tables[context] = probs
+    except FileFormatError:
+        # an invalid scenario is the fault to name: a label holding the
+        # separator, for one, makes every prob key misparse
+        maximal_contexts(scenario)
+        raise
     return EmpiricalModel.build(scenario, tables)
 
 
+def distributions_to_list(model: EmpiricalModel) -> list[dict]:
+    """The "distributions" rows of a model document."""
+    return [
+        {"context": list(dist.context),
+         "probs": {SEPARATOR.join(joint): p for joint, p in dist.table.items()}}
+        for dist in model.distributions
+    ]
+
+
 def model_to_dict(model: EmpiricalModel) -> dict:
-    return {
-        "scenario": scenario_to_dict(model.scenario),
-        "distributions": [
-            {
-                "context": list(dist.context),
-                "probs": {"|".join(joint): p for joint, p in dist.table.items()},
-            }
-            for dist in model.distributions
-        ],
-    }
+    return {"scenario": scenario_to_dict(model.scenario),
+            "distributions": distributions_to_list(model)}
 
 
 def load_model(path) -> EmpiricalModel:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cbd
-from .empirical import EmpiricalModel, is_outcome_symmetric, signalling
+from .empirical import PROB_TOL, EmpiricalModel, is_outcome_symmetric, signalling
+from .files import distributions_to_list
 from .ingest import ContextTally
 from .scenario import Context
 
@@ -63,11 +64,7 @@ class AnalysisReport:
                 "contexts": len(self.model.distributions),
                 "outcomes": list(scenario.outcomes),
             },
-            "distributions": [
-                {"context": list(dist.context),
-                 "probs": {"|".join(joint): p for joint, p in dist.table.items()}}
-                for dist in self.model.distributions
-            ],
+            "distributions": distributions_to_list(self.model),
             "signalling": self.signalling,
             "non_signalling": self.non_signalling,
             "tol": self.tol,
@@ -159,7 +156,7 @@ def render_text(doc: dict) -> str:
 
 def build_report(
     model: EmpiricalModel,
-    tol: float = 1e-9,
+    tol: float = PROB_TOL,
     tallies: Optional[dict[Context, ContextTally]] = None,
 ) -> AnalysisReport:
     notices: list[str] = []

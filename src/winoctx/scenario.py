@@ -6,10 +6,9 @@ maximal set of observables that can be measured together; every subset of a
 context is measurable too, so the contexts alone determine the complex (its
 measurement cover).  Scenario files declare the contexts, and
 :meth:`MeasurementScenario.from_maximal` drops any listed face that another
-listed face contains.
-
-Sign convention used throughout: for binary outcome sets the first declared
-outcome label maps to +1 and the second to -1.
+listed face contains.  Outcome labels are declared in order (`cbd` reads
+the first as +1) and may not contain SEPARATOR, which joins them into
+joint-outcome keys.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ Face = frozenset
 # as many entries as a binary context over all of them.
 MAX_OBSERVABLES = 16
 MAX_TABLE_ENTRIES = 2 ** MAX_OBSERVABLES
+SEPARATOR = "|"  # between the labels of a joint outcome in file keys
 
 
 class InvalidScenarioError(ValueError):
@@ -41,9 +41,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.problems
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -98,29 +95,6 @@ class MeasurementScenario:
         """Order the members of a face by scenario declaration order."""
         return tuple(sorted(face, key=self._index.__getitem__))
 
-    def outcome_sign(self, label: str) -> float:
-        """+1 for the first declared outcome, -1 for the second (binary only)."""
-        if len(self.outcomes) != 2:
-            raise InvalidScenarioError(
-                f"sign convention needs a binary outcome set, got {len(self.outcomes)}"
-            )
-        if label == self.outcomes[0]:
-            return 1.0
-        if label == self.outcomes[1]:
-            return -1.0
-        raise KeyError(f"unknown outcome label {label!r}")
-
-    def flip_outcome(self, label: str) -> str:
-        """Exchange the two outcome labels (binary only)."""
-        if len(self.outcomes) != 2:
-            raise InvalidScenarioError("outcome flip needs a binary outcome set")
-        first, second = self.outcomes
-        if label == first:
-            return second
-        if label == second:
-            return first
-        raise KeyError(f"unknown outcome label {label!r}")
-
 
 def validate(scenario: MeasurementScenario) -> ValidationReport:
     """Check every scenario invariant and report all violations found."""
@@ -146,6 +120,7 @@ def validate(scenario: MeasurementScenario) -> ValidationReport:
         )
     if len(set(scenario.outcomes)) != len(scenario.outcomes):
         problems.append("duplicate outcome labels")
+    problems += separator_problems("outcome label", scenario.outcomes)
 
     declared = set(scenario.observables)
     contexts = sorted(scenario.contexts, key=sorted)
@@ -171,6 +146,12 @@ def validate(scenario: MeasurementScenario) -> ValidationReport:
             problems.append(f"uncovered observable {obs!r} (appears in no face)")
 
     return ValidationReport(tuple(problems))
+
+
+def separator_problems(what: str, labels: Iterable[str]) -> list[str]:
+    """One problem per label that contains SEPARATOR."""
+    return [f"{what} {label!r} contains {SEPARATOR!r}, the joint-outcome separator"
+            for label in labels if SEPARATOR in label]
 
 
 def maximal_contexts(scenario: MeasurementScenario) -> list[Context]:

@@ -10,7 +10,8 @@ pair each slot-1 wording with each slot-2 wording, which yields four
 two-element contexts arranged in a cycle of rank 4.
 
 Observables are identified as "(pronoun,word)".  Outcomes are the two noun
-phrases the pronouns can refer to, first phrase mapping to +1.  Templates
+phrases the pronouns can refer to, first phrase mapping to +1 (the sign
+convention of `cbd`), so neither may contain `scenario.SEPARATOR`.  Templates
 carry literal slot markers ${word1}/${word2} and pronoun markers
 ${pron1}/${pron2}.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from string import Template
 
-from .scenario import Context, MeasurementScenario
+from .scenario import Context, MeasurementScenario, separator_problems
 
 # slot counts spelled out; a schema has 1 to MAX_SLOTS pronoun slots
 _COUNTS = ("one", "two")
@@ -84,6 +85,7 @@ def _check_pair(label: str, pair: tuple[str, str], problems: list[str]) -> None:
 def validate_ws(schema: WinogradSchema) -> list[str]:
     problems: list[str] = []
     _check_pair("noun_phrases", schema.noun_phrases, problems)
+    problems += separator_problems("noun phrase", schema.noun_phrases)
     # the two pronouns may be the same surface string (subscripts in print);
     # only the (pronoun, word) ids must stay distinct
     if not all(schema.pronouns):

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .empirical import EmpiricalModel, outcome_tuples, signalling
+from .empirical import PROB_TOL, EmpiricalModel, outcome_tuples, signalling
 from .linprog import OPTIMAL, LpProblem, check_size, solve
 from .scenario import Context, MeasurementScenario, maximal_contexts
 
@@ -137,7 +137,7 @@ def contextual_fraction(model: EmpiricalModel) -> CfResult:
 
 
 def is_noncontextual(
-    model: EmpiricalModel, tol: float = 1e-7
+    model: EmpiricalModel, tol: float = PROB_TOL
 ) -> tuple[bool, Optional[dict[tuple[str, ...], float]]]:
     """Does some global distribution reproduce every context exactly?
 

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from winoctx.cbd import CyclicSystem
 from winoctx.empirical import EmpiricalModel
 from winoctx.ingest import (
     DIFF,
@@ -25,7 +26,7 @@ from winoctx.ingest import (
     tally_distribution,
 )
 from winoctx.linprog import LpProblem
-from winoctx.scenario import maximal_contexts
+from winoctx.scenario import cyclic_structure, maximal_contexts
 from winoctx.schema import version_contexts, ws_scenario
 
 
@@ -91,6 +92,51 @@ def s_odd_by_enumeration(values) -> float:
         if best is None or total > best:
             best = total
     return best
+
+
+def cyclic_system_by_signs(model) -> CyclicSystem:
+    """The cyclic system of a binary cycle model, computed through a sign
+    map as `CyclicSystem.from_model` once did: every table entry times the
+    +-1 sign of its label (expectations) or the product of its labels'
+    signs (correlations), summed with math.fsum in table order."""
+    scenario = model.scenario
+    sign = {label: (1.0, -1.0)[scenario.outcomes.index(label)] for label in scenario.outcomes}
+
+    def expectation(dist, observable):
+        i = dist.context.index(observable)
+        return math.fsum(p * sign[joint[i]] for joint, p in dist.table.items())
+
+    def correlation(dist):
+        terms = []
+        for joint, p in dist.table.items():
+            s = 1.0
+            for label in joint:
+                s *= sign[label]
+            terms.append(p * s)
+        return math.fsum(terms)
+
+    structure = cyclic_structure(scenario)
+    order = structure.ordering
+    contexts = structure.contexts
+    correlations = tuple(
+        correlation(model.distribution(ctx)) for ctx in contexts
+    )
+    expectations = []
+    for i, content in enumerate(order):
+        before = contexts[i - 1]
+        after = contexts[i]
+        expectations.append(
+            (
+                expectation(model.distribution(before), content),
+                expectation(model.distribution(after), content),
+            )
+        )
+    return CyclicSystem(
+        contents=order,
+        contexts=contexts,
+        correlations=correlations,
+        expectations=tuple(expectations),
+    )
 
 
 def chsh_patterns_by_enumeration(vectors) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_model
-from oracles import chsh_patterns_by_enumeration, s_odd_by_enumeration
+from oracles import chsh_patterns_by_enumeration, cyclic_system_by_signs, s_odd_by_enumeration
 from winoctx import sheaf
 from winoctx.bootstrap import contextual_fraction, s_odd_rows
 from winoctx.cbd import (
@@ -301,3 +302,52 @@ def test_noncontextual_part_of_the_closed_form_is_a_noncontextual_model():
         checked += 1
     assert by_lp == 40
 
+
+
+@st.composite
+def binary_cycles(draw):
+    """Binary cycle models of rank 3-10, observables declared in a random
+    order, each table drawn on its own, so that most models signal; entries
+    are k / total for small k, 0 included."""
+    n = draw(st.integers(3, 10))
+    outcomes = draw(st.sampled_from((("0", "1"), ("A", "B"), ("+", "-"), ("B", "A"))))
+    names = [f"x{i}" for i in range(n)]
+    scenario = MeasurementScenario.from_maximal(
+        draw(st.permutations(names)),
+        [(names[i], names[(i + 1) % n]) for i in range(n)], outcomes)
+    tables = {}
+    for ctx in maximal_contexts(scenario):
+        weights = draw(st.lists(st.integers(0, 7), min_size=4, max_size=4).filter(any))
+        tables[ctx] = {joint: k / sum(weights)
+                       for joint, k in zip(itertools.product(outcomes, repeat=2), weights)}
+    return EmpiricalModel.build(scenario, tables)
+
+
+def measures(system):
+    """repr tells -0.0 from 0.0 and round-trips every other float, so equal
+    measures here are equal bits."""
+    return repr((system.correlations, system.expectations, system.delta, system.cnt1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_cycles())
+def test_from_model_matches_the_sign_map_bit_for_bit(model):
+    system, oracle = CyclicSystem.from_model(model), cyclic_system_by_signs(model)
+    assert system.correlations == oracle.correlations
+    assert system.expectations == oracle.expectations
+    assert (system.delta, system.cnt1) == (oracle.delta, oracle.cnt1)
+    assert measures(system) == measures(oracle)
+
+
+@settings(deadline=None)
+@given(binary_cycles())
+def test_reversing_the_declared_outcomes_negates_every_expectation(model):
+    scenario = model.scenario
+    reversed_ = dataclasses.replace(scenario, outcomes=scenario.outcomes[::-1])
+    tables = {dist.context: dist.table for dist in model.distributions}
+    system = CyclicSystem.from_model(model)
+    flipped = CyclicSystem.from_model(EmpiricalModel.build(reversed_, tables))
+    assert flipped.expectations == tuple((-a, -b) for a, b in system.expectations)
+    assert flipped.correlations == system.correlations
+    assert (flipped.delta, flipped.cnt1, flipped.contextual_fraction) == (
+        system.delta, system.cnt1, system.contextual_fraction)

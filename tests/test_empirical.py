@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_symmetric_model
 from oracles import signalling_by_faces
+from winoctx.cbd import CyclicSystem
 from winoctx.empirical import (
     Distribution,
     EmpiricalModel,
@@ -17,7 +18,7 @@ from winoctx.empirical import (
     outcome_tuples,
     signalling,
 )
-from winoctx.scenario import MeasurementScenario
+from winoctx.scenario import InvalidScenarioError, MeasurementScenario
 
 
 def test_marginal_of_bell_row_is_uniform(bell_model):
@@ -189,23 +190,29 @@ def test_point_mass_model_not_symmetric(chsh_scenario):
     }
     model = EmpiricalModel.build(chsh_scenario, tables)
     assert not is_outcome_symmetric(model)
-    for ctx in model.contexts:
-        assert model.distribution(ctx).expectation(ctx[0], model.sign) == 1.0
-        assert model.distribution(ctx).correlation(model.sign) == 1.0
+    system = CyclicSystem.from_model(model)
+    assert system.expectations == ((1.0, 1.0),) * 4
+    assert system.correlations == (1.0,) * 4
+
+
+def test_outcome_symmetry_needs_a_binary_outcome_set():
+    # exchanging the first and last of three labels would leave the middle
+    # one, and with it this point mass, in place
+    scenario = MeasurementScenario.from_maximal(("p", "q"), [("p", "q")], ("0", "1", "2"))
+    model = EmpiricalModel.build(scenario, {("p", "q"): {("1", "1"): 1.0}})
+    with pytest.raises(InvalidScenarioError, match="binary"):
+        is_outcome_symmetric(model)
 
 
 def test_expectation_of_symmetric_row_is_zero(judgment_model):
-    ctx = judgment_model.contexts[0]
-    dist = judgment_model.distribution(ctx)
-    for obs in ctx:
-        assert dist.expectation(obs, judgment_model.sign) == 0.0
+    system = CyclicSystem.from_model(judgment_model)
+    assert system.expectations == ((0.0, 0.0),) * 4
 
 
 def test_expectation_of_uniform_is_zero(uniform_model):
-    for dist in uniform_model.distributions:
-        for obs in dist.context:
-            assert dist.expectation(obs, uniform_model.sign) == 0.0
-        assert dist.correlation(uniform_model.sign) == 0.0
+    system = CyclicSystem.from_model(uniform_model)
+    assert system.expectations == ((0.0, 0.0),) * 4
+    assert system.correlations == (0.0,) * 4
 
 
 def test_judgment_correlations_match_table(judgment_model):
@@ -215,13 +222,15 @@ def test_judgment_correlations_match_table(judgment_model):
         ("(one of them,herbivorous)", "(one of them,hungry)"): 0.382,
         ("(one of them,herbivorous)", "(one of them,alive)"): 0.378,
     }
+    system = CyclicSystem.from_model(judgment_model)
+    got = dict(zip(system.contexts, system.correlations))
     for ctx, value in want.items():
-        corr = judgment_model.distribution(ctx).correlation(judgment_model.sign)
-        assert corr == pytest.approx(value, abs=1e-9)
+        assert got[ctx] == pytest.approx(value, abs=1e-9)
 
 
 def test_bell_row_correlation_is_one(bell_model):
-    assert bell_model.distribution(("a1", "b1")).correlation(bell_model.sign) == 1.0
+    system = CyclicSystem.from_model(bell_model)
+    assert dict(zip(system.contexts, system.correlations))[("a1", "b1")] == 1.0
 
 
 def test_build_requires_exact_context_cover(chsh_scenario):
@@ -255,9 +264,7 @@ def test_symmetric_models_never_signal(p_numerators):
     model = EmpiricalModel.build(scenario, symmetric_tables(scenario, p_sames))
     assert is_outcome_symmetric(model)
     assert signalling(model).max_discrepancy == 0.0
-    for ctx in model.contexts:
-        for obs in ctx:
-            assert model.distribution(ctx).expectation(obs, model.sign) == 0.0
+    assert CyclicSystem.from_model(model).expectations == ((0.0, 0.0),) * 4
 
 
 def test_global_weights_model_is_non_signalling(chsh_scenario):

@@ -6,11 +6,13 @@ from winoctx.empirical import EmpiricalModelError
 from winoctx.files import (
     FileFormatError,
     detect_kind,
+    distributions_to_list,
     load_json,
     load_model,
     load_scenario,
     load_schema,
     model_from_dict,
+    model_to_dict,
     save_model,
     save_scenario,
     save_schema,
@@ -18,6 +20,8 @@ from winoctx.files import (
     schema_from_dict,
 )
 from winoctx.fixtures import fixture_path
+from winoctx.report import build_report
+from winoctx.scenario import InvalidScenarioError
 
 CHSH = {
     "observables": ["a1", "b1", "a2", "b2"],
@@ -56,6 +60,25 @@ def test_model_round_trip(tmp_path):
     assert again.scenario == model.scenario
     for ctx in model.contexts:
         assert again.distribution(ctx).table == model.distribution(ctx).table
+
+
+def test_model_and_report_write_the_same_distribution_rows():
+    model = load_model(fixture_path("cannibal_judgment_model.json"))
+    rows = distributions_to_list(model)
+    assert rows[0] == {"context": ["(one of them,cannibalistic)", "(one of them,hungry)"],
+                       "probs": {"A|A": 0.4025, "A|B": 0.0975, "B|A": 0.0975, "B|B": 0.4025}}
+    assert model_to_dict(model)["distributions"] == rows
+    assert build_report(model).to_dict()["distributions"] == rows
+
+
+def test_outcome_label_holding_the_separator_is_named_before_prob_keys():
+    # "x|y|x|y" would split into four labels; the scenario is the fault
+    doc = {"scenario": {"observables": ["p", "q"], "contexts": [["p", "q"]],
+                        "outcomes": ["x|y", "z"]},
+           "distributions": [{"context": ["p", "q"],
+                              "probs": {"x|y|x|y": 0.5, "z|z": 0.5}}]}
+    with pytest.raises(InvalidScenarioError, match="joint-outcome separator"):
+        model_from_dict(doc)
 
 
 def test_schema_round_trip(tmp_path):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from oracles import maximal_contexts_by_completion
+from winoctx.cbd import CyclicSystem
+from winoctx.empirical import EmpiricalModel, is_outcome_symmetric
 from winoctx.scenario import (
     InvalidScenarioError,
     MeasurementScenario,
@@ -25,6 +27,13 @@ def test_chsh_is_valid():
     report = validate(chsh())
     assert report.ok
     assert report.problems == ()
+
+
+def test_outcome_label_holding_the_separator_reported():
+    scenario = MeasurementScenario.from_maximal(("p", "q"), [("p", "q")], ("x|y", "z"))
+    assert validate(scenario).problems == (
+        "outcome label 'x|y' contains '|', the joint-outcome separator",
+    )
 
 
 def test_uncovered_observable_reported():
@@ -211,13 +220,16 @@ def test_observable_in_three_contexts_not_cyclic():
 
 
 def test_outcome_sign_convention():
+    # the first declared label reads +1 and the second -1; exchanging them
+    # maps a point mass on one onto a point mass on the other
     scenario = chsh()
-    assert scenario.outcome_sign("0") == 1.0
-    assert scenario.outcome_sign("1") == -1.0
-    assert scenario.flip_outcome("0") == "1"
-    assert scenario.flip_outcome("1") == "0"
-    with pytest.raises(KeyError):
-        scenario.outcome_sign("2")
+    for label, sign in (("0", 1.0), ("1", -1.0)):
+        tables = {ctx: {(label, label): 1.0} for ctx in maximal_contexts(scenario)}
+        model = EmpiricalModel.build(scenario, tables)
+        assert CyclicSystem.from_model(model).expectations == ((sign, sign),) * 4
+        assert not is_outcome_symmetric(model)
+    tables = {ctx: {("0", "0"): 0.5, ("1", "1"): 0.5} for ctx in maximal_contexts(scenario)}
+    assert is_outcome_symmetric(EmpiricalModel.build(scenario, tables))
 
 
 def test_order_face_uses_declaration_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -36,6 +37,15 @@ def trophy_generalised():
 @pytest.fixture(scope="module")
 def cannibal():
     return load_schema(fixture_path("cannibal_schema.json"))
+
+
+def test_noun_phrase_holding_the_separator_reported(cannibal):
+    # joint outcomes (a, a|a) and (a|a, a) would both be written a|a|a
+    schema = dataclasses.replace(cannibal, noun_phrases=("a", "a|a"))
+    assert validate_ws(schema) == [
+        "noun phrase 'a|a' contains '|', the joint-outcome separator"]
+    with pytest.raises(SchemaError, match="separator"):
+        ws_scenario(schema)
 
 
 def test_councilmen_scenario(councilmen):

@@ -269,6 +269,19 @@ def test_is_noncontextual_verdicts(uniform_model, pr_model, judgment_model, bell
     assert not is_noncontextual(bell_model)[0]
 
 
+def test_report_and_is_noncontextual_share_the_default_tolerance(chsh_scenario):
+    # correlations (c, c, c, -c) with 4c = 2 + 1e-7: cf = 5e-8, above the
+    # default PROB_TOL of both
+    c = (2 + 1e-7) / 4
+    p_sames = [(1 + c) / 4] * 3 + [(1 - c) / 4]
+    model = EmpiricalModel.build(chsh_scenario, symmetric_tables(chsh_scenario, p_sames))
+    assert contextual_fraction(model).cf == pytest.approx(5e-8, rel=1e-3)
+    report = build_report(model)
+    assert report.cf.cf == pytest.approx(5e-8, rel=1e-6)
+    assert report.verdict_sheaf is True
+    assert is_noncontextual(model) == (False, None)
+
+
 def test_cf_zero_iff_noncontextual(chsh_scenario):
     rng = np.random.default_rng(31)
     for _ in range(30):
