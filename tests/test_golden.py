@@ -15,8 +15,11 @@ record, <case>.out).  They are `validate` on every bundled fixture;
 --compile` and `schema --instantiate`; the `bootstrap` errors for a
 one-pronoun schema and for --workers 0; and `validate`, `analyze` and
 `bootstrap` on inputs whose outcome label or noun phrase contains "|", the
-joint-outcome separator.  Fixture paths print as {fixtures}, and the
-directory holding the inputs built here as {tmp}.
+joint-outcome separator; and `analyze` and `bootstrap` on three response
+files with a repeated respondent id: the fixture with one row repeated, and
+records repeated before or after a record whose words match no context.
+Fixture paths print as {fixtures}, and the directory holding the inputs
+built here as {tmp}.
 
 The bootstrap records pin numpy's Philox bit generator and its binomial
 sampler as of numpy 2.4.6.  A numpy whose binomial stream differs, or the
@@ -109,6 +112,19 @@ PIPE_INPUTS = {
         "noun_phrases": ["a", "a|a"]},
 }
 
+# response files with repeated respondent ids, alone and around a record
+# whose words match no context of the schema
+HEADER = "respondent_id,word1,word2,pick1,pick2\n"
+FIXTURE_ROWS = fixture_path("cannibal_responses.csv").read_text(encoding="utf-8")
+REPEAT_INPUTS = {
+    "repeated_id": FIXTURE_ROWS + next(
+        line for line in FIXTURE_ROWS.splitlines(keepends=True) if line.startswith("r001,")),
+    "repeat_then_unknown": HEADER + "r1,cannibalistic,hungry,AA,BB\n" * 2
+    + "r2,herbivorous,alive,AA,BB\n" * 2 + "zz1,nope,never,AA,BB\n",
+    "unknown_then_repeat": HEADER + "r1,cannibalistic,hungry,AA,BB\n"
+    + "zz,nope,never,AA,BB\n" + "r1,cannibalistic,hungry,AA,BB\n",
+}
+
 MODEL_FILES = sorted(
     p.name for p in fixture_path("pr_box_model.json").parent.glob("*_model.json"))
 
@@ -140,6 +156,10 @@ COMMANDS = {
                             "--schema", "{tmp}/pipe_phrase_schema.json"],
     "bootstrap_pipe_phrase": ["bootstrap", RESPONSES[0], "{tmp}/pipe_phrase_schema.json",
                               *SEEDED],
+    **{f"analyze_{name}": ["analyze", "--responses", f"{{tmp}}/{name}.csv",
+                           "--schema", RESPONSES[1]] for name in REPEAT_INPUTS},
+    **{f"bootstrap_{name}": ["bootstrap", f"{{tmp}}/{name}.csv", RESPONSES[1], *SEEDED]
+       for name in REPEAT_INPUTS},
 }
 
 SCHEMA_COMMANDS = {
@@ -150,9 +170,12 @@ SCHEMA_COMMANDS = {
 
 
 def write_inputs(directory):
-    """Write every input built here into `directory`, as <name>.json."""
+    """Write every input built here into `directory`, as <name>.json or,
+    for response files, <name>.csv."""
     for name, doc in {**INLINE, **PIPE_INPUTS}.items():
         Path(directory, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
+    for name, text in REPEAT_INPUTS.items():
+        Path(directory, name + ".csv").write_text(text, encoding="utf-8")
 
 
 def analyze(case, fmt, workdir):
