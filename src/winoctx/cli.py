@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -35,11 +34,12 @@ from .files import (
     detect_kind,
     load_json,
     model_from_dict,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     schema_from_dict,
 )
-from .ingest import ResponseFormatError, aggregate, parse_responses
+from .ingest import ResponseFormatError, aggregate, parse_responses, repeated_ids
 from .report import build_report, render_text
 from .scenario import validate
 from .schema import SchemaError, instantiate, validate_ws, ws_scenario
@@ -104,16 +104,9 @@ def _aggregate_responses(responses, schema_path, needs: str):
     schema = schema_from_dict(load_json(schema_path))
     if len(schema.pronouns) != 2:
         raise SchemaError(f"{needs} needs a two-pronoun schema")
-    # aggregate warns of duplicate respondent ids; they reach the user as
-    # lines like the parse problems, whatever the warnings filter says, and
-    # before the error when a later record makes aggregate raise
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            return aggregate(parsed.records, schema)
-    finally:
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"warning: {message}", file=sys.stderr)
+    for rid in repeated_ids(parsed.records):
+        print(f"warning: respondent id {rid!r} appears more than once", file=sys.stderr)
+    return aggregate(parsed.records, schema)
 
 
 def _load_analysis_inputs(args):
@@ -186,12 +179,12 @@ def cmd_schema(args) -> int:
     if args.instantiate:
         print(instantiate(schema, *args.instantiate))
         return 0
-    payload = json.dumps(scenario_to_dict(ws_scenario(schema)), indent=2)
+    scenario = ws_scenario(schema)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        save_scenario(scenario, args.out)
         print(f"wrote scenario to {args.out}")
     else:
-        print(payload)
+        print(json.dumps(scenario_to_dict(scenario), indent=2))
     return 0
 
 

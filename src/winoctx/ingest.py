@@ -16,12 +16,13 @@ bit-for-bit, so the signalling discrepancy is exactly 0.0.
 Records are named tuples, built without a Python-level constructor call per
 row.  Aggregation counts the distinct (word1, word2, picks) keys in one C
 loop and checks words and tallies contexts per key, not per record.
+Repeated respondent ids are not an error: `repeated_ids` lists them, and the
+caller decides how to show them.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -148,6 +149,20 @@ def parse_responses(path) -> ParseResult:
     return ParseResult(records=tuple(records), problems=tuple(problems))
 
 
+def repeated_ids(records: Sequence[ResponseRecord]) -> list[str]:
+    """Each respondent id that occurs more than once, listed once, in the
+    order of its first repeat."""
+    if len(set(map(itemgetter(0), records))) == len(records):
+        return []
+    seen: set[str] = set()
+    repeats: dict[str, None] = {}
+    for rid in map(itemgetter(0), records):
+        if rid in seen:
+            repeats[rid] = None
+        seen.add(rid)
+    return list(repeats)
+
+
 def aggregate(
     records: Iterable[ResponseRecord], schema: WinogradSchema
 ) -> tuple[EmpiricalModel, dict[Context, ContextTally]]:
@@ -156,11 +171,11 @@ def aggregate(
     The schema must have two pronoun slots (else SchemaError, before any
     record is read); a record's (word1, word2) names its version of the
     discourse, and so its context.  Order-independent: tallies are pure
-    counts.  A repeated respondent id warns once per repeat, in input order;
-    words matching no context raise IngestError naming the first such
-    record, after the repeats that come before it have warned.  Every
-    context of the schema's scenario must end up with at least one valid
-    response, otherwise there is no distribution to put there and we refuse.
+    counts of (word1, word2, picks), and respondent ids are read only to
+    name the first record whose words match no context (IngestError).
+    Every context of the schema's scenario must end up with at least one
+    valid response, otherwise there is no distribution to put there and we
+    refuse.
     """
     if len(schema.pronouns) != 2:
         raise SchemaError("aggregation needs a two-pronoun schema")
@@ -169,20 +184,8 @@ def aggregate(
 
     records = tuple(records)
     counts = Counter(map(itemgetter(1, 2, 3), records))
-    stop = None  # index of the first record whose words match no context
     if any(key[:2] not in ctx_of for key in counts):
-        stop = next(i for i, rec in enumerate(records)
-                    if (rec.word1, rec.word2) not in ctx_of)
-    head = records[:stop]
-    if len(set(map(itemgetter(0), head))) != len(head):
-        seen_ids: set[str] = set()
-        for rid in map(itemgetter(0), head):
-            if rid in seen_ids:
-                warnings.warn(f"respondent id {rid!r} appears more than once",
-                              stacklevel=2)
-            seen_ids.add(rid)
-    if stop is not None:
-        rec = records[stop]
+        rec = next(rec for rec in records if (rec.word1, rec.word2) not in ctx_of)
         raise IngestError(f"record {rec.respondent_id!r}: words {(rec.word1, rec.word2)} "
                           "match no context of the schema")
 

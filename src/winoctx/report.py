@@ -38,8 +38,8 @@ class CfReport:
 
 @dataclass
 class AnalysisReport:
-    """The model, its measures and the verdicts decided on them; `to_dict`
-    is the one place that lays them out as a document."""
+    """The model and its measures; the verdicts are read off the measures,
+    and `to_dict` is the one place that lays them out as a document."""
 
     model: EmpiricalModel
     signalling: float
@@ -47,14 +47,25 @@ class AnalysisReport:
     outcome_symmetric: Optional[bool]
     cyclic: Optional[cbd.CyclicSystem]
     cf: Optional[CfReport]
-    verdict_cbd: Optional[bool]
-    verdict_sheaf: Optional[bool]
     tallies: Optional[dict[Context, ContextTally]] = None
     notices: list[str] = field(default_factory=list)
 
     @property
     def non_signalling(self) -> bool:
         return self.signalling <= self.tol
+
+    # a model on a facet has cnt1 0 or a rounding step off it, and a
+    # noncontextual one cf 0 or a rounding step above it: both decided at tol
+    @property
+    def verdict_cbd(self) -> Optional[bool]:
+        return None if self.cyclic is None else self.cyclic.cnt1 > self.tol
+
+    @property
+    def verdict_sheaf(self) -> Optional[bool]:
+        """None without a cf, or when the model signals."""
+        if self.cf is None or not self.non_signalling:
+            return None
+        return self.cf.cf > self.tol
 
     def to_dict(self) -> dict:
         scenario = self.model.scenario
@@ -167,23 +178,16 @@ def build_report(
     if len(model.scenario.outcomes) == 2:
         symmetric = is_outcome_symmetric(model, tol)
 
-    verdict_cbd: Optional[bool] = None
     try:
         system = cbd.CyclicSystem.from_model(model)
     except cbd.CyclicSystemError as exc:
         system = None
         notices.append(f"{exc}; CbD measures omitted")
-    if system is not None:
-        if system.rank != 4:
-            notices.append(
-                f"rank {system.rank} cycle: the Bell-CHSH violation needs rank 4, omitted"
-            )
-        # a model on a facet has cnt1 0 or a rounding step off it; decided
-        # at tol, as the sheaf verdict is
-        verdict_cbd = system.cnt1 > tol
+    if system is not None and system.rank != 4:
+        notices.append(
+            f"rank {system.rank} cycle: the Bell-CHSH violation needs rank 4, omitted")
 
     cf_report: Optional[CfReport] = None
-    verdict_sheaf: Optional[bool] = None
     if system is not None and non_signalling:
         cf = system.contextual_fraction
         cf_report = CfReport(cf=cf, ncf_weight=1.0 - cf, gap=0.0)
@@ -197,15 +201,8 @@ def build_report(
             notices.append(f"contextual fraction omitted: {exc}")
         else:
             cf_report = CfReport(cf=result.cf, ncf_weight=result.ncf_weight, gap=result.gap)
-    if cf_report is not None:
-        if non_signalling:
-            # cf lands on 0 or a rounding step above it when noncontextual;
-            # decided at tol, as sheaf.is_noncontextual does
-            verdict_sheaf = cf_report.cf > tol
-        else:
-            notices.append(
-                "model signals beyond tol; contextual-fraction verdict withheld"
-            )
+    if cf_report is not None and not non_signalling:
+        notices.append("model signals beyond tol; contextual-fraction verdict withheld")
 
     return AnalysisReport(
         model=model,
@@ -214,8 +211,6 @@ def build_report(
         outcome_symmetric=symmetric,
         cyclic=system,
         cf=cf_report,
-        verdict_cbd=verdict_cbd,
-        verdict_sheaf=verdict_sheaf,
         tallies=tallies,
         notices=notices,
     )

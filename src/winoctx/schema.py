@@ -12,8 +12,9 @@ two-element contexts arranged in a cycle of rank 4.
 Observables are identified as "(pronoun,word)".  Outcomes are the two noun
 phrases the pronouns can refer to, first phrase mapping to +1 (the sign
 convention of `cbd`), so neither may contain `scenario.SEPARATOR`.  Templates
-carry literal slot markers ${word1}/${word2} and pronoun markers
-${pron1}/${pron2}.
+carry slot markers ${word1}/${word2} and pronoun markers ${pron1}/${pron2},
+read as `string.Template` placeholders: `validate_ws` reports a stray '$' and
+any other placeholder, so a valid schema always instantiates.
 """
 
 from __future__ import annotations
@@ -95,13 +96,19 @@ def validate_ws(schema: WinogradSchema) -> list[str]:
     ids = _observables(schema)
     if len(set(ids)) != len(ids):
         problems.append(f"observable ids collide: {ids}")
-    for kind in ("word", "pron"):
-        for slot in range(1, MAX_SLOTS + 1):
-            marker = f"${{{kind}{slot}}}"
-            want = int(slot <= len(schema.pronouns))
-            got = schema.template.count(marker)
-            if got != want:
-                problems.append(f"template has {got} of {marker}, needs exactly {want}")
+    want = {f"{kind}{slot}": int(slot <= len(schema.pronouns))
+            for kind in ("word", "pron") for slot in range(1, MAX_SLOTS + 1)}
+    # placeholders as `instantiate` reads them: it fills these markers only
+    found = dict.fromkeys(want, 0)
+    for match in Template.pattern.finditer(schema.template):
+        name = match["named"] or match["braced"]
+        if name in found:
+            found[name] += 1
+        elif match["escaped"] is None:
+            problems.append(f"template has {match[0]!r}, not a marker "
+                            "(write $$ for a literal $)")
+    problems += [f"template has {got} of ${{{name}}}, needs exactly {want[name]}"
+                 for name, got in found.items() if got != want[name]]
     return problems
 
 
@@ -144,7 +151,4 @@ def instantiate(schema: WinogradSchema, *words: str) -> str:
             )
         slots[f"word{slot}"] = word
         slots[f"pron{slot}"] = pronoun
-    try:
-        return Template(schema.template).substitute(slots)
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"template has markers beyond the supported set: {exc}") from exc
+    return Template(schema.template).substitute(slots)

@@ -27,7 +27,6 @@ signalling, non-binary and non-cyclic models, within the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -46,7 +45,7 @@ def global_assignments(scenario: MeasurementScenario) -> list[tuple[str, ...]]:
 
     Enumerated lexicographically in outcome declaration order.
     """
-    return list(product(scenario.outcomes, repeat=len(scenario.observables)))
+    return outcome_tuples(scenario.outcomes, len(scenario.observables))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,17 @@ def test_validate_rejects_nonconforming_schema(capsys):
     assert err.strip() != ""
 
 
+def test_validate_and_instantiate_agree_on_a_stray_placeholder(tmp_path, capsys):
+    doc = json.loads(fixture_path("cannibal_schema.json").read_text(encoding="utf-8"))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({**doc, "template": doc["template"] + " ${word3}"}),
+                      encoding="utf-8")
+    problem = "template has '${word3}', not a marker (write $$ for a literal $)"
+    assert run_cli(capsys, "validate", str(schema)) == (1, "", problem + "\n")
+    assert run_cli(capsys, "schema", str(schema), "--instantiate", "cannibalistic",
+                   "alive") == (1, "", f"error: {problem}\n")
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "validate", "/no/such/file.json")
     assert code == 2
@@ -577,6 +588,24 @@ def test_duplicate_id_warnings_precede_an_unknown_words_error(tmp_path, capsys, 
     assert err == ("warning: respondent id 'r1' appears more than once\n"
                    "warning: respondent id 'r2' appears more than once\n"
                    "error: record 'zz1': words ('nope', 'never') match no context "
+                   "of the schema\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--responses", "{csv}", "--schema", fx("cannibal_schema.json")],
+    ["bootstrap", "{csv}", fx("cannibal_schema.json")],
+])
+def test_duplicate_id_after_an_unknown_words_record_is_reported(tmp_path, capsys, command):
+    responses = tmp_path / "dup.csv"
+    responses.write_text("respondent_id,word1,word2,pick1,pick2\n"
+                         "r1,cannibalistic,hungry,AA,BB\n"
+                         "zz,nope,never,AA,BB\n"
+                         "r1,cannibalistic,hungry,AA,BB\n", encoding="utf-8")
+    argv = [arg.replace("{csv}", str(responses)) for arg in command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("warning: respondent id 'r1' appears more than once\n"
+                   "error: record 'zz': words ('nope', 'never') match no context "
                    "of the schema\n")
 
 

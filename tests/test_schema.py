@@ -131,6 +131,34 @@ def test_problem_list_of_templates_without_markers(cannibal, councilmen):
     ]
 
 
+@pytest.mark.parametrize("tail, marker", [
+    (" $", "$"),
+    (" ${word3}", "${word3}"),
+    (" $word", "$word"),
+], ids=["stray-dollar", "unknown-braced", "unknown-bare"])
+def test_placeholders_instantiate_cannot_fill_are_reported(cannibal, tail, marker):
+    problem = f"template has {marker!r}, not a marker (write $$ for a literal $)"
+    schema = dataclasses.replace(cannibal, template=cannibal.template + tail)
+    assert validate_ws(schema) == [problem]
+    with pytest.raises(SchemaError, match=re.escape(problem)):
+        instantiate(schema, "cannibalistic", "alive")
+
+
+def test_markers_are_counted_as_instantiate_fills_them(cannibal, councilmen):
+    # $$ is a literal $, so $${word1} is no marker; $word1 is one
+    escaped = dataclasses.replace(
+        cannibal, template=cannibal.template.replace("${word1}", "$${word1}") + " $$5")
+    assert validate_ws(escaped) == ["template has 0 of ${word1}, needs exactly 1"]
+    bare = dataclasses.replace(
+        cannibal, template=cannibal.template.replace("${word1}", "$word1") + " $$5")
+    assert validate_ws(bare) == []
+    assert instantiate(bare, "herbivorous", "alive").startswith(
+        "A and B are animals of one herbivorous species.")
+    assert instantiate(bare, "herbivorous", "alive").endswith(" $5")
+    one_slot = dataclasses.replace(councilmen, template=councilmen.template + " $word2")
+    assert validate_ws(one_slot) == ["template has 1 of ${word2}, needs exactly 0"]
+
+
 def test_ws_validation_requires_distinct_words(councilmen):
     broken = WinogradSchema(
         noun_phrases=councilmen.noun_phrases,
