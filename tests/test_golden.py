@@ -15,9 +15,12 @@ record, <case>.out).  They are `validate` on every bundled fixture;
 --compile` and `schema --instantiate`; the `bootstrap` errors for a
 one-pronoun schema and for --workers 0; and `validate`, `analyze` and
 `bootstrap` on inputs whose outcome label or noun phrase contains "|", the
-joint-outcome separator; and `analyze` and `bootstrap` on three response
+joint-outcome separator; `analyze` and `bootstrap` on three response
 files with a repeated respondent id: the fixture with one row repeated, and
-records repeated before or after a record whose words match no context.
+records repeated before or after a record whose words match no context, and
+`validate` on the first of them; and `validate` on a scenario with several
+problems, with `validate` and `analyze` on a model that names it by path and
+on a model that holds it inline beside distributions that are not a list.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
@@ -125,6 +128,17 @@ REPEAT_INPUTS = {
     + "zz,nope,never,AA,BB\n" + "r1,cannibalistic,hungry,AA,BB\n",
 }
 
+# a scenario with several problems: alone, named by path from a model, and
+# inline in a model whose distributions are not a list
+BAD_SCENARIO = {"observables": ["a", "a", "b", "c"], "contexts": [["a", "d"]],
+                "outcomes": ["x"]}
+BAD_SCENARIO_INPUTS = {
+    "bad_scenario": BAD_SCENARIO,
+    "bad_scenario_by_path": {"scenario": "bad_scenario.json", "distributions": [
+        {"context": ["a", "d"], "probs": {"x|x": 1.0}}]},
+    "two_fault_model": {"scenario": BAD_SCENARIO, "distributions": {}},
+}
+
 MODEL_FILES = sorted(
     p.name for p in fixture_path("pr_box_model.json").parent.glob("*_model.json"))
 
@@ -160,6 +174,10 @@ COMMANDS = {
                            "--schema", RESPONSES[1]] for name in REPEAT_INPUTS},
     **{f"bootstrap_{name}": ["bootstrap", f"{{tmp}}/{name}.csv", RESPONSES[1], *SEEDED]
        for name in REPEAT_INPUTS},
+    "validate_repeated_id": ["validate", "{tmp}/repeated_id.csv"],
+    **{f"validate_{name}": ["validate", f"{{tmp}}/{name}.json"] for name in BAD_SCENARIO_INPUTS},
+    **{f"analyze_{name}": ["analyze", f"{{tmp}}/{name}.json"]
+       for name in ("bad_scenario_by_path", "two_fault_model")},
 }
 
 SCHEMA_COMMANDS = {
@@ -172,7 +190,7 @@ SCHEMA_COMMANDS = {
 def write_inputs(directory):
     """Write every input built here into `directory`, as <name>.json or,
     for response files, <name>.csv."""
-    for name, doc in {**INLINE, **PIPE_INPUTS}.items():
+    for name, doc in {**INLINE, **PIPE_INPUTS, **BAD_SCENARIO_INPUTS}.items():
         Path(directory, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
     for name, text in REPEAT_INPUTS.items():
         Path(directory, name + ".csv").write_text(text, encoding="utf-8")
@@ -223,7 +241,7 @@ def command_records():
 
 def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert sum(case.startswith("validate_") for case in COMMANDS) == 15
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 19
     assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
         command_records()) == {p.name for p in GOLDEN.iterdir()}
 
