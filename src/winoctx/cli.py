@@ -41,7 +41,7 @@ from .files import (
 )
 from .ingest import ResponseFormatError, aggregate, parse_responses, repeated_ids
 from .report import build_report, render_text
-from .scenario import validate
+from .scenario import InvalidScenarioError
 from .schema import SchemaError, instantiate, validate_ws, ws_scenario
 
 STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError)
@@ -68,28 +68,38 @@ VALIDATE_TEXT = {
 }
 
 
+def _warn_repeated_ids(records) -> None:
+    for rid in repeated_ids(records):
+        print(f"warning: respondent id {rid!r} appears more than once", file=sys.stderr)
+
+
 def _check(path: Path) -> tuple:
-    """Kind, problems and facts of one file; a model that loads has no
-    problems left to report."""
+    """Kind, problems, facts and response records of one file; a model that
+    loads has no problems left to report."""
     if path.suffix.lower() == ".csv":
         result = parse_responses(path)
-        return "responses", result.problems, {"records": len(result.records)}
+        return "responses", result.problems, {"records": len(result.records)}, result.records
     doc = load_json(path)
     kind = detect_kind(doc)
     if kind == "scenario":
-        scenario = scenario_from_dict(doc)
-        return kind, validate(scenario).problems, {"observables": len(scenario.observables)}
+        try:
+            scenario = scenario_from_dict(doc)
+        except InvalidScenarioError as exc:
+            return kind, exc.problems, {}, ()
+        return kind, (), {"observables": len(scenario.observables)}, ()
     if kind == "model":
         model = model_from_dict(doc, base_dir=path.parent)
-        return kind, [], {"contexts": len(model.distributions)}
+        return kind, [], {"contexts": len(model.distributions)}, ()
     schema = schema_from_dict(doc)
-    return kind, validate_ws(schema), {"flavor": schema.flavor}
+    return kind, validate_ws(schema), {"flavor": schema.flavor}, ()
 
 
 def cmd_validate(args) -> int:
-    kind, problems, facts = _check(Path(args.path))
+    kind, problems, facts, records = _check(Path(args.path))
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    _warn_repeated_ids(records)
     if problems:
-        print("\n".join(problems), file=sys.stderr)
         return 1
     _emit(args, {"kind": kind, "valid": True, **facts}, VALIDATE_TEXT[kind].format_map)
     return 0
@@ -104,8 +114,7 @@ def _aggregate_responses(responses, schema_path, needs: str):
     schema = schema_from_dict(load_json(schema_path))
     if len(schema.pronouns) != 2:
         raise SchemaError(f"{needs} needs a two-pronoun schema")
-    for rid in repeated_ids(parsed.records):
-        print(f"warning: respondent id {rid!r} appears more than once", file=sys.stderr)
+    _warn_repeated_ids(parsed.records)
     return aggregate(parsed.records, schema)
 
 

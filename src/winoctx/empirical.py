@@ -13,12 +13,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Optional
 
-from .scenario import (
-    Context,
-    InvalidScenarioError,
-    MeasurementScenario,
-    maximal_contexts,
-)
+from .scenario import Context, MeasurementScenario, maximal_contexts
 
 PROB_TOL = 1e-9
 
@@ -181,7 +176,7 @@ def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
     outcomes (binary only)."""
     outcomes = model.scenario.outcomes
     if len(outcomes) != 2:
-        raise InvalidScenarioError("outcome flip needs a binary outcome set")
+        raise EmpiricalModelError("outcome flip needs a binary outcome set")
     flip = dict(zip(outcomes, reversed(outcomes)))
     return all(abs(p - dist.table[tuple(flip[label] for label in joint)]) <= tol
                for dist in model.distributions for joint, p in dist.table.items())

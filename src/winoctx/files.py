@@ -14,7 +14,9 @@ context member order.
 Structural problems (wrong shapes, bad keys, unparseable JSON) raise
 FileFormatError; semantic problems (nested or oversized contexts, bad
 probabilities) surface from the domain modules so callers can tell the two
-apart.  Files are UTF-8, with or without a leading byte-order mark.
+apart.  A model's scenario is made, and so checked, before any of its
+distributions is read: an invalid scenario is the fault a model names.
+Files are UTF-8, with or without a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -158,26 +160,20 @@ def model_from_dict(doc: dict, base_dir=None) -> EmpiricalModel:
     _require(isinstance(doc["distributions"], list), "'distributions' must be a list")
     index = {obs: i for i, obs in enumerate(scenario.observables)}
     tables = {}
-    try:
-        for entry in doc["distributions"]:
-            _require(isinstance(entry, dict), "each distribution must be an object")
-            _require("context" in entry and "probs" in entry,
-                     "each distribution needs 'context' and 'probs'")
-            listed = tuple(_string_list(entry["context"], "distribution context"))
-            probs = _renormalize(_parse_probs(entry["probs"], listed))
-            # prob keys follow the order the file listed the context in; store
-            # under the scenario's declaration order, permuting keys to match
-            order = sorted(range(len(listed)), key=lambda i: index.get(listed[i], len(index)))
-            context = tuple(listed[i] for i in order)
-            if context != listed:
-                probs = {tuple(joint[i] for i in order): p for joint, p in probs.items()}
-            _require(context not in tables, f"two distributions for context {context}")
-            tables[context] = probs
-    except FileFormatError:
-        # an invalid scenario is the fault to name: a label holding the
-        # separator, for one, makes every prob key misparse
-        maximal_contexts(scenario)
-        raise
+    for entry in doc["distributions"]:
+        _require(isinstance(entry, dict), "each distribution must be an object")
+        _require("context" in entry and "probs" in entry,
+                 "each distribution needs 'context' and 'probs'")
+        listed = tuple(_string_list(entry["context"], "distribution context"))
+        probs = _renormalize(_parse_probs(entry["probs"], listed))
+        # prob keys follow the order the file listed the context in; store
+        # under the scenario's declaration order, permuting keys to match
+        order = sorted(range(len(listed)), key=lambda i: index.get(listed[i], len(index)))
+        context = tuple(listed[i] for i in order)
+        if context != listed:
+            probs = {tuple(joint[i] for i in order): p for joint, p in probs.items()}
+        _require(context not in tables, f"two distributions for context {context}")
+        tables[context] = probs
     return EmpiricalModel.build(scenario, tables)
 
 

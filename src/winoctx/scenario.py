@@ -8,7 +8,8 @@ measurement cover).  Scenario files declare the contexts, and
 :meth:`MeasurementScenario.from_maximal` drops any listed face that another
 listed face contains.  Outcome labels are declared in order (`cbd` reads
 the first as +1) and may not contain SEPARATOR, which joins them into
-joint-outcome keys.
+joint-outcome keys.  Invariants are checked when a scenario is made, so an
+invalid one never exists and the code that uses a scenario trusts it.
 """
 
 from __future__ import annotations
@@ -31,16 +32,11 @@ SEPARATOR = "|"  # between the labels of a joint outcome in file keys
 
 
 class InvalidScenarioError(ValueError):
-    """An operation required a well-formed scenario and got an invalid one."""
+    """A scenario broke its invariants; `problems` lists every one."""
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
+    def __init__(self, problems: tuple[str, ...]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -63,13 +59,18 @@ class MeasurementScenario:
     """Observables, the maximal contexts of a complex, and an ordered outcome
     set.
 
-    `contexts` is stored exactly as given; use :meth:`from_maximal` to build
-    a scenario from a list of faces (the normal path for scenario files).
+    Made only valid: construction raises InvalidScenarioError with every
+    problem `validate` finds.  :meth:`from_maximal` builds one from a list
+    of faces (the normal path for scenario files).
     """
 
     observables: tuple[Observable, ...]
     contexts: frozenset[Face]
     outcomes: tuple[str, ...]
+
+    def __post_init__(self):
+        if problems := validate(self):
+            raise InvalidScenarioError(problems)
 
     @classmethod
     def from_maximal(
@@ -96,8 +97,9 @@ class MeasurementScenario:
         return tuple(sorted(face, key=self._index.__getitem__))
 
 
-def validate(scenario: MeasurementScenario) -> ValidationReport:
-    """Check every scenario invariant and report all violations found."""
+def validate(scenario: MeasurementScenario) -> tuple[str, ...]:
+    """Every violated scenario invariant, one problem each; () when there are
+    none.  Construction runs this, so a scenario that exists has none."""
     problems: list[str] = []
 
     seen: set[Observable] = set()
@@ -145,7 +147,7 @@ def validate(scenario: MeasurementScenario) -> ValidationReport:
         if obs not in covered:
             problems.append(f"uncovered observable {obs!r} (appears in no face)")
 
-    return ValidationReport(tuple(problems))
+    return tuple(problems)
 
 
 def separator_problems(what: str, labels: Iterable[str]) -> list[str]:
@@ -155,11 +157,8 @@ def separator_problems(what: str, labels: Iterable[str]) -> list[str]:
 
 
 def maximal_contexts(scenario: MeasurementScenario) -> list[Context]:
-    """The contexts of a valid scenario, members in declaration order, sorted
+    """The scenario's contexts, members in declaration order, sorted
     lexicographically by observable indices."""
-    report = validate(scenario)
-    if not report.ok:
-        raise InvalidScenarioError("; ".join(report.problems))
     index = scenario._index
     return sorted(
         (scenario.order_face(f) for f in scenario.contexts),

@@ -609,6 +609,29 @@ def test_duplicate_id_after_an_unknown_words_record_is_reported(tmp_path, capsys
                    "of the schema\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_names_repeated_ids_without_changing_its_verdict(tmp_path, capsys, fmt):
+    responses = tmp_path / "dup.csv"
+    rows = ("r1,cannibalistic,hungry,AA,BB\n" * 2 + "r2,herbivorous,alive,AA,BB\n"
+            + "r2,herbivorous,hungry,AB,BA\n")
+    responses.write_text("respondent_id,word1,word2,pick1,pick2\n" + rows, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(responses), "--format", fmt)
+    assert code == 0
+    assert out == ("OK: response file with 4 records\n" if fmt == "text" else
+                   json.dumps({"kind": "responses", "valid": True, "records": 4},
+                              indent=2) + "\n")
+    assert err == ("warning: respondent id 'r1' appears more than once\n"
+                   "warning: respondent id 'r2' appears more than once\n")
+    # a malformed row still fails the file; the repeat follows its problem line
+    responses.write_text("respondent_id,word1,word2,pick1,pick2\n" + rows + "r3,x\n",
+                         encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(responses), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == ("line 6: 2 fields, expected 5\n"
+                   "warning: respondent id 'r1' appears more than once\n"
+                   "warning: respondent id 'r2' appears more than once\n")
+
+
 def test_bootstrap_negative_seed_is_named(capsys):
     code, out, err = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
                              fx("cannibal_schema.json"), "--seed", "-1")

@@ -18,7 +18,7 @@ from winoctx.empirical import (
     outcome_tuples,
     signalling,
 )
-from winoctx.scenario import InvalidScenarioError, MeasurementScenario
+from winoctx.scenario import MeasurementScenario
 
 
 def test_marginal_of_bell_row_is_uniform(bell_model):
@@ -200,7 +200,7 @@ def test_outcome_symmetry_needs_a_binary_outcome_set():
     # one, and with it this point mass, in place
     scenario = MeasurementScenario.from_maximal(("p", "q"), [("p", "q")], ("0", "1", "2"))
     model = EmpiricalModel.build(scenario, {("p", "q"): {("1", "1"): 1.0}})
-    with pytest.raises(InvalidScenarioError, match="binary"):
+    with pytest.raises(EmpiricalModelError, match="binary"):
         is_outcome_symmetric(model)
 
 

@@ -4,6 +4,7 @@ from hypothesis import assume, given, strategies as st
 from oracles import maximal_contexts_by_completion
 from winoctx.cbd import CyclicSystem
 from winoctx.empirical import EmpiricalModel, is_outcome_symmetric
+from winoctx.report import build_report
 from winoctx.scenario import (
     InvalidScenarioError,
     MeasurementScenario,
@@ -11,6 +12,7 @@ from winoctx.scenario import (
     maximal_contexts,
     validate,
 )
+from winoctx.sheaf import incidence
 
 CHSH_FACES = [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")]
 
@@ -24,77 +26,108 @@ def chsh():
 
 
 def test_chsh_is_valid():
-    report = validate(chsh())
-    assert report.ok
-    assert report.problems == ()
+    assert validate(chsh()) == ()
 
 
 def test_outcome_label_holding_the_separator_reported():
-    scenario = MeasurementScenario.from_maximal(("p", "q"), [("p", "q")], ("x|y", "z"))
-    assert validate(scenario).problems == (
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(("p", "q"), [("p", "q")], ("x|y", "z"))
+    assert exc.value.problems == (
         "outcome label 'x|y' contains '|', the joint-outcome separator",
     )
 
 
 def test_uncovered_observable_reported():
-    scenario = MeasurementScenario.from_maximal(
-        observables=("a1", "b1", "a2"),
-        maximal_faces=[("a1", "b1")],
-        outcomes=("0", "1"),
-    )
-    report = validate(scenario)
-    assert not report.ok
-    assert any("a2" in p for p in report.problems)
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(
+            observables=("a1", "b1", "a2"),
+            maximal_faces=[("a1", "b1")],
+            outcomes=("0", "1"),
+        )
+    assert any("a2" in p for p in exc.value.problems)
 
 
 def test_nested_context_reported():
     # bypass from_maximal, which drops a face another face contains
-    scenario = MeasurementScenario(
-        observables=("a1", "b1", "a2"),
-        contexts=frozenset(
-            {frozenset({"a1", "b1", "a2"}), frozenset({"a1", "b1"})}
-        ),
-        outcomes=("0", "1"),
-    )
-    report = validate(scenario)
-    assert report.problems == (
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario(
+            observables=("a1", "b1", "a2"),
+            contexts=frozenset(
+                {frozenset({"a1", "b1", "a2"}), frozenset({"a1", "b1"})}
+            ),
+            outcomes=("0", "1"),
+        )
+    assert exc.value.problems == (
         "context ['a1', 'b1'] lies inside context ['a1', 'a2', 'b1']",
     )
 
 
 def test_duplicate_observables_reported():
-    scenario = MeasurementScenario.from_maximal(
-        observables=("a1", "a1"),
-        maximal_faces=[("a1",)],
-        outcomes=("0", "1"),
-    )
-    assert not validate(scenario).ok
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(
+            observables=("a1", "a1"),
+            maximal_faces=[("a1",)],
+            outcomes=("0", "1"),
+        )
+    assert exc.value.problems
 
 
 def test_single_outcome_reported():
-    scenario = MeasurementScenario.from_maximal(
-        observables=("a1",), maximal_faces=[("a1",)], outcomes=("0",)
-    )
-    assert not validate(scenario).ok
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(
+            observables=("a1",), maximal_faces=[("a1",)], outcomes=("0",)
+        )
+    assert exc.value.problems
 
 
 def test_observable_cap_reported():
     names = tuple(f"x{i}" for i in range(17))
-    scenario = MeasurementScenario.from_maximal(
-        observables=names,
-        maximal_faces=[(n,) for n in names],
-        outcomes=("0", "1"),
-    )
-    assert any("16" in p for p in validate(scenario).problems)
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(
+            observables=names,
+            maximal_faces=[(n,) for n in names],
+            outcomes=("0", "1"),
+        )
+    assert any("16" in p for p in exc.value.problems)
 
 
 def test_oversized_face_refused_before_completion():
     names = tuple(f"x{i}" for i in range(17))
-    scenario = MeasurementScenario.from_maximal(
-        observables=names, maximal_faces=[names], outcomes=("0", "1")
-    )
     with pytest.raises(InvalidScenarioError, match="17 observables exceed the supported 16"):
-        maximal_contexts(scenario)
+        MeasurementScenario.from_maximal(
+            observables=names, maximal_faces=[names], outcomes=("0", "1")
+        )
+
+
+def test_error_message_joins_every_problem():
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(("a", "a", "b"), [("a", "c")], ("x",))
+    assert exc.value.problems == (
+        "duplicate observable 'a'",
+        "outcome set needs >= 2 distinct labels, got ['x']",
+        "face ['a', 'c'] uses undeclared observables ['c']",
+        "uncovered observable 'b' (appears in no face)",
+    )
+    assert str(exc.value) == "; ".join(exc.value.problems)
+
+
+def test_validate_runs_once_per_scenario_and_never_after(monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return validate(scenario)
+
+    monkeypatch.setattr("winoctx.scenario.validate", counting)
+    scenario = chsh()
+    raw = MeasurementScenario(scenario.observables, scenario.contexts, scenario.outcomes)
+    assert len(calls) == 2 and raw == scenario
+    tables = {ctx: {("0", "0"): 0.5, ("1", "1"): 0.5} for ctx in maximal_contexts(scenario)}
+    model = EmpiricalModel.build(scenario, tables)
+    cyclic_structure(scenario)
+    incidence(scenario)
+    build_report(model)
+    assert len(calls) == 2
 
 
 @given(
@@ -135,13 +168,13 @@ def test_maximal_contexts_single_face():
 
 
 def test_maximal_contexts_rejects_invalid():
-    scenario = MeasurementScenario.from_maximal(
-        observables=("a1", "b1", "a2"),
-        maximal_faces=[("a1", "b1")],
-        outcomes=("0", "1"),
-    )
+    # an invalid scenario cannot be made, so no call can reach it
     with pytest.raises(InvalidScenarioError):
-        maximal_contexts(scenario)
+        MeasurementScenario.from_maximal(
+            observables=("a1", "b1", "a2"),
+            maximal_faces=[("a1", "b1")],
+            outcomes=("0", "1"),
+        )
 
 
 def test_no_context_contains_another():

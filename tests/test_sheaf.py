@@ -65,20 +65,17 @@ def test_oversized_table_refused_before_it_is_built(monkeypatch):
     monkeypatch.setattr("winoctx.empirical.outcome_tuples", enumerate_outcomes)
     monkeypatch.setattr("winoctx.sheaf.outcome_tuples", enumerate_outcomes)
     names = tuple(f"x{i}" for i in range(9))
-    scenario = MeasurementScenario.from_maximal(
-        observables=names, maximal_faces=[names], outcomes=("a", "b", "c", "d")
-    )
-    assert validate(scenario).problems == (
+    with pytest.raises(InvalidScenarioError, match="4\\^9 joint outcomes") as exc:
+        MeasurementScenario.from_maximal(
+            observables=names, maximal_faces=[names], outcomes=("a", "b", "c", "d")
+        )
+    assert exc.value.problems == (
         f"context {sorted(names)} has 4^9 joint outcomes, over the supported 65536",
     )
-    with pytest.raises(InvalidScenarioError, match="4\\^9 joint outcomes"):
-        EmpiricalModel.build(scenario, {names: {("a",) * 9: 1.0}})
-    with pytest.raises(InvalidScenarioError, match="4\\^9 joint outcomes"):
-        incidence(scenario)
     # a binary context over every supported observable is within the cap
     names = tuple(f"x{i}" for i in range(16))
     binary = MeasurementScenario.from_maximal(names, [names], ("0", "1"))
-    assert validate(binary).ok
+    assert validate(binary) == ()
 
 
 def cycle(rank, outcomes=("0", "1")):
