@@ -8,6 +8,13 @@ rank-4 violation, and cf is the closed form max(0, (s_odd - (n - 2)) / 2)
 of `cbd.CyclicSystem.contextual_fraction` on every draw.  No draw solves a
 linear program.
 
+A context's resampled same-pick count k is Binomial(n_valid, n_same /
+n_valid), and its correlation is (2k - n_valid) / n_valid.  Before any
+draw, each context gets a Walker alias table of that distribution (Walker,
+ACM TOMS 3 (1977) 253-256), built in linear time as in Vose, IEEE TSE 17
+(1991) 972-975.  A draw then costs one uniform, one gather and one compare,
+whatever n_valid and the split are.
+
 Draws are made context by context in blocks of `_BLOCK`, and each block of
 correlations is folded at once into three values per draw: the running sum
 of |correlation|, the least |correlation| and the parity of the negative
@@ -22,12 +29,13 @@ commands that import this module without drawing (`winoctx analyze`,
 `validate`, `schema`) do not load it.
 
 Determinism contract: all randomness comes from one Philox generator
-(counter-based, documented algorithm philox4x64-10), every draw of context
-0 first, then every draw of context 1, and so on.  Drawing a context in
-blocks gives the same numbers as one call for all its draws, and statistic
-values are written into the samples vector by resample index.  Everything
-runs on one thread; `workers` is validated and otherwise ignored, so it
-cannot change a single bit of the output.
+(counter-based, documented algorithm philox4x64-10), read as uniforms in
+[0, 1) by the walker-alias sampler: every draw of context 0 first, then
+every draw of context 1, and so on.  A draw uses one uniform and nothing
+else, so drawing a context in blocks gives the same numbers as one call for
+all its draws, and statistic values are written into the samples vector by
+resample index.  Everything runs on one thread; `workers` is validated and
+otherwise ignored, so it cannot change a single bit of the output.
 """
 
 from __future__ import annotations
@@ -44,12 +52,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 GENERATOR = "philox4x64-10"
+SAMPLER = "walker-alias"
 STATISTICS = ("violation", "cnt1", "cf")
 # a run holds 17 bytes per draw (two floats and a flag) plus one block's
-# temporaries: at the cap, 179 MB traced and 200 MB process RSS at rank 4
+# temporaries: at the cap, 172 MB traced and 200 MB process RSS at rank 4
 MAX_RESAMPLES = 10**7
 BIN_WIDTH = 0.02  # of the histogram of draws
-_BLOCK = 2**16  # draws per binomial call
+_BLOCK = 2**16  # draws per block
 
 
 class BootstrapError(ValueError):
@@ -140,6 +149,8 @@ def _fold_s_odd(n_rows: int, blocks) -> np.ndarray:
         block_total += mags
         np.minimum(block_least, mags, out=block_least)
         block_odd ^= values < 0.0
+        # let this block's arrays go before `blocks` draws the next one
+        del values, mags
     # an even count of negatives flips the least term; an odd one keeps all
     least *= 2.0
     least[odd] = 0.0
@@ -185,10 +196,92 @@ def cycle_order_tallies(
     return ordered
 
 
-def _draw_correlations(rng: np.random.Generator, tally: ContextTally, size: int) -> np.ndarray:
-    """Correlations of `size` resamples of one context's valid responses."""
-    counts = rng.binomial(tally.n_valid, tally.n_same / tally.n_valid, size=size)
-    return (2.0 * counts - tally.n_valid) / tally.n_valid
+@dataclass(frozen=True)
+class AliasTable:
+    """Walker alias table of one context's resampled same-pick count.
+
+    Slot j yields the count `counts[j]` with probability `prob[j]` and the
+    count of slot `alias[j]` otherwise; a uniform slot then gives each count
+    its binomial probability.
+    """
+
+    counts: np.ndarray  # the counts kept, ascending, one per slot
+    prob: np.ndarray
+    alias: np.ndarray
+
+
+def alias_table(n_valid: int, n_same: int) -> AliasTable:
+    """Alias table of Binomial(n_valid, n_same / n_valid).
+
+    The pmf is built by the ratio of consecutive terms, outward from the
+    mode (weight 1) until a weight underflows to 0, then normalised, so the
+    cost grows with the support kept and not with n_valid.  Only the counts
+    whose pmf is a positive double are kept: each dropped count has pmf
+    below 2**-1074, so together they hold less than (n_valid + 1) * 2**-1074
+    of the mass.  n_same of 0 or n_valid gives a one-slot table.
+    """
+    import numpy as np
+
+    n, s = n_valid, n_same
+    if s in (0, n):
+        return AliasTable(np.array([s]), np.ones(1), np.zeros(1, dtype=np.intp))
+    mode = (n + 1) * s // n  # floor((n + 1) p)
+    up, down = [1.0], []
+    k, w = mode, 1.0
+    while k < n and (w := w * ((n - k) * s / ((k + 1) * (n - s)))) > 0.0:
+        up.append(w)
+        k += 1
+    k, w = mode, 1.0
+    while k > 0 and (w := w * (k * (n - s) / ((n - k + 1) * s))) > 0.0:
+        down.append(w)
+        k -= 1
+    weights = np.array(down[::-1] + up)
+    pmf = weights / weights.sum()
+    kept = np.flatnonzero(pmf)
+    pmf = pmf[kept[0]:kept[-1] + 1]
+
+    # Vose: pair each slot below the mean with one above it, which gives the
+    # first the rest of its slot; slots left at the end keep themselves
+    m = len(pmf)
+    scaled = (m * pmf).tolist()
+    small = [j for j, x in enumerate(scaled) if x < 1.0]
+    large = [j for j, x in enumerate(scaled) if x >= 1.0]
+    prob = [1.0] * m
+    alias = list(range(m))
+    while small and large:
+        j, big = small.pop(), large[-1]
+        prob[j], alias[j] = scaled[j], big
+        scaled[big] = (scaled[big] + scaled[j]) - 1.0
+        if scaled[big] < 1.0:
+            small.append(large.pop())
+    lo = mode - len(down) + kept[0]
+    return AliasTable(np.arange(lo, lo + m), np.array(prob), np.array(alias, dtype=np.intp))
+
+
+def _slot_correlations(tally: ContextTally) -> tuple[np.ndarray, np.ndarray]:
+    """The context's alias table as `_draw_correlations` reads it: `prob` per
+    slot, and the correlation (2k - n_valid) / n_valid of each slot's own
+    count k followed by that of its alias's count (2m entries for m slots)."""
+    import numpy as np
+
+    table = alias_table(tally.n_valid, tally.n_same)
+    counts = np.concatenate([table.counts, table.counts[table.alias]])
+    return table.prob, (2.0 * counts - tally.n_valid) / tally.n_valid
+
+
+def _draw_correlations(rng: np.random.Generator, prob: np.ndarray, slots: np.ndarray,
+                       size: int) -> np.ndarray:
+    """Correlations of `size` resamples of one context, from its alias table
+    as `_slot_correlations` lays it out."""
+    import numpy as np
+
+    m = len(prob)
+    u = rng.random(size)
+    u *= m  # below m even for the largest uniform, 1 - 2**-53
+    j = u.astype(np.intp)
+    u -= j
+    np.add(j, m, out=j, where=u >= prob.take(j))
+    return slots.take(j, out=u)
 
 
 def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapResult:
@@ -210,14 +303,15 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     if config.statistic == "violation" and rank != 4:
         raise BootstrapError("the violation statistic is defined for rank 4 only")
 
+    contexts = [_slot_correlations(t) for t in tallies]
     # all of context 0's draws, then all of context 1's, ..., each context in
-    # blocks: the same numbers as one binomial call per context
+    # blocks: the same numbers as one call per context
     rng = np.random.Generator(np.random.Philox(config.seed))
     n = config.n_resamples
     blocks = [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
     samples = _fold_s_odd(n, (
-        (rows, _draw_correlations(rng, t, rows.stop - rows.start))
-        for t in tallies for rows in blocks))
+        (rows, _draw_correlations(rng, prob, slots, rows.stop - rows.start))
+        for prob, slots in contexts for rows in blocks))
 
     if config.statistic != "cf":
         # violation (rank 4 only) and cnt1 are both s_odd - (rank - 2):
@@ -229,6 +323,7 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     hist = histogram(samples)
     metadata = {
         "generator": GENERATOR,
+        "sampler": SAMPLER,
         "seed": config.seed,
         "n_resamples": config.n_resamples,
         "statistic": config.statistic,

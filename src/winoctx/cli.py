@@ -136,8 +136,9 @@ def cmd_analyze(args) -> int:
 
 BOOTSTRAP_TEXT = (
     "statistic: {statistic}   resamples: {n_resamples}   seed: {seed}   "
-    "generator: {generator}\n"
-    "mean: {mean:.6f}   std: {std:.6f}   fraction_positive: {fraction_positive:.6f}\n"
+    "generator: {generator}   sampler: {sampler}\n"
+    "mean: {mean:.6f} (s.e. {mean_se:.6f})   std: {std:.6f}   "
+    "fraction_positive: {fraction_positive:.6f} (s.e. {fraction_positive_se:.6f})\n"
     "histogram: {bins} bins of width {bin_width:g}"
 )
 
@@ -161,14 +162,20 @@ def cmd_bootstrap(args) -> int:
                           in zip(result.histogram.centers, result.histogram.densities))
 
     meta = result.metadata
+    n, frac = meta["n_resamples"], result.fraction_positive
     doc = {
         "statistic": meta["statistic"],
-        "n_resamples": meta["n_resamples"],
+        "n_resamples": n,
         "seed": meta["seed"],
         "generator": meta["generator"],
+        "sampler": meta["sampler"],
+        # Monte Carlo standard errors: how far N draws may leave each figure
+        # from the ideal bootstrap's
         "mean": result.mean,
+        "mean_se": result.std / math.sqrt(n),
         "std": result.std,
-        "fraction_positive": result.fraction_positive,
+        "fraction_positive": frac,
+        "fraction_positive_se": math.sqrt(frac * (1.0 - frac) / n),
         "bins": len(result.histogram.centers),
         "bin_width": meta["bin_width"],
         "histogram_file": args.out,

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from winoctx.bootstrap import alias_table
 from winoctx.cbd import CyclicSystem
 from winoctx.empirical import EmpiricalModel
 from winoctx.ingest import (
@@ -320,12 +321,17 @@ def aggregate_by_record(records, schema):
 
 
 def resample_counts_matrix(tallies, n_resamples: int, seed: int) -> np.ndarray:
-    """Same-pick counts per (resample, context), every draw at once: one
-    binomial call per context on one Philox generator, contexts in order."""
+    """Same-pick counts per (resample, context), every draw at once: per
+    context in order, one full-length run of Philox uniforms looked up in
+    that context's alias table."""
     rng = np.random.Generator(np.random.Philox(seed))
-    columns = [
-        rng.binomial(t.n_valid, t.n_same / t.n_valid, size=n_resamples) for t in tallies
-    ]
+    columns = []
+    for t in tallies:
+        table = alias_table(t.n_valid, t.n_same)
+        position = rng.random(n_resamples) * len(table.counts)
+        slot = np.floor(position).astype(int)
+        own = position - slot < table.prob[slot]
+        columns.append(np.where(own, table.counts[slot], table.counts[table.alias[slot]]))
     return np.stack(columns, axis=1)
 
 
@@ -345,3 +351,24 @@ def bootstrap_samples_matrix(tallies, config) -> np.ndarray:
     if config.statistic == "cnt1":
         return s_odd - float(rank - 2)
     return np.maximum(0.0, (s_odd - (rank - 2)) / 2.0)
+
+
+def binomial_pmf_exact(n: int, s: int) -> list[float]:
+    """P(k) of Binomial(n, s / n) for k = 0..n, each within a few ulps of
+    math.comb(n, k) s^k (n - s)^(n - k) / n^n, evaluated in integers."""
+    if s in (0, n):
+        return [float(k == s) for k in range(n + 1)]
+
+    def ratio(num: int, den: int) -> float:
+        # the leading 64 bits of each, so that neither overflows a float
+        a, b = max(num.bit_length() - 64, 0), max(den.bit_length() - 64, 0)
+        return math.ldexp(float(num >> a) / float(den >> b), a - b)
+
+    # the exact term comb(n, k) s^k (n - s)^(n - k), stepped from k to k + 1
+    # by comb(n, k + 1) / comb(n, k) = (n - k) / (k + 1)
+    term, den = (n - s) ** n, n ** n
+    pmf = []
+    for k in range(n + 1):
+        pmf.append(ratio(term, den))
+        term = term * ((n - k) * s) // ((k + 1) * (n - s))
+    return pmf

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bootstrap_samples_matrix, resample_counts_matrix
+from oracles import binomial_pmf_exact, bootstrap_samples_matrix, resample_counts_matrix
 from winoctx import bootstrap, sheaf
 from winoctx.bootstrap import (
     BootstrapConfig,
     BootstrapError,
+    alias_table,
     cycle_order_tallies,
     histogram,
     run,
@@ -306,3 +307,97 @@ def test_peak_memory_per_draw_is_bounded(statistic):
         tracemalloc.stop()
     # drawing the whole draws x contexts matrix took about 130 bytes per draw
     assert peak <= 40 * draws
+
+
+def split_cases():
+    """(n_valid, n_same) at each tested size, with the edge splits."""
+    for n in (1, 2, 85, 945, 12000):
+        for s in sorted({0, 1, n // 2, (4 * n) // 5, n - 1, n}):
+            yield n, s
+
+
+@pytest.mark.parametrize("n, s", list(split_cases()))
+def test_alias_table_implies_the_exact_binomial_pmf(n, s):
+    table = alias_table(n, s)
+    m = len(table.counts)
+    assert table.counts.tolist() == list(range(table.counts[0], table.counts[0] + m))
+    assert np.all((table.prob >= 0.0) & (table.prob <= 1.0))
+    # m P(k) = prob[k] + the rest of every slot whose alias is k
+    implied = table.prob.copy()
+    np.add.at(implied, table.alias, 1.0 - table.prob)
+    implied /= m
+    exact = np.array(binomial_pmf_exact(n, s))
+    assert np.all(exact[table.counts] > 0.0)
+    assert np.max(np.abs(implied - exact[table.counts])) <= 1e-12
+    # only counts whose pmf is not a positive double are left out
+    left_out = np.ones(n + 1, dtype=bool)
+    left_out[table.counts] = False
+    assert np.all(exact[left_out] <= 5e-324)
+    assert implied.sum() == pytest.approx(1.0, abs=1e-12)
+    if s in (0, n):
+        assert table.counts.tolist() == [s]
+
+
+def chi_square_critical(df, z=3.090):
+    """Upper 0.001 point of chi-square with `df` degrees of freedom, by the
+    Wilson-Hilferty cube-root approximation."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * c ** 0.5) ** 3
+
+
+@pytest.mark.parametrize("n, s", [(85, 59), (945, 761), (945, 84)])
+def test_alias_draws_pass_a_chi_square_test_against_the_pmf(n, s):
+    draws = 10**6
+    prob, slots = bootstrap._slot_correlations(ContextTally(n, n, s, n - s))
+    rng = np.random.Generator(np.random.Philox(2024))
+    values = bootstrap._draw_correlations(rng, prob, slots, draws)
+    counts = np.rint((values + 1.0) * n / 2.0).astype(int)
+    assert np.array_equal((2.0 * counts - n) / n, values)
+    observed = np.bincount(counts, minlength=n + 1).astype(float)
+    expected = draws * np.array(binomial_pmf_exact(n, s))
+    # pool each tail until every bin expects at least 5 draws
+    ks = np.flatnonzero(expected >= 5.0)
+    lo, hi = ks[0], ks[-1]
+    obs = np.concatenate([[observed[:lo + 1].sum()], observed[lo + 1:hi],
+                          [observed[hi:].sum()]])
+    exp = np.concatenate([[expected[:lo + 1].sum()], expected[lo + 1:hi],
+                          [expected[hi:].sum()]])
+    statistic = float(((obs - exp) ** 2 / exp).sum())
+    assert statistic < chi_square_critical(len(obs) - 1)
+
+
+@pytest.mark.parametrize("s, value", [(0, -1.0), (40, 1.0)])
+def test_unanimous_context_draws_a_constant_correlation(s, value):
+    prob, slots = bootstrap._slot_correlations(ContextTally(40, 40, s, 40 - s))
+    rng = np.random.Generator(np.random.Philox(7))
+    assert np.all(bootstrap._draw_correlations(rng, prob, slots, 5000) == value)
+
+
+class LargestUniform:
+    """Stands in for the generator: every uniform is 1 - 2**-53, the largest
+    that Philox's `random` returns."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_largest_uniform_lands_inside_the_table():
+    for n, s in split_cases():
+        prob, slots = bootstrap._slot_correlations(ContextTally(n, n, s, n - s))
+        # take raises IndexError on a slot past the end
+        values = bootstrap._draw_correlations(LargestUniform(), prob, slots, 3)
+        assert np.all(np.isin(values, slots))
+    # every table length a context can give at these sizes
+    for m in range(1, 20_000):
+        assert int(np.float64(1.0 - 2.0**-53) * m) == m - 1
+
+
+def test_draws_agree_with_the_exact_ideal_bootstrap(cannibal_tallies):
+    # exact enumeration of the fixture's resampling distribution
+    exact_fraction, exact_mean = 0.871876, 0.201139
+    draws = 100_000
+    result = run(cannibal_tallies, BootstrapConfig(n_resamples=draws, seed=0))
+    assert result.metadata["sampler"] == "walker-alias"
+    fraction_se = (exact_fraction * (1.0 - exact_fraction) / draws) ** 0.5
+    assert abs(result.fraction_positive - exact_fraction) <= 4.0 * fraction_se
+    assert abs(result.mean - exact_mean) <= 4.0 * result.std / draws ** 0.5

@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -415,6 +416,23 @@ def test_bootstrap_text_and_histogram(tmp_path, capsys):
     for line in lines[1:]:
         center, density = line.split(",")
         float(center), float(density)
+
+
+def test_bootstrap_standard_errors_match_the_spread_over_seeds(capsys):
+    docs = []
+    for seed in range(200):
+        code, out, _ = run_cli(capsys, "bootstrap", fx("cannibal_responses.csv"),
+                               fx("cannibal_schema.json"), "--samples", "1000",
+                               "--seed", str(seed), "--format", "json")
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["sampler"] == "walker-alias"
+    # the spread of 200 estimates is itself known to about 5%, so 20% is 4 s.e.
+    for field in ("mean", "fraction_positive"):
+        values = [d[field] for d in docs]
+        spread = statistics.pstdev(values)
+        se = statistics.fmean(d[f"{field}_se"] for d in docs)
+        assert abs(spread / se - 1.0) < 0.2, (field, spread, se)
 
 
 def test_bootstrap_unwritable_out_exits_before_drawing(tmp_path, capsys, refuse_draws):

@@ -24,9 +24,10 @@ on a model that holds it inline beside distributions that are not a list.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
-The bootstrap records pin numpy's Philox bit generator and its binomial
-sampler as of numpy 2.4.6.  A numpy whose binomial stream differs, or the
-table-inversion sampler of ROADMAP item 7, changes them on purpose.
+The bootstrap records pin numpy's Philox bit generator and its uniform
+doubles as of numpy 2.4.6, read through the walker-alias sampler of
+`bootstrap`.  A numpy whose Philox or uniform stream differs, or a change
+to the sampler or its tables, changes them on purpose.
 
 A change that means to alter the output rewrites the files with
 

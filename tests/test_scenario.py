@@ -8,6 +8,7 @@ from winoctx.report import build_report
 from winoctx.scenario import (
     InvalidScenarioError,
     MeasurementScenario,
+    containing_faces,
     cyclic_structure,
     maximal_contexts,
     validate,
@@ -140,6 +141,23 @@ def test_maximal_contexts_match_completion(faces, rnd):
     assume(observables)
     scenario = MeasurementScenario.from_maximal(observables, faces, ("0", "1"))
     assert maximal_contexts(scenario) == maximal_contexts_by_completion(observables, faces)
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1), unique=True, max_size=12))
+def test_containing_faces_match_all_pairs(faces):
+    assert containing_faces(faces) == [[o for o in faces if f < o] for f in faces]
+    if not faces:
+        return
+    observables = sorted(set().union(*faces))
+    ordered = sorted(faces, key=sorted)
+    nested = tuple(f"context {sorted(f)} lies inside context {sorted(o)}"
+                   for f in ordered for o in ordered if f < o)
+    try:
+        MeasurementScenario(tuple(observables), frozenset(faces), ("0", "1"))
+        problems = ()
+    except InvalidScenarioError as exc:
+        problems = tuple(p for p in exc.problems if " lies inside " in p)
+    assert problems == nested
 
 
 def test_maximal_contexts_chsh_order():
