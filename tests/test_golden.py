@@ -20,7 +20,8 @@ files with a repeated respondent id: the fixture with one row repeated, and
 records repeated before or after a record whose words match no context, and
 `validate` on the first of them; and `validate` on a scenario with several
 problems, with `validate` and `analyze` on a model that names it by path and
-on a model that holds it inline beside distributions that are not a list.
+on a model that holds it inline beside distributions that are not a list;
+and `validate` on a model whose probs repeat a key.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
@@ -140,6 +141,13 @@ BAD_SCENARIO_INPUTS = {
     "two_fault_model": {"scenario": BAD_SCENARIO, "distributions": {}},
 }
 
+# a model whose probs repeat a key, which json.dumps cannot write
+RAW_INPUTS = {
+    "repeated_key_model": '{"scenario": {"observables": ["p", "q"], "contexts": [["p", "q"]], '
+    '"outcomes": ["x", "y"]}, "distributions": [{"context": ["p", "q"], '
+    '"probs": {"x|x": 0.9, "x|x": 0.5, "y|y": 0.5}}]}\n',
+}
+
 MODEL_FILES = sorted(
     p.name for p in fixture_path("pr_box_model.json").parent.glob("*_model.json"))
 
@@ -179,6 +187,7 @@ COMMANDS = {
     **{f"validate_{name}": ["validate", f"{{tmp}}/{name}.json"] for name in BAD_SCENARIO_INPUTS},
     **{f"analyze_{name}": ["analyze", f"{{tmp}}/{name}.json"]
        for name in ("bad_scenario_by_path", "two_fault_model")},
+    "validate_repeated_key_model": ["validate", "{tmp}/repeated_key_model.json"],
 }
 
 SCHEMA_COMMANDS = {
@@ -193,6 +202,8 @@ def write_inputs(directory):
     for response files, <name>.csv."""
     for name, doc in {**INLINE, **PIPE_INPUTS, **BAD_SCENARIO_INPUTS}.items():
         Path(directory, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
+    for name, text in RAW_INPUTS.items():
+        Path(directory, name + ".json").write_text(text, encoding="utf-8")
     for name, text in REPEAT_INPUTS.items():
         Path(directory, name + ".csv").write_text(text, encoding="utf-8")
 
@@ -242,7 +253,7 @@ def command_records():
 
 def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert sum(case.startswith("validate_") for case in COMMANDS) == 19
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 20
     assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
         command_records()) == {p.name for p in GOLDEN.iterdir()}
 
