@@ -20,9 +20,9 @@ correlations is folded at once into three values per draw: the running sum
 of |correlation|, the least |correlation| and the parity of the negative
 ones.  s_odd follows from those, and the statistic is computed in place, so
 a run holds 17 bytes per draw plus one block's temporaries, and never a
-draws x contexts array.  The same fold gives `s_odd_rows` on the columns of
-a matrix; `contextual_fraction` turns each draw's s_odd into cf.  Both live
-here, since bootstrap is their one user.
+draws x contexts array.  `contextual_fraction` turns each draw's s_odd
+into cf and lives here, its one user, beside `s_odd_rows`, the same fold on
+the columns of a matrix, which tests check against `cbd.s_odd`.
 
 numpy is imported inside the functions that touch arrays, so that the
 commands that import this module without drawing (`winoctx analyze`,
@@ -41,7 +41,7 @@ otherwise ignored, so it cannot change a single bit of the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .empirical import PROB_TOL
@@ -106,7 +106,6 @@ class BootstrapResult:
     std: float  # population denominator
     fraction_positive: float
     histogram: Histogram
-    metadata: dict = field(default_factory=dict)
 
 
 def histogram(samples: Sequence[float], bin_width: float = BIN_WIDTH) -> Histogram:
@@ -320,16 +319,6 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     else:
         samples = contextual_fraction(samples, rank)
 
-    hist = histogram(samples)
-    metadata = {
-        "generator": GENERATOR,
-        "sampler": SAMPLER,
-        "seed": config.seed,
-        "n_resamples": config.n_resamples,
-        "statistic": config.statistic,
-        "contexts": rank,
-        "bin_width": BIN_WIDTH,
-    }
     # a noncontextual draw's cf can sit a rounding step above 0, so cf is
     # counted as positive above tol, as sheaf.is_noncontextual decides it
     threshold = config.tol if config.statistic == "cf" else 0.0
@@ -338,6 +327,5 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
         mean=float(samples.mean()),
         std=float(samples.std()),
         fraction_positive=float((samples > threshold).mean()),
-        histogram=hist,
-        metadata=metadata,
+        histogram=histogram(samples),
     )

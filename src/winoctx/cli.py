@@ -27,7 +27,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .bootstrap import BootstrapConfig, cycle_order_tallies, run
+from .bootstrap import BIN_WIDTH, GENERATOR, SAMPLER, BootstrapConfig, cycle_order_tallies, run
 from .empirical import PROB_TOL
 from .files import (
     FileFormatError,
@@ -161,14 +161,13 @@ def cmd_bootstrap(args) -> int:
             fh.writelines(f"{center:.6f},{density:.6f}\n" for center, density
                           in zip(result.histogram.centers, result.histogram.densities))
 
-    meta = result.metadata
-    n, frac = meta["n_resamples"], result.fraction_positive
+    n, frac = config.n_resamples, result.fraction_positive
     doc = {
-        "statistic": meta["statistic"],
+        "statistic": config.statistic,
         "n_resamples": n,
-        "seed": meta["seed"],
-        "generator": meta["generator"],
-        "sampler": meta["sampler"],
+        "seed": config.seed,
+        "generator": GENERATOR,
+        "sampler": SAMPLER,
         # Monte Carlo standard errors: how far N draws may leave each figure
         # from the ideal bootstrap's
         "mean": result.mean,
@@ -177,7 +176,7 @@ def cmd_bootstrap(args) -> int:
         "fraction_positive": frac,
         "fraction_positive_se": math.sqrt(frac * (1.0 - frac) / n),
         "bins": len(result.histogram.centers),
-        "bin_width": meta["bin_width"],
+        "bin_width": BIN_WIDTH,
         "histogram_file": args.out,
     }
     _emit(args, doc, lambda d: BOOTSTRAP_TEXT.format_map(d) + (
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="violation")
     p.add_argument("--out", help="write histogram CSV (bin_center,density)")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted and checked (>= 1) for compatibility; the cf "
+                   help="accepted and checked (>= 1) for compatibility; every "
                         "statistic runs on one thread and this has no effect")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style (default text)")

@@ -11,11 +11,12 @@ Three kinds of documents:
 
 Joint-outcome keys join outcome labels with scenario.SEPARATOR "|" in
 context member order.
-Structural problems (wrong shapes, bad keys, unparseable JSON) raise
-FileFormatError; semantic problems (nested or oversized contexts, bad
-probabilities) surface from the domain modules so callers can tell the two
-apart.  A model's scenario is made, and so checked, before any of its
-distributions is read: an invalid scenario is the fault a model names.
+Structural problems (wrong shapes, bad keys, unparseable JSON, a key
+repeated in one object) raise FileFormatError; semantic problems (oversized
+contexts, too many faces, bad probabilities) surface from the domain modules
+so callers can tell the two apart.  A model's scenario is made, and so
+checked, before any of its distributions is read: an invalid scenario is the
+fault a model names.
 Files are UTF-8, with or without a leading byte-order mark.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -49,9 +51,16 @@ def _string_list(value: Any, what: str) -> list[str]:
 
 
 def load_json(path) -> dict:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        doc = dict(pairs)  # keeps only the last value of a repeated key
+        if len(doc) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise FileFormatError(f"{path}: key {key!r} repeated in one object")
+        return doc
+
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: not parseable as JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -120,7 +129,6 @@ def _parse_probs(raw: Any, context: tuple[str, ...]) -> dict[tuple[str, ...], fl
             isinstance(value, (int, float)) and not isinstance(value, bool),
             f"prob {key!r} of context {context} is not a number",
         )
-        _require(joint not in probs, f"duplicate prob key {key!r} in context {context}")
         try:
             prob = float(value)
         except OverflowError:

@@ -4,18 +4,19 @@ downward-closed complex of jointly measurable subsets, and an outcome set.
 A scenario is the static backdrop of an experiment.  A *context* is a
 maximal set of observables that can be measured together; every subset of a
 context is measurable too, so the contexts alone determine the complex (its
-measurement cover).  Scenario files declare the contexts, and
-:meth:`MeasurementScenario.from_maximal` drops any listed face that another
-listed face contains.  Outcome labels are declared in order (`cbd` reads
-the first as +1) and may not contain SEPARATOR, which joins them into
-joint-outcome keys.  Invariants are checked when a scenario is made, so an
-invalid one never exists and the code that uses a scenario trusts it.
+measurement cover).  A scenario keeps the maximal faces it is given: its
+constructor drops the empty face and every face another one contains.
+Outcome labels are declared in order (`cbd` reads the first as +1) and may
+not contain SEPARATOR, which joins them into joint-outcome keys.
+Invariants are checked when a scenario is made, so an invalid one never
+exists and the code that uses a scenario trusts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Optional
 
 Observable = str
@@ -28,6 +29,7 @@ Face = frozenset
 # as many entries as a binary context over all of them.
 MAX_OBSERVABLES = 16
 MAX_TABLE_ENTRIES = 2 ** MAX_OBSERVABLES
+MAX_FACES = 1024  # listed faces, as linprog.MAX_SIZE: an LP-sized cf program has <= 512
 SEPARATOR = "|"  # between the labels of a joint outcome in file keys
 
 
@@ -59,9 +61,10 @@ class MeasurementScenario:
     """Observables, the maximal contexts of a complex, and an ordered outcome
     set.
 
-    Made only valid: construction raises InvalidScenarioError with every
-    problem `validate` finds.  :meth:`from_maximal` builds one from a list
-    of faces (the normal path for scenario files).
+    Made only valid: construction keeps the maximal faces of `contexts` (at
+    most MAX_FACES, counted before any is compared) and raises
+    InvalidScenarioError with every problem `validate` finds.
+    :meth:`from_maximal` builds one from a list of faces (scenario files).
     """
 
     observables: tuple[Observable, ...]
@@ -69,6 +72,11 @@ class MeasurementScenario:
     outcomes: tuple[str, ...]
 
     def __post_init__(self):
+        faces = self.contexts - {frozenset()}
+        if len(faces) > MAX_FACES:
+            raise InvalidScenarioError(
+                (f"{len(faces)} faces exceed the supported {MAX_FACES}",))
+        object.__setattr__(self, "contexts", frozenset(maximal_only(faces)))
         if problems := validate(self):
             raise InvalidScenarioError(problems)
 
@@ -79,15 +87,9 @@ class MeasurementScenario:
         maximal_faces: Iterable[Iterable[Observable]],
         outcomes: Iterable[str],
     ) -> "MeasurementScenario":
-        """Keep the listed faces that no other listed face contains, without
-        the empty face."""
-        faces = list({frozenset(face) for face in maximal_faces} - {frozenset()})
-        return cls(
-            observables=tuple(observables),
-            contexts=frozenset(f for f, outer in zip(faces, containing_faces(faces))
-                               if not outer),
-            outcomes=tuple(outcomes),
-        )
+        """A scenario on the listed faces; the constructor keeps the maximal ones."""
+        faces = frozenset(map(frozenset, maximal_faces))
+        return cls(tuple(observables), faces, tuple(outcomes))
 
     @cached_property
     def _index(self) -> dict[Observable, int]:
@@ -98,13 +100,14 @@ class MeasurementScenario:
         return tuple(sorted(face, key=self._index.__getitem__))
 
 
-def containing_faces(faces: list[Face]) -> list[list[Face]]:
-    """For each face, the faces of `faces` that strictly contain it, in list
-    order.  A face can lie only inside a strictly larger one, so each face
-    is tested against the larger faces alone: faces of one size cost no
-    pairwise tests."""
-    larger = {size: [f for f in faces if len(f) > size] for size in {len(f) for f in faces}}
-    return [[other for other in larger[len(face)] if face < other] for face in faces]
+def maximal_only(faces: Iterable[Face]) -> list[Face]:
+    """The faces that no other face strictly contains.  Largest first, each
+    face is tested only against the larger faces kept so far (a face inside
+    any face lies inside a maximal one), up to the first that contains it."""
+    kept: list[Face] = []
+    for _, group in groupby(sorted(faces, key=len, reverse=True), key=len):
+        kept += [face for face in group if not any(face < other for other in kept)]
+    return kept
 
 
 def validate(scenario: MeasurementScenario) -> tuple[str, ...]:
@@ -137,7 +140,7 @@ def validate(scenario: MeasurementScenario) -> tuple[str, ...]:
     declared = set(scenario.observables)
     contexts = sorted(scenario.contexts, key=sorted)
     k = len(scenario.outcomes)
-    for face, outer in zip(contexts, containing_faces(contexts)):
+    for face in contexts:
         unknown = face - declared
         if unknown:
             problems.append(
@@ -148,8 +151,6 @@ def validate(scenario: MeasurementScenario) -> tuple[str, ...]:
                 f"context {sorted(face)} has {k}^{len(face)} joint outcomes, over "
                 f"the supported {MAX_TABLE_ENTRIES}"
             )
-        for other in outer:
-            problems.append(f"context {sorted(face)} lies inside context {sorted(other)}")
 
     covered = set().union(*contexts)
     for obs in scenario.observables:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from winoctx.bootstrap import (
     run,
 )
 from winoctx.cbd import s_odd
+from winoctx.cli import main
 from winoctx.empirical import EmpiricalModel
 from winoctx.files import load_schema
 from winoctx.fixtures import fixture_path
@@ -33,6 +37,16 @@ SKEWED = ((75, 18), (8, 77), (59, 26), (59, 26))
 # rank 6, five contexts at correlation 2/3 and one at -2/3: s_odd = 4 = n - 2,
 # so the draws straddle the noncontextual boundary
 STRADDLE = ((50, 10),) * 5 + ((10, 50),)
+
+
+def bootstrap_document(*flags):
+    """The JSON document of `winoctx bootstrap` on the bundled responses."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["bootstrap", str(fixture_path("cannibal_responses.csv")),
+                     str(fixture_path("cannibal_schema.json")), *flags, "--format", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())
 
 
 def cycle(rank):
@@ -116,7 +130,7 @@ def test_single_resample_is_a_draw_not_the_point_estimate():
     b = run(tallies, BootstrapConfig(n_resamples=1, seed=11))
     assert a.samples.shape == (1,)
     assert np.array_equal(a.samples, b.samples)
-    assert a.metadata["n_resamples"] == 1
+    assert bootstrap_document("--samples", "1", "--seed", "11")["n_resamples"] == 1
     # with one draw the summary statistics collapse onto the sample
     assert a.mean == a.samples[0]
     assert a.std == 0.0
@@ -200,14 +214,13 @@ def test_config_validation():
         BootstrapConfig(seed=-1)
 
 
-def test_metadata_records_the_rng_contract():
-    tallies = make_tallies(SKEWED)
-    result = run(tallies, BootstrapConfig(n_resamples=50, seed=77))
-    assert result.metadata["generator"] == "philox4x64-10"
-    assert result.metadata["seed"] == 77
-    assert result.metadata["n_resamples"] == 50
-    assert result.metadata["statistic"] == "violation"
-    assert result.metadata["contexts"] == 4
+def test_document_records_the_rng_contract():
+    doc = bootstrap_document("--samples", "50", "--seed", "77")
+    assert doc["generator"] == "philox4x64-10"
+    assert doc["sampler"] == "walker-alias"
+    assert doc["seed"] == 77
+    assert doc["n_resamples"] == 50
+    assert doc["statistic"] == "violation"
 
 
 def test_cycle_order_follows_the_cycle():
@@ -397,7 +410,7 @@ def test_draws_agree_with_the_exact_ideal_bootstrap(cannibal_tallies):
     exact_fraction, exact_mean = 0.871876, 0.201139
     draws = 100_000
     result = run(cannibal_tallies, BootstrapConfig(n_resamples=draws, seed=0))
-    assert result.metadata["sampler"] == "walker-alias"
+    assert bootstrap.SAMPLER == "walker-alias"
     fraction_se = (exact_fraction * (1.0 - exact_fraction) / draws) ** 0.5
     assert abs(result.fraction_positive - exact_fraction) <= 4.0 * fraction_se
     assert abs(result.mean - exact_mean) <= 4.0 * result.std / draws ** 0.5

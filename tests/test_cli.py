@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import statistics
@@ -255,6 +256,18 @@ def test_validate_refuses_oversized_face_without_completing_it(tmp_path, capsys)
     assert code == 1
     assert out == ""
     assert "17 observables exceed the supported 16" in err
+
+
+def test_validate_refuses_a_scenario_over_the_face_cap(tmp_path, capsys):
+    names = [f"x{i}" for i in range(16)]
+    faces = [list(face) for face in itertools.combinations(names, 5)][:1025]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"observables": names, "contexts": faces,
+                                "outcomes": ["0", "1"]}))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "1025 faces exceed the supported 1024\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])

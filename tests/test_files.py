@@ -197,6 +197,26 @@ def test_garbled_json(tmp_path):
         load_json(array)
 
 
+def test_repeated_key_is_refused_in_every_kind_of_document(tmp_path):
+    docs = {
+        "model": ('{"scenario": "chsh.json", "distributions": [{"context": ["a1", "b1"], '
+                  '"probs": {"x|x": 0.9, "x|x": 0.5, "y|y": 0.5}}]}', "x|x"),
+        "scenario": ('{"observables": ["p"], "contexts": [["p"]], "contexts": [], '
+                     '"outcomes": ["0", "1"]}', "contexts"),
+        "schema": ('{"noun_phrases": ["a", "b"], "template": "x", "template": "y"}',
+                   "template"),
+    }
+    for kind, (text, key) in docs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as exc:
+            load_json(path)
+        assert str(exc.value) == f"{path}: key {key!r} repeated in one object"
+    # the same key in two objects is no repeat
+    path.write_text('{"a": {"k": 1}, "b": {"k": 2}}')
+    assert load_json(path) == {"a": {"k": 1}, "b": {"k": 2}}
+
+
 def test_bad_prob_entries():
     base = {
         ("a1", "b1"): uniform_probs(),

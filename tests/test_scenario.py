@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -6,11 +8,12 @@ from winoctx.cbd import CyclicSystem
 from winoctx.empirical import EmpiricalModel, is_outcome_symmetric
 from winoctx.report import build_report
 from winoctx.scenario import (
+    MAX_FACES,
     InvalidScenarioError,
     MeasurementScenario,
-    containing_faces,
     cyclic_structure,
     maximal_contexts,
+    maximal_only,
     validate,
 )
 from winoctx.sheaf import incidence
@@ -48,19 +51,32 @@ def test_uncovered_observable_reported():
     assert any("a2" in p for p in exc.value.problems)
 
 
-def test_nested_context_reported():
-    # bypass from_maximal, which drops a face another face contains
-    with pytest.raises(InvalidScenarioError) as exc:
-        MeasurementScenario(
-            observables=("a1", "b1", "a2"),
-            contexts=frozenset(
-                {frozenset({"a1", "b1", "a2"}), frozenset({"a1", "b1"})}
-            ),
-            outcomes=("0", "1"),
-        )
-    assert exc.value.problems == (
-        "context ['a1', 'b1'] lies inside context ['a1', 'a2', 'b1']",
+def test_raw_constructor_drops_a_nested_context():
+    outer = frozenset({"a1", "b1", "a2"})
+    scenario = MeasurementScenario(
+        observables=("a1", "b1", "a2"),
+        contexts=frozenset({outer, frozenset({"a1", "b1"}), frozenset()}),
+        outcomes=("0", "1"),
     )
+    assert scenario.contexts == frozenset({outer})
+    assert scenario == MeasurementScenario.from_maximal(
+        ("a1", "b1", "a2"), [("a1", "b1", "a2"), ("a1", "b1")], ("0", "1"))
+
+
+def test_faces_over_the_cap_refused_before_any_is_compared(monkeypatch):
+    names = [f"x{i}" for i in range(16)]
+    fours = list(itertools.combinations(names, 4))[:MAX_FACES + 1]
+    # repeats and the empty face are not counted
+    at_cap = MeasurementScenario.from_maximal(names, fours[:-1] * 2 + [()], ("0", "1"))
+    assert len(at_cap.contexts) == MAX_FACES
+
+    def compare(faces):
+        raise AssertionError("faces over the cap were compared")
+
+    monkeypatch.setattr("winoctx.scenario.maximal_only", compare)
+    with pytest.raises(InvalidScenarioError) as exc:
+        MeasurementScenario.from_maximal(names, fours * 2 + [()], ("0", "1"))
+    assert exc.value.problems == (f"{MAX_FACES + 1} faces exceed the supported {MAX_FACES}",)
 
 
 def test_duplicate_observables_reported():
@@ -143,21 +159,15 @@ def test_maximal_contexts_match_completion(faces, rnd):
     assert maximal_contexts(scenario) == maximal_contexts_by_completion(observables, faces)
 
 
-@given(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1), unique=True, max_size=12))
-def test_containing_faces_match_all_pairs(faces):
-    assert containing_faces(faces) == [[o for o in faces if f < o] for f in faces]
-    if not faces:
-        return
-    observables = sorted(set().union(*faces))
-    ordered = sorted(faces, key=sorted)
-    nested = tuple(f"context {sorted(f)} lies inside context {sorted(o)}"
-                   for f in ordered for o in ordered if f < o)
-    try:
-        MeasurementScenario(tuple(observables), frozenset(faces), ("0", "1"))
-        problems = ()
-    except InvalidScenarioError as exc:
-        problems = tuple(p for p in exc.problems if " lies inside " in p)
-    assert problems == nested
+@given(st.lists(st.frozensets(st.sampled_from("abcdef")), max_size=12))
+def test_maximal_only_matches_all_pairs(faces):
+    maximal = {f for f in faces if not any(f < other for other in faces)}
+    assert sorted(maximal_only(set(faces)), key=sorted) == sorted(maximal, key=sorted)
+    observables = tuple(sorted(set().union(*faces)))
+    assume(observables)
+    raw = MeasurementScenario(observables, frozenset(faces), ("0", "1"))
+    assert raw == MeasurementScenario.from_maximal(observables, faces, ("0", "1"))
+    assert raw.contexts == maximal - {frozenset()}
 
 
 def test_maximal_contexts_chsh_order():
