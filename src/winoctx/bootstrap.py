@@ -35,7 +35,9 @@ every draw of context 1, and so on.  A draw uses one uniform and nothing
 else, so drawing a context in blocks gives the same numbers as one call for
 all its draws, and statistic values are written into the samples vector by
 resample index.  Everything runs on one thread; `workers` is validated and
-otherwise ignored, so it cannot change a single bit of the output.
+otherwise ignored, so it cannot change a single bit of the output.  No BLAS
+call is made, only elementwise ufuncs, gathers and Philox draws, so no BLAS
+thread count can change a bit either.
 """
 
 from __future__ import annotations

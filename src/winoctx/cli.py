@@ -16,6 +16,11 @@ bootstrap --statistic cf: the least cf counted as positive), --seed
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
 bad probabilities, non-conforming schema, unknown words), 2 the input could
 not be read or parsed at all.
+
+Every command runs on one thread.  `main` sets OPENBLAS_NUM_THREADS to 1
+before any command loads numpy (only `bootstrap` and the LP path of
+`analyze` do), so numpy's BLAS starts without a worker pool that no command
+uses; a value the caller has set is kept.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -258,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before numpy loads: no command makes a BLAS call worth a worker thread
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

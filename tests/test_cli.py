@@ -672,14 +672,29 @@ def test_bootstrap_negative_seed_is_named(capsys):
 
 
 NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from winoctx.cli import main
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
+    threads = None
+    if os.path.exists("/proc/self/status"):
+        with open("/proc/self/status") as status:
+            threads = next(int(line.split()[1]) for line in status
+                           if line.startswith("Threads:"))
+    print(json.dumps([code, "numpy" in sys.modules, out.getvalue(), threads,
+                      os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
+
+
+def numpy_probe(*argvs, **env):
+    """Run `main` on each argv in one fresh interpreter; per call its exit
+    code, whether numpy is loaded, stdout, the process's OS thread count
+    and OPENBLAS_NUM_THREADS after the call."""
+    proc = python_process("-c", NUMPY_PROBE, json.dumps(argvs), **env)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def test_numpy_is_imported_only_for_the_lp(tmp_path):
@@ -693,9 +708,30 @@ def test_numpy_is_imported_only_for_the_lp(tmp_path):
         ["schema", fx("cannibal_schema.json"), "--compile"],
     ]
     lp = ["analyze", str(three_outcome_cycle(tmp_path / "model.json")), "--format", "json"]
-    proc = python_process("-c", NUMPY_PROBE, json.dumps(numpy_free + [lp]))
-    assert proc.returncode == 0, proc.stderr
-    steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [code for code, _, _ in steps] == [0] * len(steps)
-    assert [loaded for _, loaded, _ in steps] == [False] * len(numpy_free) + [True]
+    steps = numpy_probe(*numpy_free, lp)
+    assert [step[0] for step in steps] == [0] * len(steps)
+    assert [step[1] for step in steps] == [False] * len(numpy_free) + [True]
     assert json.loads(steps[-1][2])["contextual_fraction"]["cf"] == 0.0
+
+
+BOOTSTRAP_ARGV = ["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json")]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("command", ["bootstrap", "lp"])
+def test_numpy_loads_without_a_blas_thread_pool(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    argv = (BOOTSTRAP_ARGV + ["--samples", "1000"] if command == "bootstrap" else
+            ["analyze", str(three_outcome_cycle(tmp_path / "model.json"))])
+    [(code, loaded, _, threads, value)] = numpy_probe(argv)
+    assert (code, loaded, threads, value) == (0, True, 1, "1")
+
+
+def test_a_callers_blas_thread_count_is_kept_and_changes_no_output(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    argv = BOOTSTRAP_ARGV + ["--samples", "3000", "--seed", "11", "--format", "json"]
+    [(code, _, unset, _, _)] = numpy_probe(argv)
+    [(code2, _, two, _, value)] = numpy_probe(argv, OPENBLAS_NUM_THREADS="2")
+    assert (code, code2, value) == (0, 0, "2")
+    assert json.loads(unset)["n_resamples"] == 3000
+    assert two == unset

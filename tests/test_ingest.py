@@ -1,3 +1,5 @@
+import csv
+import gc
 import random
 import tempfile
 import warnings
@@ -186,6 +188,27 @@ def test_parse_rejects_missing_header(tmp_path):
     empty.write_text("")
     with pytest.raises(ResponseFormatError):
         parse_responses(empty)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    header = "respondent_id,word1,word2,pick1,pick2\n"
+    good = tmp_path / "good.csv"
+    good.write_text(header + "r1,cannibalistic,hungry,AA,BB\n" * 2000)
+    # a field over csv's size limit fails inside the row loop
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + "r1,cannibalistic,hungry,AA,BB\n"
+                   + "r2," + "x" * (csv.field_size_limit() + 1) + ",hungry,AA,BB\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(parse_responses(good).records) == 2000
+        assert gc.isenabled() is enabled
+        with pytest.raises(ResponseFormatError, match="line 3"):
+            parse_responses(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_aggregate_arithmetic(cannibal):
