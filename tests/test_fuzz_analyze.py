@@ -202,7 +202,11 @@ def schema_documents(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=schema_documents())
 def test_schema_commands_never_raise_on_mutated_schemas(case):
+    """Every command ends with 0, 1 or 2; `validate` and `schema --compile`
+    apply one validity rule: one exits 1 iff the other does, and compile
+    then names validate's problems on one line."""
     doc, words = case
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "schema.json")
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -216,3 +220,8 @@ def test_schema_commands_never_raise_on_mutated_schemas(case):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2)
+            results.append((code, err.getvalue()))
+    (validated, problems), (compiled, compile_err) = results[:2]
+    assert (validated == 1) == (compiled == 1)
+    if validated == 1:
+        assert compile_err == "error: " + "; ".join(problems.splitlines()) + "\n"

@@ -21,7 +21,11 @@ records repeated before or after a record whose words match no context, and
 `validate` on the first of them; and `validate` on a scenario with several
 problems, with `validate` and `analyze` on a model that names it by path and
 on a model that holds it inline beside distributions that are not a list;
-and `validate` on a model whose probs repeat a key.
+and `validate` on a model whose probs repeat a key; `schema --compile` and
+`schema --instantiate` on the schema whose noun phrase holds "|", `schema
+--compile` on the non-conforming sid_mark fixture and, with --instantiate
+as well, its flag error; and `analyze` and `bootstrap` of the fixture
+responses under that schema.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
@@ -162,6 +166,7 @@ CASES = {
 FIXTURES = fixture_path("pr_box_model.json").parent
 RESPONSES = [str(FIXTURES / "cannibal_responses.csv"), str(FIXTURES / "cannibal_schema.json")]
 SEEDED = ["--samples", "3000", "--seed", "11"]
+SID_MARK = str(FIXTURES / "sid_mark_schema.json")
 
 COMMANDS = {
     **{f"validate_{p.stem}": ["validate", str(p)]
@@ -188,12 +193,20 @@ COMMANDS = {
     **{f"analyze_{name}": ["analyze", f"{{tmp}}/{name}.json"]
        for name in ("bad_scenario_by_path", "two_fault_model")},
     "validate_repeated_key_model": ["validate", "{tmp}/repeated_key_model.json"],
+    "analyze_sid_mark": ["analyze", "--responses", RESPONSES[0], "--schema", SID_MARK],
+    "bootstrap_sid_mark": ["bootstrap", RESPONSES[0], SID_MARK, *SEEDED],
 }
 
 SCHEMA_COMMANDS = {
     "schema_compile": ["schema", RESPONSES[1], "--compile"],
     "schema_instantiate": ["schema", RESPONSES[1], "--instantiate",
                            "cannibalistic", "alive"],
+    "schema_compile_pipe_phrase": ["schema", "{tmp}/pipe_phrase_schema.json", "--compile"],
+    "schema_instantiate_pipe_phrase": ["schema", "{tmp}/pipe_phrase_schema.json",
+                                       "--instantiate", "cannibalistic", "alive"],
+    "schema_compile_sid_mark": ["schema", SID_MARK, "--compile"],
+    "schema_compile_instantiate_sid_mark": ["schema", SID_MARK, "--compile",
+                                            "--instantiate", "convince"],
 }
 
 
