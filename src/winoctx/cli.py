@@ -48,7 +48,7 @@ from .files import (
 from .ingest import ResponseFormatError, aggregate, parse_responses, repeated_ids
 from .report import build_report, render_text
 from .scenario import InvalidScenarioError
-from .schema import SchemaError, instantiate, validate_ws, ws_scenario
+from .schema import SchemaError, instantiate, ws_scenario
 
 STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError)
 
@@ -87,17 +87,15 @@ def _check(path: Path) -> tuple:
         return "responses", result.problems, {"records": len(result.records)}, result.records
     doc = load_json(path)
     kind = detect_kind(doc)
-    if kind == "scenario":
-        try:
-            scenario = scenario_from_dict(doc)
-        except InvalidScenarioError as exc:
-            return kind, exc.problems, {}, ()
-        return kind, (), {"observables": len(scenario.observables)}, ()
     if kind == "model":
         model = model_from_dict(doc, base_dir=path.parent)
-        return kind, [], {"contexts": len(model.distributions)}, ()
-    schema = schema_from_dict(doc)
-    return kind, validate_ws(schema), {"flavor": schema.flavor}, ()
+        return kind, (), {"contexts": len(model.distributions)}, ()
+    try:
+        facts = ({"observables": len(scenario_from_dict(doc).observables)}
+                 if kind == "scenario" else {"flavor": schema_from_dict(doc).flavor})
+    except (InvalidScenarioError, SchemaError) as exc:
+        return kind, exc.problems, {}, ()
+    return kind, (), facts, ()
 
 
 def cmd_validate(args) -> int:
@@ -191,11 +189,11 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_schema(args) -> int:
-    schema = schema_from_dict(load_json(args.schema))
     if bool(args.compile) == bool(args.instantiate):
         raise FileFormatError("pick exactly one of --compile or --instantiate")
     if args.out and not args.compile:
         raise FileFormatError("--out needs --compile")
+    schema = schema_from_dict(load_json(args.schema))
 
     if args.instantiate:
         print(instantiate(schema, *args.instantiate))

@@ -14,9 +14,9 @@ context member order.
 Structural problems (wrong shapes, bad keys, unparseable JSON, a key
 repeated in one object) raise FileFormatError; semantic problems (oversized
 contexts, too many faces, bad probabilities) surface from the domain modules
-so callers can tell the two apart.  A model's scenario is made, and so
-checked, before any of its distributions is read: an invalid scenario is the
-fault a model names.
+so callers can tell the two apart.  Scenarios and schemas are checked when
+made, so their problems surface on load; a model's scenario is made before
+its distributions are read, so an invalid one is the fault a model names.
 Files are UTF-8, with or without a leading byte-order mark.
 """
 

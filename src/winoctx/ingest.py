@@ -178,11 +178,11 @@ def aggregate(
 ) -> tuple[EmpiricalModel, dict[Context, ContextTally]]:
     """Tally per context and build the symmetric empirical model.
 
-    The schema must have two pronoun slots (else SchemaError, before any
-    record is read); a record's (word1, word2) names its version of the
-    discourse, and so its context.  Order-independent: tallies are pure
-    counts of (word1, word2, picks), and respondent ids are read only to
-    name the first record whose words match no context (IngestError).
+    The schema (valid, as every schema is) needs two pronoun slots, else
+    SchemaError before any record is read; a record's (word1, word2) names
+    its version of the discourse, and so its context.  Order-independent:
+    tallies are pure counts of (word1, word2, picks); respondent ids are read
+    only to name the first record whose words match no context (IngestError).
     Every context of the schema's scenario must end up with at least one
     valid response, otherwise there is no distribution to put there and we
     refuse.

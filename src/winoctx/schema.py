@@ -13,8 +13,8 @@ Observables are identified as "(pronoun,word)".  Outcomes are the two noun
 phrases the pronouns can refer to, first phrase mapping to +1 (the sign
 convention of `cbd`), so neither may contain `scenario.SEPARATOR`.  Templates
 carry slot markers ${word1}/${word2} and pronoun markers ${pron1}/${pron2},
-read as `string.Template` placeholders: `validate_ws` reports a stray '$' and
-any other placeholder, so a valid schema always instantiates.
+read as `string.Template` placeholders: construction refuses a stray '$' and
+any other placeholder, so every schema instantiates.
 """
 
 from __future__ import annotations
@@ -31,7 +31,11 @@ MAX_SLOTS = len(_COUNTS)
 
 
 class SchemaError(ValueError):
-    """The schema violates a structural requirement."""
+    """The schema violates a structural requirement; `problems` lists every one."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 def flavor_of(slots: int) -> str:
@@ -41,8 +45,8 @@ def flavor_of(slots: int) -> str:
 
 @dataclass(frozen=True)
 class WinogradSchema:
-    """Slot i has pronoun pronouns[i] and words special[i]/alternate[i];
-    one or two slots, else construction raises SchemaError."""
+    """Slot i has pronoun pronouns[i] and words special[i]/alternate[i].
+    Made only valid: construction raises SchemaError listing every problem."""
 
     noun_phrases: tuple[str, str]
     pronouns: tuple[str, ...]
@@ -55,6 +59,8 @@ class WinogradSchema:
         if not 1 <= shape[0] <= MAX_SLOTS or len(set(shape)) != 1:
             raise SchemaError(f"pronouns, special and alternate need the same "
                               f"number of entries, 1 to {MAX_SLOTS}; got {shape}")
+        if problems := _validate_ws(self):
+            raise SchemaError(*problems)
 
     @property
     def flavor(self) -> str:
@@ -83,7 +89,7 @@ def _check_pair(label: str, pair: tuple[str, str], problems: list[str]) -> None:
         problems.append(f"{label} entries must differ, both are {a!r}")
 
 
-def validate_ws(schema: WinogradSchema) -> list[str]:
+def _validate_ws(schema: WinogradSchema) -> list[str]:
     problems: list[str] = []
     _check_pair("noun_phrases", schema.noun_phrases, problems)
     problems += separator_problems("noun phrase", schema.noun_phrases)
@@ -123,8 +129,6 @@ def version_contexts(schema: WinogradSchema) -> dict[tuple[str, ...], Context]:
 def ws_scenario(schema: WinogradSchema) -> MeasurementScenario:
     """One maximal context per version: two singletons for one slot, a
     rank-4 cycle for two."""
-    if problems := validate_ws(schema):
-        raise SchemaError("; ".join(problems))
     return MeasurementScenario.from_maximal(
         observables=_observables(schema),
         maximal_faces=tuple(version_contexts(schema).values()),
@@ -138,8 +142,6 @@ def instantiate(schema: WinogradSchema, *words: str) -> str:
     if len(words) != n:
         count = f"{_COUNTS[n - 1]} word" + ("s" if n > 1 else "")
         raise SchemaError(f"{schema.flavor} schema takes exactly {count}")
-    if problems := validate_ws(schema):
-        raise SchemaError("; ".join(problems))
     slots = {}
     for slot, (pronoun, special, alternate, word) in enumerate(
         zip(schema.pronouns, schema.special, schema.alternate, words), start=1

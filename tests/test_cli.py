@@ -568,6 +568,53 @@ def test_schema_out_needs_compile(tmp_path, capsys):
     assert not target.exists()
 
 
+# inputs with two faults, one an invalid schema: a schema is refused when it
+# is loaded, so its problems are the fault these commands name
+SID_MARK_ERROR = (
+    "error: slot2 special/alternate words entries must be non-empty; "
+    "slot2 special/alternate words entries must differ, both are ''; "
+    "observable ids collide: ['(he,convince)', '(he,understand)', '(him,)', '(him,)']; "
+    "template has 0 of ${word2}, needs exactly 1\n")
+
+
+def test_schema_instantiate_arity_on_an_invalid_schema_names_its_problems(capsys):
+    assert run_cli(capsys, "schema", fx("sid_mark_schema.json"),
+                   "--instantiate", "convince") == (1, "", SID_MARK_ERROR)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--responses", fx("cannibal_responses.csv"), "--schema"],
+    ["bootstrap", fx("cannibal_responses.csv")],
+])
+def test_response_commands_name_an_invalid_one_pronoun_schemas_problems(
+        tmp_path, capsys, command):
+    path = tmp_path / "schema.json"
+    doc = json.loads(Path(fx("trophy_schema.json")).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "template": "no markers"}), encoding="utf-8")
+    assert run_cli(capsys, *command, str(path)) == (1, "", (
+        "error: template has 0 of ${word1}, needs exactly 1; "
+        "template has 0 of ${pron1}, needs exactly 1\n"))
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--responses", "{csv}", "--schema", fx("sid_mark_schema.json")],
+    ["bootstrap", "{csv}", fx("sid_mark_schema.json")],
+])
+def test_invalid_schema_comes_before_repeated_id_warnings(tmp_path, capsys, command):
+    csv = tmp_path / "responses.csv"
+    rows = fixture_path("cannibal_responses.csv").read_text(encoding="utf-8")
+    csv.write_text(rows + rows.splitlines(keepends=True)[1], encoding="utf-8")
+    argv = [arg.replace("{csv}", str(csv)) for arg in command]
+    assert run_cli(capsys, *argv) == (1, "", SID_MARK_ERROR)
+
+
+@pytest.mark.parametrize("flags", [(), ("--instantiate", "a", "--out", "x.json")])
+def test_schema_flags_are_checked_before_the_file_is_read(tmp_path, capsys, flags):
+    code, out, err = run_cli(capsys, "schema", str(tmp_path / "missing.json"), *flags)
+    message = "--out needs --compile" if flags else "pick exactly one of --compile or --instantiate"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("schema", fx("cannibal_schema.json"), "--compile", "--format", "json"),
     ("schema", fx("cannibal_schema.json"), "--compile", "--tol", "5"),

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from winoctx.empirical import EmpiricalModel
-from winoctx.files import load_schema, schema_from_dict, schema_to_dict
+from winoctx.files import load_json, load_schema, schema_from_dict, schema_to_dict
 from winoctx.fixtures import fixture_path
+from winoctx.ingest import aggregate
 from winoctx.scenario import cyclic_structure, maximal_contexts, validate
-from winoctx.schema import (
-    SchemaError,
-    WinogradSchema,
-    instantiate,
-    observable_id,
-    validate_ws,
-    ws_scenario,
-)
+from winoctx.schema import SchemaError, WinogradSchema, instantiate, observable_id, ws_scenario
 from winoctx.sheaf import contextual_fraction
+
+
+def problems_of(build, *args, **kwargs):
+    """The problems of the SchemaError that build(*args, **kwargs) raises."""
+    with pytest.raises(SchemaError) as caught:
+        build(*args, **kwargs)
+    assert str(caught.value) == "; ".join(caught.value.problems)
+    return caught.value.problems
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +43,13 @@ def cannibal():
 
 def test_noun_phrase_holding_the_separator_reported(cannibal):
     # joint outcomes (a, a|a) and (a|a, a) would both be written a|a|a
-    schema = dataclasses.replace(cannibal, noun_phrases=("a", "a|a"))
-    assert validate_ws(schema) == [
-        "noun phrase 'a|a' contains '|', the joint-outcome separator"]
-    with pytest.raises(SchemaError, match="separator"):
-        ws_scenario(schema)
+    assert problems_of(dataclasses.replace, cannibal, noun_phrases=("a", "a|a")) == (
+        "noun phrase 'a|a' contains '|', the joint-outcome separator",)
 
 
 def test_councilmen_scenario(councilmen):
     assert len(councilmen.pronouns) == 1
-    assert validate_ws(councilmen) == []
+    assert dataclasses.replace(councilmen) == councilmen  # made without a problem
     scenario = ws_scenario(councilmen)
     assert set(scenario.observables) == {"(they,feared)", "(they,advocated)"}
     assert scenario.outcomes == ("the city councilmen", "the demonstrators")
@@ -90,26 +89,34 @@ def test_shared_pronoun_text_is_allowed(cannibal):
     # both pronouns print as "one of them"; the four observables stay
     # distinct because the word half of the id differs
     assert cannibal.pronouns == ("one of them", "one of them")
-    assert validate_ws(cannibal) == []
+    assert dataclasses.replace(cannibal) == cannibal  # made without a problem
     scenario = ws_scenario(cannibal)
     assert len(set(scenario.observables)) == 4
 
 
+SID_MARK_PROBLEMS = (
+    "slot2 special/alternate words entries must be non-empty",
+    "slot2 special/alternate words entries must differ, both are ''",
+    "observable ids collide: ['(he,convince)', '(he,understand)', '(him,)', '(him,)']",
+    "template has 0 of ${word2}, needs exactly 1",
+)
+
+
 def test_sid_mark_flagged_non_conforming():
-    schema = load_schema(fixture_path("sid_mark_schema.json"))
-    problems = validate_ws(schema)
-    assert problems != []
+    path = fixture_path("sid_mark_schema.json")
+    assert problems_of(load_schema, path) == SID_MARK_PROBLEMS
+    assert problems_of(schema_from_dict, load_json(path)) == SID_MARK_PROBLEMS
 
 
 def test_gws_validation_catches_bad_templates(cannibal):
-    broken = WinogradSchema(
+    problems = problems_of(
+        WinogradSchema,
         noun_phrases=cannibal.noun_phrases,
         pronouns=cannibal.pronouns,
         special=cannibal.special,
         alternate=cannibal.alternate,
         template="no markers at all",
     )
-    problems = validate_ws(broken)
     assert any("word1" in p for p in problems)
     assert any("pron2" in p for p in problems)
 
@@ -119,16 +126,16 @@ def test_problem_list_of_templates_without_markers(cannibal, councilmen):
         return WinogradSchema(schema.noun_phrases, schema.pronouns, schema.special,
                               schema.alternate, template="no markers at all")
 
-    assert validate_ws(unmarked(cannibal)) == [
+    assert problems_of(unmarked, cannibal) == (
         "template has 0 of ${word1}, needs exactly 1",
         "template has 0 of ${word2}, needs exactly 1",
         "template has 0 of ${pron1}, needs exactly 1",
         "template has 0 of ${pron2}, needs exactly 1",
-    ]
-    assert validate_ws(unmarked(councilmen)) == [
+    )
+    assert problems_of(unmarked, councilmen) == (
         "template has 0 of ${word1}, needs exactly 1",
         "template has 0 of ${pron1}, needs exactly 1",
-    ]
+    )
 
 
 @pytest.mark.parametrize("tail, marker", [
@@ -138,36 +145,53 @@ def test_problem_list_of_templates_without_markers(cannibal, councilmen):
 ], ids=["stray-dollar", "unknown-braced", "unknown-bare"])
 def test_placeholders_instantiate_cannot_fill_are_reported(cannibal, tail, marker):
     problem = f"template has {marker!r}, not a marker (write $$ for a literal $)"
-    schema = dataclasses.replace(cannibal, template=cannibal.template + tail)
-    assert validate_ws(schema) == [problem]
-    with pytest.raises(SchemaError, match=re.escape(problem)):
-        instantiate(schema, "cannibalistic", "alive")
+    template = cannibal.template + tail
+    assert problems_of(dataclasses.replace, cannibal, template=template) == (problem,)
+    doc = {**schema_to_dict(cannibal), "template": template}
+    assert problems_of(schema_from_dict, doc) == (problem,)
 
 
 def test_markers_are_counted_as_instantiate_fills_them(cannibal, councilmen):
     # $$ is a literal $, so $${word1} is no marker; $word1 is one
-    escaped = dataclasses.replace(
-        cannibal, template=cannibal.template.replace("${word1}", "$${word1}") + " $$5")
-    assert validate_ws(escaped) == ["template has 0 of ${word1}, needs exactly 1"]
-    bare = dataclasses.replace(
+    escaped = cannibal.template.replace("${word1}", "$${word1}") + " $$5"
+    assert problems_of(dataclasses.replace, cannibal, template=escaped) == (
+        "template has 0 of ${word1}, needs exactly 1",)
+    bare = dataclasses.replace(  # made without a problem
         cannibal, template=cannibal.template.replace("${word1}", "$word1") + " $$5")
-    assert validate_ws(bare) == []
     assert instantiate(bare, "herbivorous", "alive").startswith(
         "A and B are animals of one herbivorous species.")
     assert instantiate(bare, "herbivorous", "alive").endswith(" $5")
-    one_slot = dataclasses.replace(councilmen, template=councilmen.template + " $word2")
-    assert validate_ws(one_slot) == ["template has 1 of ${word2}, needs exactly 0"]
+    assert problems_of(dataclasses.replace, councilmen,
+                       template=councilmen.template + " $word2") == (
+        "template has 1 of ${word2}, needs exactly 0",)
 
 
 def test_ws_validation_requires_distinct_words(councilmen):
-    broken = WinogradSchema(
+    assert problems_of(
+        WinogradSchema,
         noun_phrases=councilmen.noun_phrases,
         pronouns=councilmen.pronouns,
         special=("feared",),
         alternate=("feared",),
         template=councilmen.template,
+    ) == (
+        "slot1 special/alternate words entries must differ, both are 'feared'",
+        "observable ids collide: ['(they,feared)', '(they,feared)']",
     )
-    assert validate_ws(broken) != []
+
+
+def test_single_message_errors_keep_their_text(councilmen, cannibal, trophy):
+    for build, args, text in (
+        (WinogradSchema, (councilmen.noun_phrases, (), (), (), councilmen.template),
+         "pronouns, special and alternate need the same number of entries, "
+         "1 to 2; got (0, 0, 0)"),
+        (instantiate, (cannibal, "herbivorous"), "two-pronoun schema takes exactly two words"),
+        (instantiate, (trophy, "small", "light"), "one-pronoun schema takes exactly one word"),
+        (instantiate, (cannibal, "ravenous", "alive"), "'ravenous' is not the slot-1 "
+         "special ('cannibalistic') or alternate ('herbivorous') word"),
+        (aggregate, ((), trophy), "aggregation needs a two-pronoun schema"),
+    ):
+        assert problems_of(build, *args) == (text,)
 
 
 @pytest.mark.parametrize("pronouns, special, alternate, shape", [
