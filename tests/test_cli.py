@@ -589,7 +589,7 @@ def test_schema_instantiate_arity_on_an_invalid_schema_names_its_problems(capsys
 def test_response_commands_name_an_invalid_one_pronoun_schemas_problems(
         tmp_path, capsys, command):
     path = tmp_path / "schema.json"
-    doc = json.loads(Path(fx("trophy_schema.json")).read_text(encoding="utf-8"))
+    doc = json.loads(fixture_path("trophy_schema.json").read_text(encoding="utf-8"))
     path.write_text(json.dumps({**doc, "template": "no markers"}), encoding="utf-8")
     assert run_cli(capsys, *command, str(path)) == (1, "", (
         "error: template has 0 of ${word1}, needs exactly 1; "
