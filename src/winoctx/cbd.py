@@ -68,7 +68,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .empirical import EmpiricalModel
-from .scenario import Context, Observable, cyclic_structure
+from .scenario import Context, Observable, cycle_through
 
 
 class CyclicSystemError(ValueError):
@@ -112,7 +112,7 @@ class CyclicSystem:
 
     @classmethod
     def from_model(cls, model: EmpiricalModel) -> "CyclicSystem":
-        structure = cyclic_structure(model.scenario)
+        structure = cycle_through(model.scenario, model.contexts)
         if structure is None:
             raise CyclicSystemError("scenario has no cyclic structure")
         outcomes = model.scenario.outcomes
@@ -120,20 +120,20 @@ class CyclicSystem:
             raise CyclicSystemError(
                 f"{len(outcomes)} outcomes {list(outcomes)}: CbD needs a binary outcome set"
             )
-        order = structure.ordering
         contexts = structure.contexts
         first = outcomes[0]
         tables = [model.distribution(ctx).table for ctx in contexts]
-        correlations = tuple(
-            math.fsum(p if a == b else -p for (a, b), p in table.items()) for table in tables
-        )
-        means = [
-            {obs: math.fsum(p if joint[at] == first else -p for joint, p in table.items())
-             for at, obs in enumerate(ctx)}
-            for ctx, table in zip(contexts, tables)
-        ]
-        expectations = tuple((means[i - 1][c], means[i][c]) for i, c in enumerate(order))
-        return cls(order, contexts, correlations, expectations)
+        correlations = tuple([
+            math.fsum([p if a == b else -p for (a, b), p in table.items()]) for table in tables
+        ])
+
+        def mean(k: int, obs: Observable) -> float:
+            at = contexts[k].index(obs)
+            return math.fsum([p if joint[at] == first else -p for joint, p in tables[k].items()])
+
+        expectations = tuple([(mean(i - 1, c), mean(i, c))
+                              for i, c in enumerate(structure.ordering)])
+        return cls(structure.ordering, contexts, correlations, expectations)
 
     @cached_property
     def delta(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 Observable = str
 # A context is a tuple of observables ordered by scenario declaration order.
@@ -180,36 +180,46 @@ def cyclic_structure(scenario: MeasurementScenario) -> Optional[CyclicStructure]
     """Detect a cyclic arrangement: every context has exactly 2 members, every
     observable lies in exactly 2 contexts, and the contexts form one cycle.
 
-    Returns the canonical ordering (starting from the least observable in
-    declaration order, stepping toward its lesser neighbor) with its contexts
-    in cycle order, or None.
+    Returns the canonical ordering (`cycle_through`) with its contexts in
+    cycle order, or None.
     """
-    contexts = maximal_contexts(scenario)
+    return cycle_through(scenario, maximal_contexts(scenario))
+
+
+def cycle_through(
+    scenario: MeasurementScenario, contexts: Sequence[Context]
+) -> Optional[CyclicStructure]:
+    """The canonical cycle through `contexts`, the scenario's maximal
+    contexts in any order (a model's own, say), or None when they do not
+    form one cycle.
+
+    The ordering starts from the first declared observable and steps toward
+    its neighbor declared first; the structure's contexts are the given
+    tuples, in cycle order.  `cyclic_structure` and
+    `cbd.CyclicSystem.from_model` both walk the cycle here, so the cycle a
+    bootstrap arranges its tallies along is the one a report reads.
+    """
     if any(len(ctx) != 2 for ctx in contexts):
         return None
-
-    neighbors: dict[Observable, list[Observable]] = {o: [] for o in scenario.observables}
-    for a, b in contexts:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    if any(len(adj) != 2 for adj in neighbors.values()):
+    links: dict[Observable, list[tuple[Observable, Context]]] = {
+        o: [] for o in scenario.observables}
+    for ctx in contexts:
+        a, b = ctx
+        links[a].append((b, ctx))
+        links[b].append((a, ctx))
+    if any(len(adj) != 2 for adj in links.values()):
         return None
 
     index = scenario._index
-    start = min(scenario.observables, key=index.__getitem__)
-    ordering = [start]
-    current = min(neighbors[start], key=index.__getitem__)
+    start = scenario.observables[0]
+    left, right = links[start]
+    current, ctx = left if index[left[0]] < index[right[0]] else right
+    ordering, cycle = [start], [ctx]
     while current != start:
         ordering.append(current)
-        a, b = neighbors[current]
-        current = b if a == ordering[-2] else a
+        left, right = links[current]
+        current, ctx = right if left[1] == ctx else left
+        cycle.append(ctx)
     if len(ordering) != len(scenario.observables):
         return None  # more than one cycle component
-    n = len(ordering)
-    return CyclicStructure(
-        rank=n,
-        ordering=tuple(ordering),
-        contexts=tuple(
-            scenario.order_face((ordering[i], ordering[(i + 1) % n])) for i in range(n)
-        ),
-    )
+    return CyclicStructure(rank=len(ordering), ordering=tuple(ordering), contexts=tuple(cycle))

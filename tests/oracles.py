@@ -13,7 +13,7 @@ import numpy as np
 
 from winoctx.bootstrap import alias_table
 from winoctx.cbd import CyclicSystem
-from winoctx.empirical import EmpiricalModel
+from winoctx.empirical import EmpiricalModel, SignallingReport
 from winoctx.ingest import (
     DIFF,
     HEADER,
@@ -219,6 +219,28 @@ def signalling_by_faces(model) -> float:
                 a, b = marginal(first, face), marginal(second, face)
                 worst = max(worst, math.fsum(abs(a[key] - b[key]) for key in a))
     return worst
+
+
+def signalling_pairwise(model) -> SignallingReport:
+    """`empirical.signalling` as an all-pairs scan: intersect every pair of
+    contexts in (i, j) order and compare the two `Distribution.marginalize`
+    tables of each pair that shares an observable; the first pair that
+    reaches the strict maximum is the worst."""
+    contexts = model.contexts
+    worst = None
+    worst_val = 0.0
+    for i, first in enumerate(contexts):
+        for second in contexts[i + 1:]:
+            shared = set(first).intersection(second)
+            if not shared:
+                continue
+            a = model.distribution(first).marginalize(shared)
+            b = model.distribution(second).marginalize(shared)
+            dist = math.fsum(abs(a.table[o] - b.table[o]) for o in a.table)
+            if dist > worst_val:
+                worst_val = dist
+                worst = (a.context, first, second)
+    return SignallingReport(max_discrepancy=worst_val, worst=worst)
 
 
 def parse_responses_by_row(path) -> ParseResult:

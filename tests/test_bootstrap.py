@@ -16,7 +16,7 @@ from winoctx.bootstrap import (
     histogram,
     run,
 )
-from winoctx.cbd import s_odd
+from winoctx.cbd import CyclicSystem, s_odd
 from winoctx.cli import main
 from winoctx.empirical import EmpiricalModel
 from winoctx.files import load_schema
@@ -240,6 +240,30 @@ def test_cycle_order_follows_the_cycle():
     for i, tally in enumerate(ordered):
         edge = frozenset({structure.ordering[i], structure.ordering[(i + 1) % n]})
         assert tally.n_same == sizes[edge]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_cycle_order_agrees_with_from_model_on_rotated_and_reflected_cycles(n):
+    # declared in cycle order, forwards or backwards from any start, the
+    # canonical cycle is the declaration itself
+    names = [f"o{k}" for k in range(n)]
+    faces = [(names[k], names[(k + 1) % n]) for k in range(n)]
+    rotations = [names[r:] + names[:r] for r in range(n)]
+    for declared in rotations + [order[::-1] for order in rotations]:
+        scenario = MeasurementScenario.from_maximal(declared, faces[::-1], ("A", "B"))
+        tallies = {ctx: ContextTally(n_total=100, n_valid=100, n_same=k, n_diff=100 - k)
+                   for k, ctx in enumerate(maximal_contexts(scenario))}
+        model = EmpiricalModel.build(
+            scenario, {ctx: tally_distribution(t) for ctx, t in tallies.items()})
+        system = CyclicSystem.from_model(model)
+        expected = tuple(tuple(declared[i:i + 2]) for i in range(n - 1))
+        expected += ((declared[0], declared[-1]),)
+        assert system.contents == tuple(declared)
+        assert system.contexts == expected == cyclic_structure(scenario).contexts
+        assert cycle_order_tallies(scenario, tallies) == [tallies[c] for c in system.contexts]
+        # the walk does not depend on the order the model lists its contexts in
+        shuffled = EmpiricalModel(scenario, model.distributions[::-1])
+        assert CyclicSystem.from_model(shuffled) == system
 
 
 def test_cycle_order_rejects_non_cyclic():

@@ -3,10 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_model
-from oracles import signalling_by_faces
+from oracles import signalling_by_faces, signalling_pairwise
+from winoctx import empirical
 from winoctx.cbd import CyclicSystem
 from winoctx.empirical import (
     Distribution,
@@ -18,7 +19,7 @@ from winoctx.empirical import (
     outcome_tuples,
     signalling,
 )
-from winoctx.scenario import MeasurementScenario
+from winoctx.scenario import MeasurementScenario, maximal_contexts
 
 
 def test_marginal_of_bell_row_is_uniform(bell_model):
@@ -175,6 +176,128 @@ def test_signalling_matches_walk_over_shared_faces(name, outcomes):
             assert got == expected
         else:
             assert 0.0 <= expected - got <= 1e-15
+
+
+# every OVERLAP_SCENARIOS shape, plus contexts that share nothing and one
+# observable that every context shares
+SHAPES = {
+    **{name: contexts for name, (contexts, _) in OVERLAP_SCENARIOS.items()},
+    "disjoint": [("a", "b"), ("c", "d"), ("e",)],
+    "star": [("a", "w"), ("a", "x"), ("a", "y"), ("a", "z")],
+}
+
+
+def cycle_faces(n):
+    names = [f"o{k}" for k in range(n)]
+    return [(names[k], names[(k + 1) % n]) for k in range(n)]
+
+
+def pooled_model(scenario, rng):
+    """Each context's table drawn from a pool of two per arity, entries in
+    quarters: many pairs share a distance exactly, so ties are common."""
+    pools = {}
+    tables = {}
+    for ctx in maximal_contexts(scenario):
+        keys = list(product(scenario.outcomes, repeat=len(ctx)))
+        if len(ctx) not in pools:
+            pools[len(ctx)] = []
+            for _ in range(2):
+                cells = rng.choice(len(keys), size=4)
+                pools[len(ctx)].append({keys[c]: 0.0 for c in cells})
+                for c in cells:
+                    pools[len(ctx)][-1][keys[c]] += 0.25
+        tables[ctx] = pools[len(ctx)][rng.integers(2)]
+    return EmpiricalModel.build(scenario, tables)
+
+
+@st.composite
+def overlapping_models(draw):
+    outcomes = draw(st.sampled_from([("0", "1"), ("r", "g", "b")]))
+    if draw(st.booleans()):
+        faces = cycle_faces(draw(st.integers(3, 12 if len(outcomes) == 2 else 7)))
+    else:
+        faces = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    observables = draw(st.permutations(sorted(set().union(*faces))))
+    scenario = MeasurementScenario.from_maximal(observables, faces, outcomes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["global", "random", "perturbed", "pooled"]))
+    if kind == "pooled":
+        return pooled_model(scenario, rng)
+    return random_model(scenario, rng, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_models())
+def test_signalling_equals_all_pairs_oracle(model):
+    got = signalling(model)
+    expected = signalling_pairwise(model)
+    assert got.max_discrepancy.hex() == expected.max_discrepancy.hex()
+    assert got.worst == expected.worst
+
+
+def test_signalling_worst_is_the_first_pair_at_the_maximum():
+    # context 0 shares o09 with contexts 5 and 9 (a set of {5, 9} iterates
+    # 9 first), and both pairs reach the largest distance: the earlier
+    # pair is the worst
+    faces = [("o00", "o09"), ("o05", "o09"), ("o09", "o10")]
+    faces += [(f"o0{k}",) for k in (1, 2, 3, 4, 6, 7, 8)]
+    scenario = MeasurementScenario.from_maximal(
+        [f"o{k:02d}" for k in range(11)], faces, ("0", "1"))
+    tables = {}
+    for ctx in maximal_contexts(scenario):
+        keys = list(product(scenario.outcomes, repeat=len(ctx)))
+        tables[ctx] = {key: 1.0 / len(keys) for key in keys}
+    tables["o00", "o09"] = {("0", "0"): 1.0}
+    model = EmpiricalModel.build(scenario, tables)
+    assert model.contexts.index(("o05", "o09")) == 5
+    assert model.contexts.index(("o09", "o10")) == 9
+    report = signalling(model)
+    assert report == signalling_pairwise(model)
+    assert report.max_discrepancy == 1.0
+    assert report.worst == (("o09",), ("o00", "o09"), ("o05", "o09"))
+
+
+def count_signalling_work(monkeypatch, model):
+    """(pair comparisons, marginals) one `signalling` call makes."""
+    counts = {"pairs": 0, "marginals": 0}
+    pairs, marginal = empirical._overlapping_pairs, empirical._marginal
+
+    def counted_pairs(contexts):
+        for pair in pairs(contexts):
+            counts["pairs"] += 1
+            yield pair
+
+    def counted_marginal(*args):
+        counts["marginals"] += 1
+        return marginal(*args)
+
+    monkeypatch.setattr(empirical, "_overlapping_pairs", counted_pairs)
+    monkeypatch.setattr(empirical, "_marginal", counted_marginal)
+    signalling(model)
+    return counts["pairs"], counts["marginals"]
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_signalling_cost_on_a_cycle(monkeypatch, n):
+    faces = cycle_faces(n)
+    scenario = MeasurementScenario.from_maximal(sorted(set().union(*faces)), faces, ("0", "1"))
+    model = random_model(scenario, np.random.default_rng(n), "random")
+    assert count_signalling_work(monkeypatch, model) == (n, 2 * n)
+
+
+def test_signalling_cost_without_shared_observables(monkeypatch):
+    faces = [(f"x{k}", f"y{k}") for k in range(8)]
+    scenario = MeasurementScenario.from_maximal(sorted(set().union(*faces)), faces, ("0", "1"))
+    model = random_model(scenario, np.random.default_rng(0), "random")
+    assert count_signalling_work(monkeypatch, model) == (0, 0)
+    assert signalling(model) == signalling_pairwise(model)
+
+
+def test_signalling_marginalises_a_shared_face_once_per_context(monkeypatch):
+    # every pair of the star shares {a}: 6 comparisons, one marginal each
+    scenario = MeasurementScenario.from_maximal("awxyz", SHAPES["star"], ("0", "1"))
+    model = random_model(scenario, np.random.default_rng(0), "random")
+    assert count_signalling_work(monkeypatch, model) == (6, 4)
 
 
 def test_outcome_symmetry(judgment_model, pr_model):
