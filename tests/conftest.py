@@ -56,3 +56,23 @@ def random_symmetric_model(scenario, rng: np.random.Generator) -> EmpiricalModel
     # denominators are powers of two so every table entry is an exact double
     p_sames = rng.integers(0, 1025, size=4) / 2048.0
     return EmpiricalModel.build(scenario, symmetric_tables(scenario, p_sames))
+
+
+# 12 responses under cannibal_schema.json, 3 per version, one of them the
+# same referent twice: every correlation is -1/3, and many resamples land
+# exactly on the noncontextual facet s_odd = 2
+SMALL_N_RESPONSES = """\
+respondent_id,word1,word2,pick1,pick2
+s01,cannibalistic,hungry,AA,BB
+s02,cannibalistic,hungry,AB,BA
+s03,cannibalistic,hungry,AB,BA
+s04,cannibalistic,alive,AA,BB
+s05,cannibalistic,alive,AB,BA
+s06,cannibalistic,alive,AB,BA
+s07,herbivorous,hungry,AA,BB
+s08,herbivorous,hungry,AB,BA
+s09,herbivorous,hungry,AB,BA
+s10,herbivorous,alive,AA,BB
+s11,herbivorous,alive,AB,BA
+s12,herbivorous,alive,AB,BA
+"""

@@ -25,7 +25,9 @@ and `validate` on a model whose probs repeat a key; `schema --compile` and
 `schema --instantiate` on the schema whose noun phrase holds "|", `schema
 --compile` on the non-conforming sid_mark fixture and, with --instantiate
 as well, its flag error; and `analyze` and `bootstrap` of the fixture
-responses under that schema.
+responses under that schema; and `bootstrap` of violation and cf on a
+12-response file whose draws often land exactly on the noncontextual facet,
+at --samples 100000 --seed 0.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
@@ -50,6 +52,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SMALL_N_RESPONSES
 from winoctx.cli import main
 from winoctx.fixtures import fixture_path
 
@@ -133,6 +136,7 @@ REPEAT_INPUTS = {
     "unknown_then_repeat": HEADER + "r1,cannibalistic,hungry,AA,BB\n"
     + "zz,nope,never,AA,BB\n" + "r1,cannibalistic,hungry,AA,BB\n",
 }
+CSV_INPUTS = {**REPEAT_INPUTS, "small_n": SMALL_N_RESPONSES}
 
 # a scenario with several problems: alone, named by path from a model, and
 # inline in a model whose distributions are not a list
@@ -195,6 +199,9 @@ COMMANDS = {
     "validate_repeated_key_model": ["validate", "{tmp}/repeated_key_model.json"],
     "analyze_sid_mark": ["analyze", "--responses", RESPONSES[0], "--schema", SID_MARK],
     "bootstrap_sid_mark": ["bootstrap", RESPONSES[0], SID_MARK, *SEEDED],
+    **{f"bootstrap_small_n_{stat}": ["bootstrap", "{tmp}/small_n.csv", RESPONSES[1],
+                                     "--statistic", stat, "--samples", "100000", "--seed", "0"]
+       for stat in ("violation", "cf")},
 }
 
 SCHEMA_COMMANDS = {
@@ -217,7 +224,7 @@ def write_inputs(directory):
         Path(directory, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
     for name, text in RAW_INPUTS.items():
         Path(directory, name + ".json").write_text(text, encoding="utf-8")
-    for name, text in REPEAT_INPUTS.items():
+    for name, text in CSV_INPUTS.items():
         Path(directory, name + ".csv").write_text(text, encoding="utf-8")
 
 
