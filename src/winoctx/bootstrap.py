@@ -21,8 +21,11 @@ of |correlation|, the least |correlation| and the parity of the negative
 ones.  s_odd follows from those, and the statistic is computed in place, so
 a run holds 17 bytes per draw plus one block's temporaries, and never a
 draws x contexts array.  `contextual_fraction` turns each draw's s_odd
-into cf and lives here, its one user, beside `s_odd_rows`, the same fold on
-the columns of a matrix, which tests check against `cbd.s_odd`.
+into cf and lives here, its one user.
+
+Every statistic counts a draw toward `fraction_positive` when it is above
+`tol`, as `analyze` decides its verdicts (cnt1 > tol, cf > tol): a draw on
+the facet s_odd = n - 2 can read 4.4e-16 through rounding.
 
 numpy is imported inside the functions that touch arrays, so that the
 commands that import this module without drawing (`winoctx analyze`,
@@ -73,7 +76,7 @@ class BootstrapConfig:
     seed: int = 0
     statistic: str = "violation"
     workers: int = 1  # accepted for compatibility; runs are single-threaded
-    tol: float = PROB_TOL  # a cf draw counts as positive when cf > tol
+    tol: float = PROB_TOL  # a draw counts as positive when its statistic > tol
 
     def __post_init__(self):
         if self.seed < 0:
@@ -157,18 +160,6 @@ def _fold_s_odd(n_rows: int, blocks) -> np.ndarray:
     least[odd] = 0.0
     total -= least
     return total
-
-
-def s_odd_rows(rows: np.ndarray) -> np.ndarray:
-    """Closed-form `cbd.s_odd` applied to each row of a 2-d array: the fold
-    that `run` applies to its draws, applied to the array's columns."""
-    import numpy as np
-
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise BootstrapError("expected a 2-d array of sign-sum inputs")
-    columns = range(a.shape[1])
-    return _fold_s_odd(a.shape[0], ((slice(None), a[:, j]) for j in columns))
 
 
 def contextual_fraction(s_odd: np.ndarray, rank: int) -> np.ndarray:
@@ -321,13 +312,10 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     else:
         samples = contextual_fraction(samples, rank)
 
-    # a noncontextual draw's cf can sit a rounding step above 0, so cf is
-    # counted as positive above tol, as sheaf.is_noncontextual decides it
-    threshold = config.tol if config.statistic == "cf" else 0.0
     return BootstrapResult(
         samples=samples,
         mean=float(samples.mean()),
         std=float(samples.std()),
-        fraction_positive=float((samples > threshold).mean()),
+        fraction_positive=float((samples > config.tol).mean()),
         histogram=histogram(samples),
     )

@@ -20,9 +20,8 @@ s_odd <= n - 2 are the n-cycle noncontextuality facets (Araujo et al.,
 PRA 88, 022118, 2013).  s_odd and the sign pattern attaining it have an
 O(n) closed form (`chsh_pattern`); the sign-vector enumeration lives only
 in the test oracles.  The cf below taken from many draws' s_odd at once,
-`contextual_fraction`, lives in `bootstrap`, its one user, beside
-`s_odd_rows`, the same closed form folded over the columns of many rows,
-so that this module needs no numpy.
+`contextual_fraction`, lives in `bootstrap`, its one user, so that this
+module needs no numpy.
 
 The contextual fraction of a non-signalling binary cycle is closed form too:
 

@@ -10,8 +10,8 @@ source of its output: --format json prints it, and the text is a view of it.
 
 Flags, on the subcommands that read them: --format text|json (validate,
 analyze, bootstrap), --tol (analyze: signalling tolerance, default 1e-9;
-bootstrap --statistic cf: the least cf counted as positive), --seed
-(bootstrap resampling seed).
+bootstrap: a draw counts toward fraction_positive when its statistic >
+tol), --seed (bootstrap resampling seed).
 
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
 bad probabilities, non-conforming schema, unknown words), 2 the input could
@@ -33,7 +33,8 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .bootstrap import BIN_WIDTH, GENERATOR, SAMPLER, BootstrapConfig, cycle_order_tallies, run
+from .bootstrap import (BIN_WIDTH, GENERATOR, SAMPLER, STATISTICS, BootstrapConfig,
+                        cycle_order_tallies, run)
 from .empirical import PROB_TOL
 from .files import (
     FileFormatError,
@@ -235,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema", help="two-pronoun schema file")
     p.add_argument("--samples", type=int, default=100_000,
                    help="number of resamples (default 100000)")
-    p.add_argument("--statistic", choices=("violation", "cnt1", "cf"),
-                   default="violation")
+    p.add_argument("--statistic", choices=STATISTICS, default="violation")
     p.add_argument("--out", help="write histogram CSV (bin_center,density)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and checked (>= 1) for compatibility; every "
@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style (default text)")
     p.add_argument("--tol", type=_tolerance, default=PROB_TOL,
-                   help="a cf draw counts toward fraction_positive when cf > tol "
-                        "(default 1e-9); violation and cnt1 count > 0")
+                   help="a draw counts toward fraction_positive when its "
+                        "statistic > tol (default 1e-9)")
     p.add_argument("--seed", type=int, default=0, help="resampling seed (default 0)")
     p.set_defaults(func=cmd_bootstrap)
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import binomial_pmf_exact, bootstrap_samples_matrix, resample_counts_matrix
 from winoctx import bootstrap, sheaf
@@ -18,7 +19,7 @@ from winoctx.bootstrap import (
 )
 from winoctx.cbd import CyclicSystem, s_odd
 from winoctx.cli import main
-from winoctx.empirical import EmpiricalModel
+from winoctx.empirical import PROB_TOL, EmpiricalModel
 from winoctx.files import load_schema
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import ContextTally, aggregate, parse_responses, tally_distribution
@@ -298,9 +299,29 @@ def test_cf_fraction_positive_is_decided_at_tol():
     assert loose.fraction_positive == float((loose.samples > 0.05).mean())
     assert strict.fraction_positive == float((strict.samples > 0.0).mean())
     assert loose.fraction_positive < strict.fraction_positive
-    # the other statistics keep counting > 0
+    # the other statistics count > tol too
     v = run(tallies, BootstrapConfig(n_resamples=400, seed=5, tol=0.05))
-    assert v.fraction_positive == float((v.samples > 0.0).mean())
+    assert v.fraction_positive == float((v.samples > 0.05).mean())
+
+
+small_rank4_tallies = st.lists(
+    st.integers(1, 12).flatmap(lambda n: st.integers(0, n).map(
+        lambda s: ContextTally(n_total=n, n_valid=n, n_same=s, n_diff=n - s))),
+    min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rank4_tallies, st.integers(0, 2**63))
+def test_every_statistic_counts_a_draw_above_tol(tallies, seed):
+    # a draw on the facet s_odd = 2 reads 0 up to rounding under every
+    # statistic.  cf is half the violation above it, so the two could part
+    # only on a violation in (tol, 2 tol]; with n_valid <= 12 a nonzero
+    # violation is at least 1 / 12**4, so at the default tol all three agree
+    results = [run(tallies, BootstrapConfig(n_resamples=4000, seed=seed, statistic=stat))
+               for stat in bootstrap.STATISTICS]
+    for result in results:
+        assert result.fraction_positive == float((result.samples > PROB_TOL).mean())
+    assert len({result.fraction_positive for result in results}) == 1
 
 
 BLOCK = bootstrap._BLOCK

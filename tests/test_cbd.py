@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_model
-from oracles import chsh_patterns_by_enumeration, cyclic_system_by_signs, s_odd_by_enumeration
+from oracles import (
+    chsh_patterns_by_enumeration,
+    cyclic_system_by_signs,
+    resample_counts_matrix,
+    s_odd_by_enumeration,
+)
 from winoctx import sheaf
-from winoctx.bootstrap import contextual_fraction, s_odd_rows
+from winoctx.bootstrap import BootstrapConfig, contextual_fraction, run
 from winoctx.cbd import (
     CyclicSystem,
     CyclicSystemError,
@@ -19,6 +24,7 @@ from winoctx.cbd import (
     s_odd,
 )
 from winoctx.empirical import EmpiricalModel
+from winoctx.ingest import ContextTally
 from winoctx.scenario import MeasurementScenario, maximal_contexts
 
 
@@ -62,11 +68,21 @@ def test_closed_form_matches_enumeration(values):
 
 
 def test_s_odd_rows_matches_scalar():
+    """`bootstrap.run` folds each draw's correlations into s_odd: its cnt1
+    draws plus (rank - 2) are `s_odd` of the correlations rebuilt from the
+    oracle's resampled counts."""
     rng = np.random.default_rng(21)
-    rows = rng.uniform(-1.0, 1.0, size=(50, 4))
-    vector = s_odd_rows(rows)
-    for i in range(rows.shape[0]):
-        assert vector[i] == pytest.approx(s_odd(tuple(rows[i])), abs=1e-12)
+    for rank in (4, 6):
+        n_valid = rng.integers(1, 200, size=rank)
+        tallies = [ContextTally(n_total=int(n), n_valid=int(n), n_same=int(s),
+                                n_diff=int(n - s))
+                   for n, s in zip(n_valid, rng.integers(0, n_valid + 1))]
+        config = BootstrapConfig(n_resamples=50, seed=rank, statistic="cnt1")
+        vector = run(tallies, config).samples + (rank - 2)
+        counts = resample_counts_matrix(tallies, config.n_resamples, config.seed)
+        for row, value in zip(counts, vector):
+            correlations = tuple((2.0 * row - n_valid) / n_valid)
+            assert value == pytest.approx(s_odd(correlations), abs=1e-12)
 
 
 def test_from_model_judgment(judgment_model):
@@ -254,7 +270,7 @@ def test_closed_form_cf_matches_the_lp(cycle):
     closed = system.contextual_fraction
     assert type(closed) is float
     assert closed == pytest.approx(sheaf.contextual_fraction(model).cf, abs=1e-12)
-    s_odd_row = s_odd_rows(np.array([system.correlations]))
+    s_odd_row = np.array([s_odd(system.correlations)])
     assert contextual_fraction(s_odd_row, system.rank)[0] == pytest.approx(closed, abs=1e-12)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import winoctx
+from conftest import SMALL_N_RESPONSES
 from winoctx.bootstrap import MAX_RESAMPLES, BootstrapConfig, cycle_order_tallies, run
 from winoctx.cli import main
 from winoctx.files import load_schema, scenario_from_dict
@@ -474,6 +475,20 @@ def test_bootstrap_tol_decides_cf_positivity(capsys):
     assert fractions["1e-9"] == float((samples > 1e-9).mean())
     assert fractions["0.1"] == float((samples > 0.1).mean())
     assert fractions["0.1"] < fractions["1e-9"]
+
+
+def test_bootstrap_statistics_agree_on_draws_at_the_facet(tmp_path, capsys):
+    # every correlation -1/3, and many resamples land on s_odd = 2 exactly,
+    # where violation and cnt1 read 0 up to rounding and cf reads 0
+    responses = tmp_path / "small_n.csv"
+    responses.write_text(SMALL_N_RESPONSES, encoding="utf-8")
+    for statistic in ("violation", "cnt1", "cf"):
+        code, out, _ = run_cli(
+            capsys, "bootstrap", str(responses), fx("cannibal_schema.json"),
+            "--statistic", statistic, "--samples", "100000", "--seed", "0", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["fraction_positive"] == 0.24134
 
 
 def test_bootstrap_runs_are_reproducible(tmp_path, capsys):
