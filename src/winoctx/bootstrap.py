@@ -46,15 +46,15 @@ thread count can change a bit either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .empirical import PROB_TOL
-from .ingest import ContextTally
-from .scenario import Context, MeasurementScenario, cyclic_structure
+from .scenario import Context, Frozen, MeasurementScenario, cyclic_structure
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .ingest import ContextTally
 
 GENERATOR = "philox4x64-10"
 SAMPLER = "walker-alias"
@@ -70,42 +70,40 @@ class BootstrapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
-    n_resamples: int = 100_000
-    seed: int = 0
-    statistic: str = "violation"
-    workers: int = 1  # accepted for compatibility; runs are single-threaded
-    tol: float = PROB_TOL  # a draw counts as positive when its statistic > tol
+class BootstrapConfig(Frozen):
+    _fields = ("n_resamples", "seed", "statistic", "workers", "tol")
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise BootstrapError(f"seed must be >= 0, got {self.seed}")
-        if self.n_resamples < 1:
+    def __init__(self, n_resamples: int = 100_000, seed: int = 0,
+                 statistic: str = "violation",
+                 workers: int = 1,        # accepted for compatibility; runs are single-threaded
+                 tol: float = PROB_TOL):  # a draw counts as positive when its statistic > tol
+        if seed < 0:
+            raise BootstrapError(f"seed must be >= 0, got {seed}")
+        if n_resamples < 1:
             raise BootstrapError("n_resamples must be >= 1")
-        if self.n_resamples > MAX_RESAMPLES:
+        if n_resamples > MAX_RESAMPLES:
             raise BootstrapError(
-                f"n_resamples {self.n_resamples} exceeds the cap of {MAX_RESAMPLES} draws"
+                f"n_resamples {n_resamples} exceeds the cap of {MAX_RESAMPLES} draws"
             )
-        if self.statistic not in STATISTICS:
+        if statistic not in STATISTICS:
             raise BootstrapError(
-                f"unknown statistic {self.statistic!r}, pick one of {list(STATISTICS)}"
+                f"unknown statistic {statistic!r}, pick one of {list(STATISTICS)}"
             )
-        if self.workers < 1:
+        if workers < 1:
             raise BootstrapError("workers must be >= 1")
-        if not 0.0 <= self.tol < math.inf:  # written so that NaN fails it
+        if not 0.0 <= tol < math.inf:  # written so that NaN fails it
             raise BootstrapError("tol must be a finite number >= 0")
+        super().__init__(n_resamples=n_resamples, seed=seed, statistic=statistic,
+                         workers=workers, tol=tol)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     centers: np.ndarray
     densities: np.ndarray
     bin_width: float
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     samples: np.ndarray
     mean: float
     std: float  # population denominator
@@ -188,8 +186,7 @@ def cycle_order_tallies(
     return ordered
 
 
-@dataclass(frozen=True)
-class AliasTable:
+class AliasTable(NamedTuple):
     """Walker alias table of one context's resampled same-pick count.
 
     Slot j yields the count `counts[j]` with probability `prob[j]` and the

@@ -62,12 +62,11 @@ certificate is the n-cycle inequality of s: its gap to the bound is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .empirical import EmpiricalModel
-from .scenario import Context, Observable, cycle_through
+from .scenario import Context, Frozen, Observable, cycle_through
 
 
 class CyclicSystemError(ValueError):
@@ -84,8 +83,7 @@ def s_odd(values: Sequence[float]) -> float:
     return math.fsum(s * x for s, x in zip(chsh_pattern(v), v))
 
 
-@dataclass(frozen=True)
-class CyclicSystem:
+class CyclicSystem(Frozen):
     """Cycle-ordered correlations plus each content's two expectations.
 
     contents[i] sits in contexts[i-1] and contexts[i]; expectations[i] holds
@@ -93,21 +91,22 @@ class CyclicSystem:
     are computed once, on first use: a report reads them several times.
     """
 
-    contents: tuple[Observable, ...]
-    contexts: tuple[Context, ...]
-    correlations: tuple[float, ...]
-    expectations: tuple[tuple[float, float], ...]
+    _fields = ("contents", "contexts", "correlations", "expectations")
+
+    def __init__(self, contents: tuple[Observable, ...], contexts: tuple[Context, ...],
+                 correlations: tuple[float, ...],
+                 expectations: tuple[tuple[float, float], ...]):
+        n = len(contents)
+        if n < 3:
+            raise CyclicSystemError(f"cyclic systems need rank >= 3, got {n}")
+        if not (len(contexts) == len(correlations) == len(expectations) == n):
+            raise CyclicSystemError("contents/contexts/correlations/expectations must align")
+        super().__init__(contents=contents, contexts=contexts, correlations=correlations,
+                         expectations=expectations)
 
     @property
     def rank(self) -> int:
         return len(self.contents)
-
-    def __post_init__(self):
-        n = len(self.contents)
-        if n < 3:
-            raise CyclicSystemError(f"cyclic systems need rank >= 3, got {n}")
-        if not (len(self.contexts) == len(self.correlations) == len(self.expectations) == n):
-            raise CyclicSystemError("contents/contexts/correlations/expectations must align")
 
     @classmethod
     def from_model(cls, model: EmpiricalModel) -> "CyclicSystem":

@@ -8,13 +8,12 @@ exactly 0.0 rather than merely small; `cbd` sums expectations the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .scenario import Context, MeasurementScenario, maximal_contexts
+from .scenario import Context, Frozen, MeasurementScenario, maximal_contexts
 
 PROB_TOL = 1e-9
 
@@ -28,17 +27,18 @@ def outcome_tuples(outcome_set: tuple[str, ...], arity: int) -> list[tuple[str, 
     return list(product(outcome_set, repeat=arity))
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """A probability table over joint outcomes of one context.
 
     The table is dense: every joint outcome has an entry, missing input
     entries are filled with 0.0 by `from_mapping`.
     """
 
-    context: Context
-    outcome_set: tuple[str, ...]
-    table: Mapping[tuple[str, ...], float]
+    _fields = ("context", "outcome_set", "table")
+
+    def __init__(self, context: Context, outcome_set: tuple[str, ...],
+                 table: Mapping[tuple[str, ...], float]):
+        super().__init__(context=context, outcome_set=outcome_set, table=table)
 
     @classmethod
     def from_mapping(
@@ -100,10 +100,11 @@ def _marginal(
     return [math.fsum(ps) for ps in buckets.values()]
 
 
-@dataclass(frozen=True)
-class EmpiricalModel:
-    scenario: MeasurementScenario
-    distributions: tuple[Distribution, ...]
+class EmpiricalModel(Frozen):
+    _fields = ("scenario", "distributions")
+
+    def __init__(self, scenario: MeasurementScenario, distributions: tuple[Distribution, ...]):
+        super().__init__(scenario=scenario, distributions=distributions)
 
     @classmethod
     def build(
@@ -144,8 +145,7 @@ class EmpiricalModel:
             raise EmpiricalModelError(f"no distribution for context {context!r}") from None
 
 
-@dataclass(frozen=True)
-class SignallingReport:
+class SignallingReport(NamedTuple):
     max_discrepancy: float
     worst: Optional[tuple[tuple[str, ...], Context, Context]]  # intersection, two contexts
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 import csv
 import gc
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .empirical import EmpiricalModel
-from .scenario import Context
+from .scenario import Context, Frozen
 from .schema import SchemaError, WinogradSchema, version_contexts, ws_scenario
 
 HEADER = ("respondent_id", "word1", "word2", "pick1", "pick2")
@@ -60,8 +59,7 @@ class ResponseRecord(NamedTuple):
     picks: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     records: tuple[ResponseRecord, ...]
     problems: tuple[str, ...]  # malformed lines, reported not dropped silently
 
@@ -70,20 +68,19 @@ class ParseResult:
         return not self.problems
 
 
-@dataclass(frozen=True)
-class ContextTally:
-    n_total: int
-    n_valid: int
-    n_same: int  # picks {AA,BB}
-    n_diff: int  # picks {AB,BA}
+class ContextTally(Frozen):
+    _fields = ("n_total", "n_valid", "n_same", "n_diff")
 
-    def __post_init__(self):
-        if self.n_same + self.n_diff != self.n_valid:
+    def __init__(self, n_total: int, n_valid: int,
+                 n_same: int,   # picks {AA,BB}
+                 n_diff: int):  # picks {AB,BA}
+        if n_same + n_diff != n_valid:
             raise IngestError("n_valid must equal n_same + n_diff")
-        if self.n_valid > self.n_total:
+        if n_valid > n_total:
             raise IngestError("n_valid cannot exceed n_total")
-        if min(self.n_total, self.n_valid, self.n_same, self.n_diff) < 0:
+        if min(n_total, n_valid, n_same, n_diff) < 0:
             raise IngestError("negative tally")
+        super().__init__(n_total=n_total, n_valid=n_valid, n_same=n_same, n_diff=n_diff)
 
 
 def validate_response(record: ResponseRecord) -> bool:

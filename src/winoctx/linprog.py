@@ -23,10 +23,11 @@ non-signalling binary cycle has its cf in closed form (`cbd`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .scenario import Frozen
 
 PIVOT_TOL = 1e-10
 MAX_SIZE = 1024
@@ -54,18 +55,16 @@ def check_size(m: int, n: int) -> None:
         raise LpSizeError(f"{m}x{n} problem exceeds the {MAX_SIZE}x{MAX_SIZE} cap")
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """max objective.x  s.t.  lhs x <= rhs,  x >= 0,  rhs >= 0."""
+class LpProblem(Frozen):
+    """max objective.x  s.t.  lhs x <= rhs,  x >= 0,  rhs >= 0; each held
+    as a float array."""
 
-    objective: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    _fields = ("objective", "lhs", "rhs")
 
-    def __post_init__(self):
-        obj = np.asarray(self.objective, dtype=float)
-        lhs = np.asarray(self.lhs, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
+    def __init__(self, objective: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
+        obj = np.asarray(objective, dtype=float)
+        lhs = np.asarray(lhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
         if lhs.ndim != 2:
             raise LpError("lhs must be a 2-d matrix")
         m, n = lhs.shape
@@ -78,13 +77,10 @@ class LpProblem:
             raise LpError("non-finite coefficients")
         if (rhs < 0).any():
             raise LpError("rhs must be >= 0: the slack basis is the starting vertex")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        super().__init__(objective=obj, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str
     x: Optional[np.ndarray]
     dual: Optional[np.ndarray]  # row multipliers, >= 0 at the optimum

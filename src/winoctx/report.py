@@ -15,40 +15,47 @@ other model, signalling cycles included, gets the `sheaf` linear program;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import cbd
 from .empirical import PROB_TOL, EmpiricalModel, is_outcome_symmetric, signalling
 from .files import distributions_to_list
-from .ingest import ContextTally
-from .scenario import Context
+from .scenario import Context, Frozen
+
+if TYPE_CHECKING:
+    from .ingest import ContextTally
 
 
 def fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-@dataclass
-class CfReport:
+class CfReport(NamedTuple):
     cf: float
     ncf_weight: float
     gap: float
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Frozen):
     """The model and its measures; the verdicts are read off the measures,
-    and `to_dict` is the one place that lays them out as a document."""
+    and `to_dict` is the one place that lays them out as a document.
 
-    model: EmpiricalModel
-    signalling: float
-    tol: float
-    outcome_symmetric: Optional[bool]
-    cyclic: Optional[cbd.CyclicSystem]
-    cf: Optional[CfReport]
-    tallies: Optional[dict[Context, ContextTally]] = None
-    notices: list[str] = field(default_factory=list)
+    Compared and printed by its fields like a `Frozen` value, but mutable
+    and so unhashable."""
+
+    _fields = ("model", "signalling", "tol", "outcome_symmetric", "cyclic", "cf", "tallies",
+               "notices")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, model: EmpiricalModel, signalling: float, tol: float,
+                 outcome_symmetric: Optional[bool], cyclic: Optional[cbd.CyclicSystem],
+                 cf: Optional[CfReport], tallies: Optional[dict[Context, ContextTally]] = None,
+                 notices: Optional[list[str]] = None):
+        super().__init__(model=model, signalling=signalling, tol=tol,
+                         outcome_symmetric=outcome_symmetric, cyclic=cyclic, cf=cf,
+                         tallies=tallies, notices=[] if notices is None else notices)
 
     @property
     def non_signalling(self) -> bool:

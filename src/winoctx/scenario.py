@@ -10,14 +10,16 @@ Outcome labels are declared in order (`cbd` reads the first as +1) and may
 not contain SEPARATOR, which joins them into joint-outcome keys.
 Invariants are checked when a scenario is made, so an invalid one never
 exists and the code that uses a scenario trusts it.
+
+`Frozen`, the base of the package's validated value types, lives here, in
+the module every other one imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Observable = str
 # A context is a tuple of observables ordered by scenario declaration order.
@@ -41,8 +43,45 @@ class InvalidScenarioError(ValueError):
         self.problems = problems
 
 
-@dataclass(frozen=True)
-class CyclicStructure:
+class Frozen:
+    """An immutable value over the attributes named in `_fields`.
+
+    A subclass checks its arguments in `__init__` and hands them to this
+    one, which sets them once.  Instances compare equal only to instances
+    of the same class with equal fields, and hash and print by those fields
+    (`Name(field=value, ...)`).  Assigning or deleting any attribute raises
+    AttributeError; `functools.cached_property` still works, as it writes
+    the instance `__dict__` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class CyclicStructure(NamedTuple):
     """A cyclic arrangement of contents: consecutive pairs along `ordering`
     (wrapping around) are exactly the maximal contexts of the scenario.
 
@@ -56,8 +95,7 @@ class CyclicStructure:
     contexts: tuple[Context, ...]
 
 
-@dataclass(frozen=True)
-class MeasurementScenario:
+class MeasurementScenario(Frozen):
     """Observables, the maximal contexts of a complex, and an ordered outcome
     set.
 
@@ -67,16 +105,16 @@ class MeasurementScenario:
     :meth:`from_maximal` builds one from a list of faces (scenario files).
     """
 
-    observables: tuple[Observable, ...]
-    contexts: frozenset[Face]
-    outcomes: tuple[str, ...]
+    _fields = ("observables", "contexts", "outcomes")
 
-    def __post_init__(self):
-        faces = self.contexts - {frozenset()}
+    def __init__(self, observables: tuple[Observable, ...], contexts: frozenset[Face],
+                 outcomes: tuple[str, ...]):
+        faces = contexts - {frozenset()}
         if len(faces) > MAX_FACES:
             raise InvalidScenarioError(
                 (f"{len(faces)} faces exceed the supported {MAX_FACES}",))
-        object.__setattr__(self, "contexts", frozenset(maximal_only(faces)))
+        super().__init__(observables=observables, contexts=frozenset(maximal_only(faces)),
+                         outcomes=outcomes)
         if problems := validate(self):
             raise InvalidScenarioError(problems)
 

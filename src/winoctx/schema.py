@@ -19,11 +19,10 @@ any other placeholder, so every schema instantiates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from string import Template
 
-from .scenario import Context, MeasurementScenario, separator_problems
+from .scenario import Context, Frozen, MeasurementScenario, separator_problems
 
 # slot counts spelled out; a schema has 1 to MAX_SLOTS pronoun slots
 _COUNTS = ("one", "two")
@@ -43,22 +42,20 @@ def flavor_of(slots: int) -> str:
     return f"{_COUNTS[slots - 1]}-pronoun"
 
 
-@dataclass(frozen=True)
-class WinogradSchema:
+class WinogradSchema(Frozen):
     """Slot i has pronoun pronouns[i] and words special[i]/alternate[i].
     Made only valid: construction raises SchemaError listing every problem."""
 
-    noun_phrases: tuple[str, str]
-    pronouns: tuple[str, ...]
-    special: tuple[str, ...]
-    alternate: tuple[str, ...]
-    template: str
+    _fields = ("noun_phrases", "pronouns", "special", "alternate", "template")
 
-    def __post_init__(self) -> None:
-        shape = (len(self.pronouns), len(self.special), len(self.alternate))
+    def __init__(self, noun_phrases: tuple[str, str], pronouns: tuple[str, ...],
+                 special: tuple[str, ...], alternate: tuple[str, ...], template: str):
+        shape = (len(pronouns), len(special), len(alternate))
         if not 1 <= shape[0] <= MAX_SLOTS or len(set(shape)) != 1:
             raise SchemaError(f"pronouns, special and alternate need the same "
                               f"number of entries, 1 to {MAX_SLOTS}; got {shape}")
+        super().__init__(noun_phrases=noun_phrases, pronouns=pronouns, special=special,
+                         alternate=alternate, template=template)
         if problems := _validate_ws(self):
             raise SchemaError(*problems)
 

@@ -26,8 +26,7 @@ signalling, non-binary and non-cyclic models, within the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def global_assignments(scenario: MeasurementScenario) -> list[tuple[str, ...]]:
     return outcome_tuples(scenario.outcomes, len(scenario.observables))
 
 
-@dataclass(frozen=True)
-class IncidenceSystem:
+class IncidenceSystem(NamedTuple):
     """Rows are (context, joint outcome) pairs in a fixed order; columns are
     global assignments.  matrix[r, g] = 1 when assignment g restricts to
     row r's outcome."""
@@ -85,8 +83,7 @@ def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
     )
 
 
-@dataclass(frozen=True)
-class CfResult:
+class CfResult(NamedTuple):
     """The consistency program's optimum and its certificate.
 
     Meaningful (in [0, 1], convex, 0 iff noncontextual) only for

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 
@@ -359,7 +358,8 @@ def test_from_model_matches_the_sign_map_bit_for_bit(model):
 @given(binary_cycles())
 def test_reversing_the_declared_outcomes_negates_every_expectation(model):
     scenario = model.scenario
-    reversed_ = dataclasses.replace(scenario, outcomes=scenario.outcomes[::-1])
+    reversed_ = MeasurementScenario(scenario.observables, scenario.contexts,
+                                    scenario.outcomes[::-1])
     tables = {dist.context: dist.table for dist in model.distributions}
     system = CyclicSystem.from_model(model)
     flipped = CyclicSystem.from_model(EmpiricalModel.build(reversed_, tables))

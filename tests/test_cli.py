@@ -776,7 +776,48 @@ def test_numpy_is_imported_only_for_the_lp(tmp_path):
     assert json.loads(steps[-1][2])["contextual_fraction"]["cf"] == 0.0
 
 
-BOOTSTRAP_ARGV = ["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json")]
+# class generation by `exec` and signature introspection; no command needs them
+MACHINERY = ("dataclasses", "inspect")
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from winoctx.cli import main
+MACHINERY = json.loads(sys.argv[2])
+print(json.dumps([0, [m for m in MACHINERY if m in sys.modules]]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, [m for m in MACHINERY if m in sys.modules]]))
+"""
+
+
+def test_numpy_free_commands_start_without_the_dataclasses_machinery():
+    numpy_free = [
+        ["analyze", fx("cannibal_judgment_model.json"), "--format", "json"],
+        ["analyze", "--responses", fx("cannibal_responses.csv"),
+         "--schema", fx("cannibal_schema.json")],
+        ["validate", fx("cannibal_responses.csv")],
+        ["validate", fx("cannibal_judgment_model.json")],
+        ["validate", fx("cannibal_schema.json")],
+        ["schema", fx("cannibal_schema.json"), "--compile"],
+        ["schema", fx("cannibal_schema.json"), "--instantiate", "herbivorous", "alive"],
+    ]
+    proc = python_process("-c", STARTUP_PROBE, json.dumps(numpy_free), json.dumps(MACHINERY))
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert steps == [[0, []]] * (1 + len(numpy_free))
+
+
+@pytest.mark.parametrize("module", ["winoctx.report", "winoctx.bootstrap"])
+def test_report_and_bootstrap_import_without_ingest(module):
+    # they name ContextTally only in annotations
+    probe = f"import sys, {module}; print(sorted({{'winoctx.ingest', 'csv'}} & set(sys.modules)))"
+    proc = python_process("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+BOOTSTRAP_ARGV =["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json")]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")

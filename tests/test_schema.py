@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -11,6 +10,13 @@ from winoctx.ingest import aggregate
 from winoctx.scenario import cyclic_structure, maximal_contexts, validate
 from winoctx.schema import SchemaError, WinogradSchema, instantiate, observable_id, ws_scenario
 from winoctx.sheaf import contextual_fraction
+
+
+def rebuilt(schema, **changes):
+    """A schema made anew from `schema`'s fields, with `changes` applied."""
+    fields = dict(noun_phrases=schema.noun_phrases, pronouns=schema.pronouns,
+                  special=schema.special, alternate=schema.alternate, template=schema.template)
+    return WinogradSchema(**{**fields, **changes})
 
 
 def problems_of(build, *args, **kwargs):
@@ -43,13 +49,13 @@ def cannibal():
 
 def test_noun_phrase_holding_the_separator_reported(cannibal):
     # joint outcomes (a, a|a) and (a|a, a) would both be written a|a|a
-    assert problems_of(dataclasses.replace, cannibal, noun_phrases=("a", "a|a")) == (
+    assert problems_of(rebuilt, cannibal, noun_phrases=("a", "a|a")) == (
         "noun phrase 'a|a' contains '|', the joint-outcome separator",)
 
 
 def test_councilmen_scenario(councilmen):
     assert len(councilmen.pronouns) == 1
-    assert dataclasses.replace(councilmen) == councilmen  # made without a problem
+    assert rebuilt(councilmen) == councilmen  # made without a problem
     scenario = ws_scenario(councilmen)
     assert set(scenario.observables) == {"(they,feared)", "(they,advocated)"}
     assert scenario.outcomes == ("the city councilmen", "the demonstrators")
@@ -89,7 +95,7 @@ def test_shared_pronoun_text_is_allowed(cannibal):
     # both pronouns print as "one of them"; the four observables stay
     # distinct because the word half of the id differs
     assert cannibal.pronouns == ("one of them", "one of them")
-    assert dataclasses.replace(cannibal) == cannibal  # made without a problem
+    assert rebuilt(cannibal) == cannibal  # made without a problem
     scenario = ws_scenario(cannibal)
     assert len(set(scenario.observables)) == 4
 
@@ -146,7 +152,7 @@ def test_problem_list_of_templates_without_markers(cannibal, councilmen):
 def test_placeholders_instantiate_cannot_fill_are_reported(cannibal, tail, marker):
     problem = f"template has {marker!r}, not a marker (write $$ for a literal $)"
     template = cannibal.template + tail
-    assert problems_of(dataclasses.replace, cannibal, template=template) == (problem,)
+    assert problems_of(rebuilt, cannibal, template=template) == (problem,)
     doc = {**schema_to_dict(cannibal), "template": template}
     assert problems_of(schema_from_dict, doc) == (problem,)
 
@@ -154,14 +160,14 @@ def test_placeholders_instantiate_cannot_fill_are_reported(cannibal, tail, marke
 def test_markers_are_counted_as_instantiate_fills_them(cannibal, councilmen):
     # $$ is a literal $, so $${word1} is no marker; $word1 is one
     escaped = cannibal.template.replace("${word1}", "$${word1}") + " $$5"
-    assert problems_of(dataclasses.replace, cannibal, template=escaped) == (
+    assert problems_of(rebuilt, cannibal, template=escaped) == (
         "template has 0 of ${word1}, needs exactly 1",)
-    bare = dataclasses.replace(  # made without a problem
+    bare = rebuilt(  # made without a problem
         cannibal, template=cannibal.template.replace("${word1}", "$word1") + " $$5")
     assert instantiate(bare, "herbivorous", "alive").startswith(
         "A and B are animals of one herbivorous species.")
     assert instantiate(bare, "herbivorous", "alive").endswith(" $5")
-    assert problems_of(dataclasses.replace, councilmen,
+    assert problems_of(rebuilt, councilmen,
                        template=councilmen.template + " $word2") == (
         "template has 1 of ${word2}, needs exactly 0",)
 
