@@ -111,24 +111,24 @@ class BootstrapResult(NamedTuple):
     histogram: Histogram
 
 
-def histogram(samples: Sequence[float], bin_width: float = BIN_WIDTH) -> Histogram:
-    """Normalized histogram with bin edges pinned to multiples of bin_width."""
+def histogram(samples: Sequence[float]) -> Histogram:
+    """Normalized histogram with bin edges pinned to multiples of BIN_WIDTH."""
     import numpy as np
 
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise BootstrapError("cannot histogram zero samples")
-    if bin_width <= 0:
-        raise BootstrapError("bin_width must be positive")
-    lo = math.floor(data.min() / bin_width)
-    hi = math.floor(data.max() / bin_width) + 1
-    edges = np.arange(lo, hi + 1) * bin_width
+    lo = math.floor(data.min() / BIN_WIDTH)
+    hi = math.floor(data.max() / BIN_WIDTH) + 1
+    edges = np.arange(lo, hi + 1) * BIN_WIDTH
     counts, _ = np.histogram(data, bins=edges)
-    densities = counts / (data.size * bin_width)
-    centers = (np.arange(lo, hi) + 0.5) * bin_width
-    return Histogram(centers=centers, densities=densities, bin_width=bin_width)
+    densities = counts / (data.size * BIN_WIDTH)
+    centers = (np.arange(lo, hi) + 0.5) * BIN_WIDTH
+    return Histogram(centers=centers, densities=densities, bin_width=BIN_WIDTH)
 
 
+# a function, not inlined into `run`, so that its arrays are freed before the
+# histogram is built: inlined, `bootstrap` peak RSS rose from 44.6-44.8 to 47.0 MB
 def _fold_s_odd(n_rows: int, blocks) -> np.ndarray:
     """Closed-form `cbd.s_odd` of `n_rows` rows, folded in column by column.
 

@@ -149,9 +149,6 @@ class SignallingReport(NamedTuple):
     max_discrepancy: float
     worst: Optional[tuple[tuple[str, ...], Context, Context]]  # intersection, two contexts
 
-    def ok(self, tol: float = PROB_TOL) -> bool:
-        return self.max_discrepancy <= tol
-
 
 def signalling(model: EmpiricalModel) -> SignallingReport:
     """Largest L1 distance between two contexts' marginals on their
@@ -212,7 +209,7 @@ def _overlapping_pairs(contexts: Sequence[Context]) -> Iterator[tuple[int, int, 
 
 
 def is_non_signalling(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
-    return signalling(model).ok(tol)
+    return signalling(model).max_discrepancy <= tol
 
 
 def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
@@ -241,10 +238,9 @@ def from_global_weights(
         raise EmpiricalModelError(f"global weights sum to {total!r}, not 1")
     if any(w < -PROB_TOL for w in weights.values()):
         raise EmpiricalModelError("negative global weight")
-    order = {obs: i for i, obs in enumerate(scenario.observables)}
     tables: dict[Context, dict[tuple[str, ...], float]] = {}
     for ctx in maximal_contexts(scenario):
-        idx = [order[obs] for obs in ctx]
+        idx = [scenario.index[obs] for obs in ctx]
         buckets: dict[tuple[str, ...], list[float]] = {}
         for assignment, w in weights.items():
             if len(assignment) != len(scenario.observables):

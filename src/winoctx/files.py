@@ -1,6 +1,7 @@
-"""Reading and writing the JSON-shaped file formats.
+"""Reading the JSON-shaped file formats, and writing scenarios.
 
-Three kinds of documents:
+Three kinds of documents are read; only scenarios are written, as
+`winoctx schema --compile --out` does:
 
   scenario  {"observables": [..], "contexts": [[..]], "outcomes": [..]}
   model     {"scenario": <inline scenario or relative path>,
@@ -109,7 +110,9 @@ def load_scenario(path) -> MeasurementScenario:
 
 
 def save_scenario(scenario: MeasurementScenario, path) -> None:
-    _dump(scenario_to_dict(scenario), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(scenario), fh, indent=2)
+        fh.write("\n")
 
 
 # -- models ------------------------------------------------------------------
@@ -166,7 +169,7 @@ def model_from_dict(doc: dict, base_dir=None) -> EmpiricalModel:
         raise FileFormatError("'scenario' must be an inline object or a path string")
 
     _require(isinstance(doc["distributions"], list), "'distributions' must be a list")
-    index = {obs: i for i, obs in enumerate(scenario.observables)}
+    index = scenario.index
     tables = {}
     for entry in doc["distributions"]:
         _require(isinstance(entry, dict), "each distribution must be an object")
@@ -194,17 +197,8 @@ def distributions_to_list(model: EmpiricalModel) -> list[dict]:
     ]
 
 
-def model_to_dict(model: EmpiricalModel) -> dict:
-    return {"scenario": scenario_to_dict(model.scenario),
-            "distributions": distributions_to_list(model)}
-
-
 def load_model(path) -> EmpiricalModel:
     return model_from_dict(load_json(path), base_dir=Path(path).parent)
-
-
-def save_model(model: EmpiricalModel, path) -> None:
-    _dump(model_to_dict(model), path)
 
 
 # -- schemas -----------------------------------------------------------------
@@ -243,28 +237,5 @@ def schema_from_dict(doc: dict) -> WinogradSchema:
     )
 
 
-def schema_to_dict(schema: WinogradSchema) -> dict:
-    return {
-        "noun_phrases": list(schema.noun_phrases),
-        "pronouns": list(schema.pronouns),
-        "words": {
-            f"slot{i}": {"special": special, "alternate": alternate}
-            for i, (special, alternate) in enumerate(
-                zip(schema.special, schema.alternate), start=1)
-        },
-        "template": schema.template,
-    }
-
-
 def load_schema(path) -> WinogradSchema:
     return schema_from_dict(load_json(path))
-
-
-def save_schema(schema: WinogradSchema, path) -> None:
-    _dump(schema_to_dict(schema), path)
-
-
-def _dump(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

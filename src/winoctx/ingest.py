@@ -1,4 +1,4 @@
-"""Response-file parsing, the validity filter, and aggregation to a model.
+"""Response-file parsing, and aggregation of the valid responses to a model.
 
 File format: comma-separated with header `respondent_id,word1,word2,pick1,pick2`.
 The word columns carry the literal wording a judge saw; the schema decides
@@ -7,7 +7,8 @@ referent choices: "AB" means first pronoun -> noun phrase A, second -> B.
 
 A judge picks exactly two of the four combinations.  Only pick pairs closed
 under swapping the referents count as valid: {AA,BB} (same referent twice)
-or {AB,BA} (different referents).  Each valid response puts mass 1/2 on
+or {AB,BA} (different referents); `aggregate` counts them by the SAME and
+DIFF keys, the one test of validity.  Each valid response puts mass 1/2 on
 each of its two picks, so p(AA) = p(BB) = n_same / (2 n_valid) and
 p(AB) = p(BA) = 1/2 - p(AA) exactly.  Models built this way are
 outcome-symmetric, and their single-observable marginals are (1/2, 1/2)
@@ -63,10 +64,6 @@ class ParseResult(NamedTuple):
     records: tuple[ResponseRecord, ...]
     problems: tuple[str, ...]  # malformed lines, reported not dropped silently
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
 
 class ContextTally(Frozen):
     _fields = ("n_total", "n_valid", "n_same", "n_diff")
@@ -81,11 +78,6 @@ class ContextTally(Frozen):
         if min(n_total, n_valid, n_same, n_diff) < 0:
             raise IngestError("negative tally")
         super().__init__(n_total=n_total, n_valid=n_valid, n_same=n_same, n_diff=n_diff)
-
-
-def validate_response(record: ResponseRecord) -> bool:
-    """Valid iff the pick pair is closed under swapping referents A and B."""
-    return record.picks == SAME or record.picks == DIFF
 
 
 def _row_problem(lineno: int, row: list[str]) -> str | None:

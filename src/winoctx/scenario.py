@@ -130,12 +130,13 @@ class MeasurementScenario(Frozen):
         return cls(tuple(observables), faces, tuple(outcomes))
 
     @cached_property
-    def _index(self) -> dict[Observable, int]:
+    def index(self) -> dict[Observable, int]:
+        """Each observable's position in declaration order."""
         return {obs: i for i, obs in enumerate(self.observables)}
 
     def order_face(self, face: Iterable[Observable]) -> Context:
         """Order the members of a face by scenario declaration order."""
-        return tuple(sorted(face, key=self._index.__getitem__))
+        return tuple(sorted(face, key=self.index.__getitem__))
 
 
 def maximal_only(faces: Iterable[Face]) -> list[Face]:
@@ -207,7 +208,7 @@ def separator_problems(what: str, labels: Iterable[str]) -> list[str]:
 def maximal_contexts(scenario: MeasurementScenario) -> list[Context]:
     """The scenario's contexts, members in declaration order, sorted
     lexicographically by observable indices."""
-    index = scenario._index
+    index = scenario.index
     return sorted(
         (scenario.order_face(f) for f in scenario.contexts),
         key=lambda ctx: tuple(index[o] for o in ctx),
@@ -248,7 +249,7 @@ def cycle_through(
     if any(len(adj) != 2 for adj in links.values()):
         return None
 
-    index = scenario._index
+    index = scenario.index
     start = scenario.observables[0]
     left, right = links[start]
     current, ctx = left if index[left[0]] < index[right[0]] else right

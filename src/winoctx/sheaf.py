@@ -70,12 +70,12 @@ def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
     # the lexicographic order of `global_assignments`
     digits = np.indices((k,) * n).reshape(n, -1)
     columns = np.arange(k**n)
-    order = {obs: i for i, obs in enumerate(scenario.observables)}
     rows: list[tuple[Context, tuple[str, ...]]] = []
     matrix = np.zeros((m, k**n))
     for ctx in contexts:
         # each assignment's joint outcome on ctx, numbered from ctx's first row
-        joint = np.ravel_multi_index(digits[[order[obs] for obs in ctx]], (k,) * len(ctx))
+        joint = np.ravel_multi_index(digits[[scenario.index[obs] for obs in ctx]],
+                                     (k,) * len(ctx))
         matrix[len(rows) + joint, columns] = 1.0
         rows.extend((ctx, outcome) for outcome in outcome_tuples(scenario.outcomes, len(ctx)))
     return IncidenceSystem(

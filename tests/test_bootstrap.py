@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import binomial_pmf_exact, bootstrap_samples_matrix, resample_counts_matrix
 from winoctx import bootstrap, sheaf
 from winoctx.bootstrap import (
+    BIN_WIDTH,
     BootstrapConfig,
     BootstrapError,
     alias_table,
@@ -88,22 +89,25 @@ def cannibal_tallies():
 
 
 def test_histogram_single_bin():
-    hist = histogram([0.192] * 40, bin_width=0.02)
+    assert BIN_WIDTH == 0.02
+    hist = histogram([0.192] * 40)
+    assert hist.bin_width == BIN_WIDTH
     assert hist.centers.tolist() == [pytest.approx(0.19)]
     assert hist.densities.tolist() == [50.0]
 
 
 def test_histogram_uniform_grid():
+    # 20 samples at the middle of each of the 50 bins that tile [0, 1)
     samples = (np.arange(1000) + 0.5) / 1000
-    hist = histogram(samples, bin_width=0.5)
-    assert hist.centers.tolist() == [0.25, 0.75]
-    assert hist.densities.tolist() == [1.0, 1.0]
+    hist = histogram(samples)
+    assert hist.centers == pytest.approx((np.arange(50) + 0.5) * BIN_WIDTH, abs=1e-12)
+    assert hist.densities.tolist() == [1.0] * 50
 
 
 def test_histogram_normalization_and_anchoring():
     rng = np.random.default_rng(7)
     samples = rng.normal(0.13, 0.4, size=5000)
-    hist = histogram(samples, bin_width=0.02)
+    hist = histogram(samples)
     assert hist.densities.sum() * hist.bin_width == pytest.approx(1.0, abs=1e-12)
     # bin centers sit at (k + 1/2) * bin_width for integer k
     offsets = hist.centers / hist.bin_width - 0.5
@@ -111,10 +115,8 @@ def test_histogram_normalization_and_anchoring():
 
 
 def test_histogram_rejects_bad_input():
-    with pytest.raises(BootstrapError):
-        histogram([], bin_width=0.02)
-    with pytest.raises(BootstrapError):
-        histogram([0.1], bin_width=0.0)
+    with pytest.raises(BootstrapError, match="zero samples"):
+        histogram([])
 
 
 def test_degenerate_tallies_give_constant_samples():

@@ -1,11 +1,14 @@
-"""README states the size limits that the code enforces."""
+"""README states the size limits that the code enforces, and its API sketch runs."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 from winoctx import bootstrap, linprog, scenario
 
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 SIZE_CONSTANTS = [
     (scenario, "MAX_OBSERVABLES"),
     (scenario, "MAX_TABLE_ENTRIES"),
@@ -30,3 +33,17 @@ def test_readme_limits_state_every_size_constant():
         assert stated, f"README Limits does not name {qualified}"
         assert any(value in numbers(b) for b in stated), (
             f"README Limits does not state {qualified} = {value:,}")
+
+
+def test_readme_python_api_sketch_runs_and_prints_the_documented_values(monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Python API sketch\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)  # the sketch names its fixture from the repo root
+    exec(compile(block, "README.md", "exec"), {})
+    violation, cnt1, lp, closed_form = capsys.readouterr().out.splitlines()
+    cf, gap = map(float, lp.split())
+    assert float(violation) == pytest.approx(0.192, abs=1e-9)
+    assert float(cnt1) == float(violation)
+    assert cf == pytest.approx(0.096, abs=1e-9)
+    assert cf == pytest.approx(float(closed_form), abs=1e-9)
+    assert abs(gap) <= 1e-7

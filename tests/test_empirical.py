@@ -128,7 +128,7 @@ def test_signalling_counterexample_reports_discrepancy():
     )
     report = signalling(model)
     assert report.max_discrepancy == pytest.approx(0.8, abs=1e-12)
-    assert not report.ok(1e-9)
+    assert report.max_discrepancy > 1e-9
     assert "a1" in str(report.worst)
     assert not is_non_signalling(model)
 

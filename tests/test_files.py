@@ -10,12 +10,8 @@ from winoctx.files import (
     load_json,
     load_model,
     load_scenario,
-    load_schema,
     model_from_dict,
-    model_to_dict,
-    save_model,
     save_scenario,
-    save_schema,
     scenario_from_dict,
     schema_from_dict,
 )
@@ -52,22 +48,11 @@ def test_scenario_round_trip(tmp_path):
     assert load_scenario(out) == scenario
 
 
-def test_model_round_trip(tmp_path):
-    model = load_model(fixture_path("cannibal_judgment_model.json"))
-    out = tmp_path / "model.json"
-    save_model(model, out)
-    again = load_model(out)
-    assert again.scenario == model.scenario
-    for ctx in model.contexts:
-        assert again.distribution(ctx).table == model.distribution(ctx).table
-
-
 def test_model_and_report_write_the_same_distribution_rows():
     model = load_model(fixture_path("cannibal_judgment_model.json"))
     rows = distributions_to_list(model)
     assert rows[0] == {"context": ["(one of them,cannibalistic)", "(one of them,hungry)"],
                        "probs": {"A|A": 0.4025, "A|B": 0.0975, "B|A": 0.0975, "B|B": 0.4025}}
-    assert model_to_dict(model)["distributions"] == rows
     assert build_report(model).to_dict()["distributions"] == rows
 
 
@@ -79,14 +64,6 @@ def test_outcome_label_holding_the_separator_is_named_before_prob_keys():
                               "probs": {"x|y|x|y": 0.5, "z|z": 0.5}}]}
     with pytest.raises(InvalidScenarioError, match="joint-outcome separator"):
         model_from_dict(doc)
-
-
-def test_schema_round_trip(tmp_path):
-    for name in ("cannibal_schema.json", "trophy_schema.json"):
-        schema = load_schema(fixture_path(name))
-        out = tmp_path / name
-        save_schema(schema, out)
-        assert load_schema(out) == schema
 
 
 def test_detect_kind():

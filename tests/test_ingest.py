@@ -22,7 +22,6 @@ from winoctx.ingest import (
     parse_responses,
     repeated_ids,
     tally_distribution,
-    validate_response,
 )
 from winoctx.schema import SchemaError
 
@@ -65,11 +64,20 @@ def test_record_contract():
         positional.word1 = "herbivorous"
 
 
-def test_validity_rule():
-    assert validate_response(record("r", "x", "y", ("AA", "BB")))
-    assert validate_response(record("r", "x", "y", ("AB", "BA")))
-    assert not validate_response(record("r", "x", "y", ("AA", "AB")))
-    assert not validate_response(record("r", "x", "y", ("BA", "BB")))
+@pytest.mark.parametrize("pick1, pick2",
+                         [(a, b) for a in PICKS for b in PICKS if a != b])
+def test_aggregate_decides_validity_by_pick_pair(cannibal, pick1, pick2):
+    # one balanced valid response per context, and the pair under test in
+    # the first context: {AA,BB} is same and {AB,BA} diff, in either order;
+    # any other pair counts toward n_total only
+    records = spread_records({(w1, w2): (1, 1) for w1 in ("cannibalistic", "herbivorous")
+                              for w2 in ("hungry", "alive")})
+    records.append(record("probe", "cannibalistic", "hungry", (pick1, pick2)))
+    _, tallies = aggregate(records, cannibal)
+    tally = tallies[("(one of them,cannibalistic)", "(one of them,hungry)")]
+    same, diff = {pick1, pick2} == {"AA", "BB"}, {pick1, pick2} == {"AB", "BA"}
+    assert (tally.n_total, tally.n_valid, tally.n_same, tally.n_diff) == (
+        3, 2 + same + diff, 1 + same, 1 + diff)
 
 
 def test_parse_well_formed(tmp_path):
@@ -80,7 +88,7 @@ def test_parse_well_formed(tmp_path):
         "r2,herbivorous,alive,AB,BA\n"
     )
     result = parse_responses(path)
-    assert result.ok
+    assert not result.problems
     assert len(result.records) == 2
     assert result.records[0] == record("r1", "cannibalistic", "hungry", ("AA", "BB"))
 
@@ -309,9 +317,7 @@ def test_aggregate_counts_invalid_responses(cannibal):
     assert tally.n_total == 4
     assert tally.n_valid == 3
     assert sum(t.n_total for t in tallies.values()) == len(records)
-    assert sum(t.n_valid for t in tallies.values()) == sum(
-        1 for r in records if validate_response(r)
-    )
+    assert sum(t.n_valid for t in tallies.values()) == len(records) - 1  # all but bad1
 
 
 def test_aggregate_refuses_empty_context(cannibal):
@@ -457,7 +463,7 @@ def test_tally_distribution_refuses_empty():
 
 def test_bundled_response_file_parses_clean(cannibal):
     result = parse_responses(fixture_path("cannibal_responses.csv"))
-    assert result.ok
+    assert not result.problems
     assert len(result.records) == 410
     model, tallies = aggregate(result.records, cannibal)
     assert sum(t.n_valid for t in tallies.values()) == 348
