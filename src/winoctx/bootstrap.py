@@ -71,8 +71,6 @@ class BootstrapError(ValueError):
 
 
 class BootstrapConfig(Frozen):
-    _fields = ("n_resamples", "seed", "statistic", "workers", "tol")
-
     def __init__(self, n_resamples: int = 100_000, seed: int = 0,
                  statistic: str = "violation",
                  workers: int = 1,        # accepted for compatibility; runs are single-threaded
@@ -98,9 +96,8 @@ class BootstrapConfig(Frozen):
 
 
 class Histogram(NamedTuple):
-    centers: np.ndarray
+    centers: np.ndarray  # bins are BIN_WIDTH wide
     densities: np.ndarray
-    bin_width: float
 
 
 class BootstrapResult(NamedTuple):
@@ -118,13 +115,18 @@ def histogram(samples: Sequence[float]) -> Histogram:
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise BootstrapError("cannot histogram zero samples")
-    lo = math.floor(data.min() / BIN_WIDTH)
+    least = data.min()
+    lo = math.floor(least / BIN_WIDTH)
+    # the quotient can round up to a k with k * BIN_WIDTH > least (1.4 / 0.02 is
+    # 70.00000000000001); as rounding is monotone, the last edge is never below the max
+    while lo * BIN_WIDTH > least:
+        lo -= 1
     hi = math.floor(data.max() / BIN_WIDTH) + 1
     edges = np.arange(lo, hi + 1) * BIN_WIDTH
     counts, _ = np.histogram(data, bins=edges)
     densities = counts / (data.size * BIN_WIDTH)
     centers = (np.arange(lo, hi) + 0.5) * BIN_WIDTH
-    return Histogram(centers=centers, densities=densities, bin_width=BIN_WIDTH)
+    return Histogram(centers=centers, densities=densities)
 
 
 # a function, not inlined into `run`, so that its arrays are freed before the

@@ -91,8 +91,6 @@ class CyclicSystem(Frozen):
     are computed once, on first use: a report reads them several times.
     """
 
-    _fields = ("contents", "contexts", "correlations", "expectations")
-
     def __init__(self, contents: tuple[Observable, ...], contexts: tuple[Context, ...],
                  correlations: tuple[float, ...],
                  expectations: tuple[tuple[float, float], ...]):

@@ -9,9 +9,9 @@ Each of validate, analyze and bootstrap builds one JSON document, the single
 source of its output: --format json prints it, and the text is a view of it.
 
 Flags, on the subcommands that read them: --format text|json (validate,
-analyze, bootstrap), --tol (analyze: signalling tolerance, default 1e-9;
-bootstrap: a draw counts toward fraction_positive when its statistic >
-tol), --seed (bootstrap resampling seed).
+analyze, bootstrap), --tol (default 1e-9; analyze: signalling tolerance and
+verdict threshold, cnt1 > tol and cf > tol; bootstrap: a draw counts as
+positive when its statistic > tol), --seed (bootstrap resampling seed).
 
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
 bad probabilities, non-conforming schema, unknown words), 2 the input could
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style (default text)")
     p.add_argument("--tol", type=_tolerance, default=PROB_TOL,
-                   help="signalling tolerance (default 1e-9)")
+                   help="signalling tolerance; the verdicts read contextual when "
+                        "cnt1 > tol (CbD) and cf > tol (sheaf) (default 1e-9)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bootstrap", help="resample responses, estimate statistic spread")

@@ -34,8 +34,6 @@ class Distribution(Frozen):
     entries are filled with 0.0 by `from_mapping`.
     """
 
-    _fields = ("context", "outcome_set", "table")
-
     def __init__(self, context: Context, outcome_set: tuple[str, ...],
                  table: Mapping[tuple[str, ...], float]):
         super().__init__(context=context, outcome_set=outcome_set, table=table)
@@ -101,8 +99,6 @@ def _marginal(
 
 
 class EmpiricalModel(Frozen):
-    _fields = ("scenario", "distributions")
-
     def __init__(self, scenario: MeasurementScenario, distributions: tuple[Distribution, ...]):
         super().__init__(scenario=scenario, distributions=distributions)
 

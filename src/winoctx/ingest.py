@@ -66,8 +66,6 @@ class ParseResult(NamedTuple):
 
 
 class ContextTally(Frozen):
-    _fields = ("n_total", "n_valid", "n_same", "n_diff")
-
     def __init__(self, n_total: int, n_valid: int,
                  n_same: int,   # picks {AA,BB}
                  n_diff: int):  # picks {AB,BA}

@@ -59,8 +59,6 @@ class LpProblem(Frozen):
     """max objective.x  s.t.  lhs x <= rhs,  x >= 0,  rhs >= 0; each held
     as a float array."""
 
-    _fields = ("objective", "lhs", "rhs")
-
     def __init__(self, objective: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
         obj = np.asarray(objective, dtype=float)
         lhs = np.asarray(lhs, dtype=float)

@@ -40,13 +40,9 @@ class AnalysisReport(Frozen):
     """The model and its measures; the verdicts are read off the measures,
     and `to_dict` is the one place that lays them out as a document.
 
-    Compared and printed by its fields like a `Frozen` value, but mutable
-    and so unhashable."""
+    A `Frozen` value, but unhashable: `tallies` and `notices` are a dict
+    and a list."""
 
-    _fields = ("model", "signalling", "tol", "outcome_symmetric", "cyclic", "cf", "tallies",
-               "notices")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, model: EmpiricalModel, signalling: float, tol: float,

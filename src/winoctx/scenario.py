@@ -44,7 +44,8 @@ class InvalidScenarioError(ValueError):
 
 
 class Frozen:
-    """An immutable value over the attributes named in `_fields`.
+    """An immutable value over its fields: the positional parameters of its
+    subclass's `__init__`, in order, which `_fields` names.
 
     A subclass checks its arguments in `__init__` and hands them to this
     one, which sets them once.  Instances compare equal only to instances
@@ -54,7 +55,10 @@ class Frozen:
     the instance `__dict__` directly.
     """
 
-    _fields: tuple[str, ...] = ()
+    def __init_subclass__(cls):
+        # read off the code object: `inspect` would cost every process its import
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
@@ -104,8 +108,6 @@ class MeasurementScenario(Frozen):
     InvalidScenarioError with every problem `validate` finds.
     :meth:`from_maximal` builds one from a list of faces (scenario files).
     """
-
-    _fields = ("observables", "contexts", "outcomes")
 
     def __init__(self, observables: tuple[Observable, ...], contexts: frozenset[Face],
                  outcomes: tuple[str, ...]):

@@ -46,8 +46,6 @@ class WinogradSchema(Frozen):
     """Slot i has pronoun pronouns[i] and words special[i]/alternate[i].
     Made only valid: construction raises SchemaError listing every problem."""
 
-    _fields = ("noun_phrases", "pronouns", "special", "alternate", "template")
-
     def __init__(self, noun_phrases: tuple[str, str], pronouns: tuple[str, ...],
                  special: tuple[str, ...], alternate: tuple[str, ...], template: str):
         shape = (len(pronouns), len(special), len(alternate))

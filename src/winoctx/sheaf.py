@@ -11,7 +11,8 @@ where M is the 0/1 incidence of assignments against (context, outcome)
 rows and b stacks the empirical probabilities.  cf = 1 - optimum.  Since
 b >= 0 (`_rhs` floors rounding noise at 0), w = 0 is a vertex, and
 `linprog` solves in one phase from the slack basis.  Every solve carries a
-dual certificate; `CfResult.gap` reports how tight it is.
+dual certificate; `CfResult.gap` reports how tight it is.  Columns, and so
+the witness w, are aligned with `global_assignments(model.scenario)`.
 Both counts, rows and assignments, must stay within `linprog.MAX_SIZE`
 (1024, so binary cycles up to rank 10); `incidence` checks them first.
 The same program answers the yes/no question too: a non-signalling model
@@ -49,11 +50,10 @@ def global_assignments(scenario: MeasurementScenario) -> list[tuple[str, ...]]:
 
 class IncidenceSystem(NamedTuple):
     """Rows are (context, joint outcome) pairs in a fixed order; columns are
-    global assignments.  matrix[r, g] = 1 when assignment g restricts to
-    row r's outcome."""
+    the global assignments in `global_assignments` order.  matrix[r, g] = 1
+    when assignment g restricts to row r's outcome."""
 
     rows: tuple[tuple[Context, tuple[str, ...]], ...]
-    assignments: tuple[tuple[str, ...], ...]
     matrix: np.ndarray
 
 
@@ -65,7 +65,6 @@ def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
     n = len(scenario.observables)
     m = sum(k ** len(ctx) for ctx in contexts)
     check_size(m, k**n)
-    assignments = global_assignments(scenario)
     # digits[i, g] is observable i's outcome index under assignment g, in
     # the lexicographic order of `global_assignments`
     digits = np.indices((k,) * n).reshape(n, -1)
@@ -78,9 +77,7 @@ def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
                                      (k,) * len(ctx))
         matrix[len(rows) + joint, columns] = 1.0
         rows.extend((ctx, outcome) for outcome in outcome_tuples(scenario.outcomes, len(ctx)))
-    return IncidenceSystem(
-        rows=tuple(rows), assignments=tuple(assignments), matrix=matrix
-    )
+    return IncidenceSystem(rows=tuple(rows), matrix=matrix)
 
 
 class CfResult(NamedTuple):
@@ -89,12 +86,12 @@ class CfResult(NamedTuple):
     Meaningful (in [0, 1], convex, 0 iff noncontextual) only for
     non-signalling input; the LP value is returned regardless, and callers
     that may see signalling models check `empirical.signalling` themselves.
+    `witness` is aligned with `global_assignments(model.scenario)`.
     """
 
     cf: float
     ncf_weight: float                      # LP optimum, the explainable mass
     witness: np.ndarray                    # sub-distribution over assignments
-    assignments: tuple[tuple[str, ...], ...]
     dual_certificate: np.ndarray           # row multipliers proving optimality
     gap: float                             # |primal - dual|, should be <= 1e-7
 
@@ -126,7 +123,6 @@ def contextual_fraction(model: EmpiricalModel) -> CfResult:
         cf=1.0 - explained,
         ncf_weight=explained,
         witness=solution.x,
-        assignments=system.assignments,
         dual_certificate=solution.dual,
         gap=solution.gap,
     )
@@ -156,7 +152,7 @@ def is_noncontextual(
         return False, None
     weights = {
         assignment: float(w) / result.ncf_weight
-        for assignment, w in zip(result.assignments, result.witness)
+        for assignment, w in zip(global_assignments(model.scenario), result.witness)
         if w > 0.0
     }
     return True, weights

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -91,7 +92,6 @@ def cannibal_tallies():
 def test_histogram_single_bin():
     assert BIN_WIDTH == 0.02
     hist = histogram([0.192] * 40)
-    assert hist.bin_width == BIN_WIDTH
     assert hist.centers.tolist() == [pytest.approx(0.19)]
     assert hist.densities.tolist() == [50.0]
 
@@ -108,10 +108,31 @@ def test_histogram_normalization_and_anchoring():
     rng = np.random.default_rng(7)
     samples = rng.normal(0.13, 0.4, size=5000)
     hist = histogram(samples)
-    assert hist.densities.sum() * hist.bin_width == pytest.approx(1.0, abs=1e-12)
-    # bin centers sit at (k + 1/2) * bin_width for integer k
-    offsets = hist.centers / hist.bin_width - 0.5
+    assert hist.densities.sum() * BIN_WIDTH == pytest.approx(1.0, abs=1e-12)
+    # bin centers sit at (k + 1/2) * BIN_WIDTH for integer k
+    offsets = hist.centers / BIN_WIDTH - 0.5
     assert np.allclose(offsets, np.round(offsets), atol=1e-9)
+
+
+def neighbours(x, n):
+    """x and the n floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_histogram_holds_samples_on_bin_edges():
+    # x / BIN_WIDTH can round up to k while k * BIN_WIDTH > x: 1.4 / 0.02 is
+    # 70.00000000000001, and its edge 1.4000000000000001 lay above the sample
+    edges = [k * BIN_WIDTH for k in range(-200, 201)]
+    samples = [1.4, 0.7] + [x for edge in edges for x in neighbours(edge, 4)]
+    for x in samples:
+        hist = histogram([x])
+        assert hist.densities.sum() * BIN_WIDTH == pytest.approx(1.0, abs=1e-12), x
+    hist = histogram(samples)
+    assert hist.densities.sum() * BIN_WIDTH == pytest.approx(1.0, abs=1e-12)
 
 
 def test_histogram_rejects_bad_input():

@@ -27,7 +27,11 @@ and `validate` on a model whose probs repeat a key; `schema --compile` and
 as well, its flag error; and `analyze` and `bootstrap` of the fixture
 responses under that schema; and `bootstrap` of violation and cf on a
 12-response file whose draws often land exactly on the noncontextual facet,
-at --samples 100000 --seed 0.
+at --samples 100000 --seed 0; `validate`, `analyze` and `bootstrap` on the
+fixture responses followed by one row of each malformed kind, a blank line,
+a quoted field spanning two lines and a repeated id, so that every
+`warning: line N: ...` form is pinned; and `bootstrap --out` on a
+40-response file whose least draw sits on a bin edge.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
@@ -136,7 +140,27 @@ REPEAT_INPUTS = {
     "unknown_then_repeat": HEADER + "r1,cannibalistic,hungry,AA,BB\n"
     + "zz,nope,never,AA,BB\n" + "r1,cannibalistic,hungry,AA,BB\n",
 }
-CSV_INPUTS = {**REPEAT_INPUTS, "small_n": SMALL_N_RESPONSES}
+# the fixture plus one row of each malformed kind, a blank line, a quoted
+# field spanning two lines before a bad row, and a repeated id
+MALFORMED_ROWS = FIXTURE_ROWS + (
+    "m01,cannibalistic,hungry,AA\n"
+    ",cannibalistic,hungry,AA,BB\n"
+    "m03,cannibalistic,hungry,AA,XX\n"
+    "m04,cannibalistic,hungry,BB,BB\n"
+    "\n"
+    'm05,"cannibalistic\nhungry",AA,BB\n'
+    "m06,herbivorous,alive,AB,BA,AA\n"
+    "r002,cannibalistic,hungry,BB,AA\n")
+# ten responses per version, all {AB,BA} but nine {AA,BB} for (herbivorous,
+# alive): seed 7 draws the least violation, 1.4, whose bin edge k * BIN_WIDTH
+# rounds above it
+EDGE_DRAWS = HEADER + "".join(
+    f"e{10 * i + j:02d},{w1},{w2},{'AA,BB' if i == 3 and j < 9 else 'AB,BA'}\n"
+    for i, (w1, w2) in enumerate((("cannibalistic", "hungry"), ("cannibalistic", "alive"),
+                                  ("herbivorous", "hungry"), ("herbivorous", "alive")))
+    for j in range(10))
+CSV_INPUTS = {**REPEAT_INPUTS, "small_n": SMALL_N_RESPONSES, "malformed_rows": MALFORMED_ROWS,
+              "edge_draws": EDGE_DRAWS}
 
 # a scenario with several problems: alone, named by path from a model, and
 # inline in a model whose distributions are not a list
@@ -202,6 +226,13 @@ COMMANDS = {
     **{f"bootstrap_small_n_{stat}": ["bootstrap", "{tmp}/small_n.csv", RESPONSES[1],
                                      "--statistic", stat, "--samples", "100000", "--seed", "0"]
        for stat in ("violation", "cf")},
+    "validate_malformed_rows": ["validate", "{tmp}/malformed_rows.csv"],
+    "analyze_malformed_rows": ["analyze", "--responses", "{tmp}/malformed_rows.csv",
+                               "--schema", RESPONSES[1]],
+    "bootstrap_malformed_rows": ["bootstrap", "{tmp}/malformed_rows.csv", RESPONSES[1],
+                                 *SEEDED],
+    "bootstrap_edge_draws_out": ["bootstrap", "{tmp}/edge_draws.csv", RESPONSES[1],
+                                 "--samples", "100", "--seed", "7", "--out", "hist.csv"],
 }
 
 SCHEMA_COMMANDS = {
@@ -273,7 +304,7 @@ def command_records():
 
 def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert sum(case.startswith("validate_") for case in COMMANDS) == 20
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 21
     assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
         command_records()) == {p.name for p in GOLDEN.iterdir()}
 

@@ -115,16 +115,18 @@ def test_incidence_matches_loop(name):
     rows, assignments, matrix = incidence_by_loop(scenario)
     system = incidence(scenario)
     assert system.rows == rows
-    assert system.assignments == assignments
+    # columns follow `global_assignments`, which the witness is read against
+    assert tuple(global_assignments(scenario)) == assignments
     assert system.matrix.shape == matrix.shape
     assert system.matrix.tobytes() == matrix.tobytes()
 
 
 def test_cf_size_refused_before_enumeration(monkeypatch):
-    def enumerate_assignments(scenario):
-        raise AssertionError("assignments of an oversized program were enumerated")
+    def enumerate_outcomes(*args):
+        raise AssertionError("rows or assignments of an oversized program were enumerated")
 
-    monkeypatch.setattr(sheaf, "global_assignments", enumerate_assignments)
+    # the one enumerator of `incidence`'s rows and of `global_assignments`
+    monkeypatch.setattr(sheaf, "outcome_tuples", enumerate_outcomes)
     with pytest.raises(LpSizeError, match=r"^48x4096 problem exceeds the 1024x1024 cap$"):
         incidence(cycle(12))
 
@@ -195,7 +197,7 @@ def test_judgment_model_fraction(judgment_model):
 
 def test_witness_is_dominated_subdistribution(judgment_model):
     result = contextual_fraction(judgment_model)
-    weights = dict(zip(result.assignments, result.witness))
+    weights = dict(zip(global_assignments(judgment_model.scenario), result.witness))
     assert all(w >= -1e-12 for w in weights.values())
     total = sum(weights.values())
     assert total == pytest.approx(result.ncf_weight, abs=1e-9)
