@@ -66,7 +66,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .empirical import EmpiricalModel
-from .scenario import Context, Frozen, Observable, cycle_through
+from .scenario import Context, Frozen, Observable
 
 
 class CyclicSystemError(ValueError):
@@ -108,7 +108,7 @@ class CyclicSystem(Frozen):
 
     @classmethod
     def from_model(cls, model: EmpiricalModel) -> "CyclicSystem":
-        structure = cycle_through(model.scenario, model.contexts)
+        structure = model.scenario.cycle
         if structure is None:
             raise CyclicSystemError("scenario has no cyclic structure")
         outcomes = model.scenario.outcomes

@@ -11,7 +11,7 @@ import math
 from functools import cached_property
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .scenario import Context, Frozen, MeasurementScenario, maximal_contexts
 
@@ -95,7 +95,7 @@ def _marginal(
     buckets: dict = {key: [] for key in keys}
     for joint, p in table.items():
         buckets[project(joint)].append(p)
-    return [math.fsum(ps) for ps in buckets.values()]
+    return list(map(math.fsum, buckets.values()))
 
 
 class EmpiricalModel(Frozen):
@@ -150,58 +150,40 @@ def signalling(model: EmpiricalModel) -> SignallingReport:
     """Largest L1 distance between two contexts' marginals on their
     intersection.
 
-    Visits only the pairs of contexts that share an observable, found
-    through an index from observable to contexts, in the order (i, j),
-    i < j, of `model.contexts`.  `worst` is the first pair in that order
+    Walks the scenario's `shared_faces`, which the scenario computes once,
+    with their pairs, and keeps.  Each holder of a face is marginalised
+    onto it once per call and compared with the face's first holder, so a
+    model that does not signal costs one marginal per (context, shared
+    face), one comparison per holder after the first and no pair.  Only
+    the pairs of a face whose holders differ are measured.  `worst` is the
+    first pair, in the order (i, j), i < j, of the scenario's contexts,
     whose distance is the maximum, i.e. strictly above every pair before
     it; a model that does not signal has max_discrepancy 0.0 and no worst
-    pair.  Each context is marginalised onto each face it shares once per
-    call and kept only for that call: an n-cycle costs n comparisons and
-    2n marginals, and contexts that share nothing cost none.
+    pair.  An n-cycle costs n comparisons and 2n marginals, and contexts
+    that share nothing cost none.
 
     Marginalising never increases L1 distance, so no shared sub-face of an
     intersection can show more.  0.0 exactly means every pair of contexts
     agrees bit-for-bit on what they share.
     """
-    contexts = model.contexts
-    dists = model.distributions
-    marginals: dict[tuple[int, Context], list[float]] = {}
-
-    def marginal(k: int, face: Context) -> list[float]:
-        sums = marginals.get((k, face))
-        if sums is None:
-            ctx = contexts[k]
-            positions = [ctx.index(obs) for obs in face]
-            sums = marginals[k, face] = _marginal(dists[k].table, positions,
-                                                  dists[k].outcome_set)
-        return sums
-
+    contexts = model.scenario.maximal
+    dists = list(map(model.distribution, contexts))
     worst = None
     worst_val = 0.0
-    for i, j, shared in _overlapping_pairs(contexts):
-        a = marginal(i, shared)
-        b = marginal(j, shared)
-        if a == b:  # distance 0.0 raises no maximum
+    worst_at = (0, 0)  # no pair comes before it, so a tie with 0.0 sets no worst
+    for face, holders, pairs in model.scenario.shared_faces:
+        sums = [_marginal(dists[k].table, [contexts[k].index(obs) for obs in face],
+                          dists[k].outcome_set) for k in holders]
+        if sums.count(sums[0]) == len(sums):  # every holder agrees with the first
             continue
-        dist = math.fsum([abs(x - y) for x, y in zip(a, b)])
-        if dist > worst_val:
-            worst_val = dist
-            worst = (shared, contexts[i], contexts[j])
+        at = dict(zip(holders, sums))
+        for i, j in pairs:
+            dist = math.fsum([abs(x - y) for x, y in zip(at[i], at[j])])
+            if dist > worst_val or dist == worst_val and (i, j) < worst_at:
+                worst_val = dist
+                worst_at = (i, j)
+                worst = (face, contexts[i], contexts[j])
     return SignallingReport(max_discrepancy=worst_val, worst=worst)
-
-
-def _overlapping_pairs(contexts: Sequence[Context]) -> Iterator[tuple[int, int, Context]]:
-    """(i, j, shared) for every pair i < j of contexts that share an
-    observable, in (i, j) order; `shared` lists the common observables in
-    the order of contexts[i]."""
-    holders: dict[str, list[int]] = {}
-    for k, ctx in enumerate(contexts):
-        for obs in ctx:
-            holders.setdefault(obs, []).append(k)
-    for i, first in enumerate(contexts):
-        for j in sorted({j for obs in first for j in holders[obs] if j > i}):
-            second = contexts[j]
-            yield i, j, tuple(obs for obs in first if obs in second)
 
 
 def is_non_signalling(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:

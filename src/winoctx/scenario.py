@@ -11,6 +11,11 @@ not contain SEPARATOR, which joins them into joint-outcome keys.
 Invariants are checked when a scenario is made, so an invalid one never
 exists and the code that uses a scenario trusts it.
 
+A scenario computes what depends on it alone once, on first use, and keeps
+it: its ordered maximal contexts (`maximal`), each face that pairs of them
+share (`shared_faces`) and its cycle (`cycle`).  These are not fields: they
+take no part in equality, hashing, `repr` or a pickle or copy.
+
 `Frozen`, the base of the package's validated value types, lives here, in
 the module every other one imports.
 """
@@ -26,6 +31,8 @@ Observable = str
 Context = tuple[Observable, ...]
 
 Face = frozenset
+# (face, holders, pairs): see MeasurementScenario.shared_faces
+SharedFace = tuple[Context, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 # Cap on observables per scenario; a context's joint-outcome table may hold
 # as many entries as a binary context over all of them.
@@ -52,7 +59,8 @@ class Frozen:
     of the same class with equal fields, and hash and print by those fields
     (`Name(field=value, ...)`).  Assigning or deleting any attribute raises
     AttributeError; `functools.cached_property` still works, as it writes
-    the instance `__dict__` directly.
+    the instance `__dict__` directly.  A pickle or copy is rebuilt from the
+    fields alone, through `__init__`, so cached values never travel with it.
     """
 
     def __init_subclass__(cls):
@@ -83,6 +91,9 @@ class Frozen:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class CyclicStructure(NamedTuple):
@@ -139,6 +150,32 @@ class MeasurementScenario(Frozen):
     def order_face(self, face: Iterable[Observable]) -> Context:
         """Order the members of a face by scenario declaration order."""
         return tuple(sorted(face, key=self.index.__getitem__))
+
+    @cached_property
+    def maximal(self) -> tuple[Context, ...]:
+        """The contexts, members in declaration order, sorted
+        lexicographically by observable indices."""
+        index = self.index
+        return tuple(sorted(
+            (self.order_face(f) for f in self.contexts),
+            key=lambda ctx: tuple(index[o] for o in ctx),
+        ))
+
+    @cached_property
+    def shared_faces(self) -> tuple[SharedFace, ...]:
+        """(face, holders, pairs) for each face that some pair i < j of
+        `maximal` contexts share exactly: `pairs` lists every such (i, j) in
+        (i, j) order, `holders` the contexts in them, ascending, and the
+        face lists its members in declaration order.  Faces come in the
+        order of their first pair."""
+        return _shared_faces(self.maximal)
+
+    @cached_property
+    def cycle(self) -> Optional[CyclicStructure]:
+        """The canonical cycle through the contexts (`cycle_through`), or
+        None when they do not form one."""
+        # through the module function, so that benchmarks/spans.py still sees it called
+        return cycle_through(self, maximal_contexts(self))
 
 
 def maximal_only(faces: Iterable[Face]) -> list[Face]:
@@ -208,37 +245,51 @@ def separator_problems(what: str, labels: Iterable[str]) -> list[str]:
 
 
 def maximal_contexts(scenario: MeasurementScenario) -> list[Context]:
-    """The scenario's contexts, members in declaration order, sorted
-    lexicographically by observable indices."""
-    index = scenario.index
-    return sorted(
-        (scenario.order_face(f) for f in scenario.contexts),
-        key=lambda ctx: tuple(index[o] for o in ctx),
-    )
+    """The scenario's `maximal` contexts, as a list of its own."""
+    return list(scenario.maximal)
 
 
 def cyclic_structure(scenario: MeasurementScenario) -> Optional[CyclicStructure]:
-    """Detect a cyclic arrangement: every context has exactly 2 members, every
-    observable lies in exactly 2 contexts, and the contexts form one cycle.
+    """The scenario's `cycle`: every context has exactly 2 members, every
+    observable lies in exactly 2 contexts, and the contexts form one cycle;
+    None otherwise."""
+    return scenario.cycle
 
-    Returns the canonical ordering (`cycle_through`) with its contexts in
-    cycle order, or None.
-    """
-    return cycle_through(scenario, maximal_contexts(scenario))
+
+def _shared_faces(contexts: Sequence[Context]) -> tuple[SharedFace, ...]:
+    """`MeasurementScenario.shared_faces` of `contexts`: the pairs that
+    share an observable are found through an index from observable to
+    contexts, and grouped by what they share."""
+    containing: dict[Observable, list[int]] = {}
+    for k, ctx in enumerate(contexts):
+        for obs in ctx:
+            containing.setdefault(obs, []).append(k)
+    pairs: dict[Context, list[tuple[int, int]]] = {}
+    for i, first in enumerate(contexts):
+        for j in sorted({j for obs in first for j in containing[obs] if j > i}):
+            second = contexts[j]
+            face = tuple([obs for obs in first if obs in second])
+            at = pairs.get(face)
+            if at is None:
+                pairs[face] = [(i, j)]
+            else:
+                at.append((i, j))
+    # a face that one pair shares is held by that pair alone
+    return tuple([(face, at[0] if len(at) == 1 else tuple(sorted({k for ij in at for k in ij})),
+                   tuple(at)) for face, at in pairs.items()])
 
 
 def cycle_through(
     scenario: MeasurementScenario, contexts: Sequence[Context]
 ) -> Optional[CyclicStructure]:
     """The canonical cycle through `contexts`, the scenario's maximal
-    contexts in any order (a model's own, say), or None when they do not
-    form one cycle.
+    contexts in any order, or None when they do not form one cycle.
 
     The ordering starts from the first declared observable and steps toward
     its neighbor declared first; the structure's contexts are the given
-    tuples, in cycle order.  `cyclic_structure` and
-    `cbd.CyclicSystem.from_model` both walk the cycle here, so the cycle a
-    bootstrap arranges its tallies along is the one a report reads.
+    tuples, in cycle order.  A scenario's `cycle` is this walk, which
+    `cyclic_structure` and `cbd.CyclicSystem.from_model` both read, so the
+    cycle a bootstrap arranges its tallies along is the one a report reads.
     """
     if any(len(ctx) != 2 for ctx in contexts):
         return None

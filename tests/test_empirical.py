@@ -1,14 +1,14 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_symmetric_model
-from oracles import signalling_by_faces, signalling_pairwise
+from conftest import random_symmetric_model, symmetric_tables
+from oracles import maximal_contexts_by_completion, signalling_by_faces, signalling_pairwise
 from winoctx import empirical
-from winoctx.cbd import CyclicSystem
+from winoctx.cbd import CyclicSystem, CyclicSystemError
 from winoctx.empirical import (
     Distribution,
     EmpiricalModel,
@@ -19,7 +19,7 @@ from winoctx.empirical import (
     outcome_tuples,
     signalling,
 )
-from winoctx.scenario import MeasurementScenario, maximal_contexts
+from winoctx.scenario import MeasurementScenario, cycle_through, maximal_contexts
 
 
 def test_marginal_of_bell_row_is_uniform(bell_model):
@@ -235,6 +235,59 @@ def test_signalling_equals_all_pairs_oracle(model):
     assert got.worst == expected.worst
 
 
+@st.composite
+def declared_models(draw):
+    """A model on a SHAPES scenario or a cycle of rank 3-16, its observables
+    declared in any order; pooled tables, or random ones where the global
+    weights stay small."""
+    outcomes = draw(st.sampled_from([("0", "1"), ("r", "g", "b")]))
+    if draw(st.booleans()):
+        faces = cycle_faces(draw(st.integers(3, 16)))
+    else:
+        faces = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    observables = draw(st.permutations(sorted(set().union(*faces))))
+    scenario = MeasurementScenario.from_maximal(observables, faces, outcomes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["pooled"]
+    if len(outcomes) ** len(observables) <= 4096:
+        kinds += ["global", "random", "perturbed"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pooled":
+        return pooled_model(scenario, rng)
+    return random_model(scenario, rng, kind)
+
+
+def cyclic_system_or_error(model):
+    try:
+        return CyclicSystem.from_model(model)
+    except CyclicSystemError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_models(), st.randoms(use_true_random=False))
+def test_scenario_caches_equal_a_recompute(model, rnd):
+    scenario = model.scenario
+    reversed_model = EmpiricalModel(scenario, model.distributions[::-1])
+    report = signalling(model)  # fills the caches
+    system = cyclic_system_or_error(model)
+    assert signalling(reversed_model) == report == signalling_pairwise(model)
+    assert cyclic_system_or_error(reversed_model) == system
+
+    contexts = maximal_contexts_by_completion(scenario.observables, scenario.contexts)
+    assert list(scenario.maximal) == contexts
+    pairs = {}
+    for (i, first), (j, second) in combinations(enumerate(contexts), 2):
+        if shared := tuple(obs for obs in first if obs in second):
+            pairs.setdefault(shared, []).append((i, j))
+    assert scenario.shared_faces == tuple(
+        (face, tuple(sorted({k for ij in at for k in ij})), tuple(at))
+        for face, at in pairs.items())
+    shuffled = list(contexts)
+    rnd.shuffle(shuffled)
+    assert scenario.cycle == cycle_through(scenario, shuffled)
+
+
 def test_signalling_worst_is_the_first_pair_at_the_maximum():
     # context 0 shares o09 with contexts 5 and 9 (a set of {5, 9} iterates
     # 9 first), and both pairs reach the largest distance: the earlier
@@ -257,47 +310,101 @@ def test_signalling_worst_is_the_first_pair_at_the_maximum():
     assert report.worst == (("o09",), ("o00", "o09"), ("o05", "o09"))
 
 
-def count_signalling_work(monkeypatch, model):
-    """(pair comparisons, marginals) one `signalling` call makes."""
-    counts = {"pairs": 0, "marginals": 0}
-    pairs, marginal = empirical._overlapping_pairs, empirical._marginal
+def test_signalling_worst_is_the_first_pair_at_the_maximum_across_faces():
+    # faces are walked in the order of their first pair: {a} (pairs (0, 1),
+    # (0, 2), (1, 2)) before {b} (pair (0, 3)); (1, 2) and (0, 3) both reach
+    # 1.0, and (0, 3) comes first
+    scenario = MeasurementScenario.from_maximal(
+        "abxyz", [("a", "b"), ("a", "x"), ("a", "z"), ("b", "y")], ("0", "1"))
+    assert [face for face, _, _ in scenario.shared_faces] == [("a",), ("b",)]
+    model = EmpiricalModel.build(scenario, {
+        ("a", "b"): {key: 0.25 for key in product("01", repeat=2)},
+        ("a", "x"): {("0", "0"): 0.75, ("1", "0"): 0.25},
+        ("a", "z"): {("0", "0"): 0.25, ("1", "0"): 0.75},
+        ("b", "y"): {("0", "0"): 1.0},
+    })
+    report = signalling(model)
+    assert report == signalling_pairwise(model)
+    assert report == (1.0, (("b",), ("a", "b"), ("b", "y")))
 
-    def counted_pairs(contexts):
-        for pair in pairs(contexts):
-            counts["pairs"] += 1
-            yield pair
+
+def count_signalling_work(monkeypatch, model):
+    """(comparisons, measured pairs, marginals) one `signalling` call
+    makes: `==` or `!=` tests between marginals, pairs whose distance is
+    summed (each reads both marginals once) and `_marginal` calls."""
+    counts = {"compared": 0, "read": 0, "marginals": 0}
+
+    class Counted(list):
+        def __eq__(self, other):
+            counts["compared"] += 1
+            return list.__eq__(self, other)
+
+        def __ne__(self, other):
+            counts["compared"] += 1
+            return list.__ne__(self, other)
+
+        def __iter__(self):
+            counts["read"] += 1
+            return list.__iter__(self)
+
+    marginal = empirical._marginal
 
     def counted_marginal(*args):
         counts["marginals"] += 1
-        return marginal(*args)
+        return Counted(marginal(*args))
 
-    monkeypatch.setattr(empirical, "_overlapping_pairs", counted_pairs)
     monkeypatch.setattr(empirical, "_marginal", counted_marginal)
     signalling(model)
-    return counts["pairs"], counts["marginals"]
+    monkeypatch.undo()
+    assert counts["read"] % 2 == 0
+    return counts["compared"], counts["read"] // 2, counts["marginals"]
+
+
+def uniform_pairs_model(scenario):
+    """Every two-member context's table uniform: no signalling, exactly."""
+    tables = symmetric_tables(scenario, [0.25] * len(scenario.contexts))
+    return EmpiricalModel.build(scenario, tables)
 
 
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_signalling_cost_on_a_cycle(monkeypatch, n):
+    # one comparison per shared observable, each pair measured only when
+    # its two marginals differ
     faces = cycle_faces(n)
     scenario = MeasurementScenario.from_maximal(sorted(set().union(*faces)), faces, ("0", "1"))
     model = random_model(scenario, np.random.default_rng(n), "random")
-    assert count_signalling_work(monkeypatch, model) == (n, 2 * n)
+    assert count_signalling_work(monkeypatch, model) == (n, n, 2 * n)
+    assert count_signalling_work(monkeypatch, uniform_pairs_model(scenario)) == (n, 0, 2 * n)
 
 
 def test_signalling_cost_without_shared_observables(monkeypatch):
     faces = [(f"x{k}", f"y{k}") for k in range(8)]
     scenario = MeasurementScenario.from_maximal(sorted(set().union(*faces)), faces, ("0", "1"))
     model = random_model(scenario, np.random.default_rng(0), "random")
-    assert count_signalling_work(monkeypatch, model) == (0, 0)
+    assert count_signalling_work(monkeypatch, model) == (0, 0, 0)
     assert signalling(model) == signalling_pairwise(model)
 
 
 def test_signalling_marginalises_a_shared_face_once_per_context(monkeypatch):
-    # every pair of the star shares {a}: 6 comparisons, one marginal each
+    # the four contexts of the star share {a}: one marginal each, three
+    # compared with the first; all 6 pairs are measured only when they differ
     scenario = MeasurementScenario.from_maximal("awxyz", SHAPES["star"], ("0", "1"))
     model = random_model(scenario, np.random.default_rng(0), "random")
-    assert count_signalling_work(monkeypatch, model) == (6, 4)
+    assert count_signalling_work(monkeypatch, model) == (3, 6, 4)
+    assert count_signalling_work(monkeypatch, uniform_pairs_model(scenario)) == (3, 0, 4)
+
+
+def test_signalling_refuses_a_model_without_one_of_its_contexts():
+    # a directly built model may lack a context; signalling names it, whether
+    # or not the context shares a face
+    for faces in (cycle_faces(5), SHAPES["disjoint"]):
+        scenario = MeasurementScenario.from_maximal(
+            sorted(set().union(*faces)), faces, ("0", "1"))
+        built = random_model(scenario, np.random.default_rng(0), "random")
+        for k in range(len(built.distributions)):
+            model = EmpiricalModel(scenario, built.distributions[:k] + built.distributions[k + 1:])
+            with pytest.raises(EmpiricalModelError, match="no distribution for context"):
+                signalling(model)
 
 
 def test_outcome_symmetry(judgment_model, pr_model):

@@ -1,9 +1,13 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import symmetric_tables
 from oracles import maximal_contexts_by_completion
+from winoctx import scenario as scenario_module
 from winoctx.cbd import CyclicSystem
 from winoctx.empirical import EmpiricalModel, is_outcome_symmetric
 from winoctx.report import build_report
@@ -297,3 +301,51 @@ def test_order_face_uses_declaration_order():
     scenario = chsh()
     assert scenario.order_face({"b2", "a1"}) == ("a1", "b2")
     assert scenario.order_face(["a2", "b1"]) == ("b1", "a2")
+
+
+def ring(n):
+    names = [f"o{k}" for k in range(n)]
+    return MeasurementScenario.from_maximal(
+        names, [(names[k], names[(k + 1) % n]) for k in range(n)], ("0", "1"))
+
+
+def uniform_tables(scenario):
+    return symmetric_tables(scenario, [0.25] * len(scenario.contexts))
+
+
+def test_a_second_report_on_a_scenario_builds_no_structure(monkeypatch):
+    calls = {"order_face": 0, "_shared_faces": 0, "cycle_through": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(MeasurementScenario, "order_face")
+    counted(scenario_module, "_shared_faces")
+    counted(scenario_module, "cycle_through")
+    scenario = ring(6)
+    model = EmpiricalModel.build(scenario, uniform_tables(scenario))
+    assert calls == {"order_face": 6, "_shared_faces": 0, "cycle_through": 0}
+    build_report(model)
+    assert calls == {"order_face": 6, "_shared_faces": 1, "cycle_through": 1}
+    build_report(model)
+    build_report(EmpiricalModel.build(scenario, uniform_tables(scenario)))
+    cyclic_structure(scenario)
+    maximal_contexts(scenario)
+    assert calls == {"order_face": 6, "_shared_faces": 1, "cycle_through": 1}
+
+
+def test_a_scenario_with_filled_caches_is_the_same_value():
+    used, fresh = ring(5), ring(5)
+    build_report(EmpiricalModel.build(used, uniform_tables(used)))
+    assert {"maximal", "shared_faces", "cycle"} <= set(vars(used))
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    for copied in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert set(vars(copied)) == set(MeasurementScenario._fields)
+    assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
