@@ -31,7 +31,9 @@ at --samples 100000 --seed 0; `validate`, `analyze` and `bootstrap` on the
 fixture responses followed by one row of each malformed kind, a blank line,
 a quoted field spanning two lines and a repeated id, so that every
 `warning: line N: ...` form is pinned; and `bootstrap --out` on a
-40-response file whose least draw sits on a bin edge.
+40-response file whose least draw sits on a bin edge.  Usage cases pin
+`winoctx --help`, each subcommand's --help and two usage errors (an
+unknown --statistic and no subcommand), with help wrapped at 80 columns.
 Fixture paths print as {fixtures}, and the directory holding the inputs
 built here as {tmp}.
 
@@ -53,6 +55,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -247,6 +250,14 @@ SCHEMA_COMMANDS = {
                                             "--instantiate", "convince"],
 }
 
+# the parser's own output: argparse prints it and exits
+USAGE_COMMANDS = {
+    "help": ["--help"],
+    **{f"help_{name}": [name, "--help"] for name in ("validate", "analyze", "bootstrap", "schema")},
+    "usage_bogus_statistic": ["bootstrap", *RESPONSES, "--statistic", "bogus"],
+    "usage_no_command": [],
+}
+
 
 def write_inputs(directory):
     """Write every input built here into `directory`, as <name>.json or,
@@ -283,8 +294,13 @@ def command(argv, tmp):
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        # argparse wraps help to the width in COLUMNS
+        with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and usage errors
+                code = exc.code
     finally:
         os.chdir(cwd)
     parts = [f"exit: {code}\n", "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
@@ -298,7 +314,8 @@ def command_records():
     return {
         **{f"{case}.{fmt}": [*argv, "--format", fmt]
            for case, argv in COMMANDS.items() for fmt in FORMATS},
-        **{f"{case}.out": argv for case, argv in SCHEMA_COMMANDS.items()},
+        **{f"{case}.out": argv
+           for case, argv in {**SCHEMA_COMMANDS, **USAGE_COMMANDS}.items()},
     }
 
 
