@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
+from .cbd import STATISTICS
 from .empirical import PROB_TOL
 from .scenario import Context, Frozen, MeasurementScenario, cyclic_structure
 
@@ -58,7 +59,6 @@ if TYPE_CHECKING:
 
 GENERATOR = "philox4x64-10"
 SAMPLER = "walker-alias"
-STATISTICS = ("violation", "cnt1", "cf")
 # a run holds 17 bytes per draw (two floats and a flag) plus one block's
 # temporaries: at the cap, 172 MB traced and 200 MB process RSS at rank 4
 MAX_RESAMPLES = 10**7

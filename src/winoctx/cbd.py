@@ -69,6 +69,10 @@ from .empirical import EmpiricalModel
 from .scenario import Context, Frozen, Observable
 
 
+# what `winoctx bootstrap` can draw; each is read off a cycle's s_odd
+STATISTICS = ("violation", "cnt1", "cf")
+
+
 class CyclicSystemError(ValueError):
     pass
 

@@ -21,6 +21,15 @@ Every command runs on one thread.  `main` sets OPENBLAS_NUM_THREADS to 1
 before any command loads numpy (only `bootstrap` and the LP path of
 `analyze` do), so numpy's BLAS starts without a worker pool that no command
 uses; a value the caller has set is kept.
+
+Start-up: this module loads `files` and, through the package, `scenario`,
+`empirical` and `cbd`; every command runs them.  The rest loads on
+dispatch, in the commands that run it: `ingest` (with `csv`) for response
+files, `schema` for schema files, `report` in `analyze`, `bootstrap` in
+`bootstrap`.  `parse_responses`, `aggregate`, `build_report` and `run`
+stay attributes of this module (PEP 562): the first lookup imports and
+binds the function, and each call site reads the binding when it calls,
+so a wrapper set on this module is the one called.
 """
 
 from __future__ import annotations
@@ -31,10 +40,10 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from importlib import import_module
 from pathlib import Path
 
-from .bootstrap import (BIN_WIDTH, GENERATOR, SAMPLER, STATISTICS, BootstrapConfig,
-                        cycle_order_tallies, run)
+from .cbd import STATISTICS
 from .empirical import PROB_TOL
 from .files import (
     FileFormatError,
@@ -46,12 +55,28 @@ from .files import (
     scenario_to_dict,
     schema_from_dict,
 )
-from .ingest import ResponseFormatError, aggregate, parse_responses, repeated_ids
-from .report import build_report, render_text
 from .scenario import InvalidScenarioError
-from .schema import SchemaError, instantiate, ws_scenario
 
-STRUCTURAL_ERRORS = (FileFormatError, ResponseFormatError, OSError)
+# exit 2; ingest's ResponseFormatError is a FileFormatError
+STRUCTURAL_ERRORS = (FileFormatError, OSError)
+
+# name -> the module that defines it, imported on the name's first use
+_DEFERRED = {"parse_responses": "ingest", "aggregate": "ingest",
+             "build_report": "report", "run": "bootstrap"}
+
+
+def __getattr__(name: str):
+    # PEP 562: called while `name` is unbound here; setdefault keeps a binding
+    # that another caller made first
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_DEFERRED[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _bound(name: str):
+    """A deferred function as this module binds it at the call."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _tolerance(text: str) -> float:
@@ -76,6 +101,8 @@ VALIDATE_TEXT = {
 
 
 def _warn_repeated_ids(records) -> None:
+    from .ingest import repeated_ids
+
     for rid in repeated_ids(records):
         print(f"warning: respondent id {rid!r} appears more than once", file=sys.stderr)
 
@@ -84,26 +111,32 @@ def _check(path: Path) -> tuple:
     """Kind, problems, facts and response records of one file; a model that
     loads has no problems left to report."""
     if path.suffix.lower() == ".csv":
-        result = parse_responses(path)
+        result = _bound("parse_responses")(path)
         return "responses", result.problems, {"records": len(result.records)}, result.records
     doc = load_json(path)
     kind = detect_kind(doc)
     if kind == "model":
         model = model_from_dict(doc, base_dir=path.parent)
         return kind, (), {"contexts": len(model.distributions)}, ()
+    if kind == "scenario":
+        try:
+            return kind, (), {"observables": len(scenario_from_dict(doc).observables)}, ()
+        except InvalidScenarioError as exc:
+            return kind, exc.problems, {}, ()
+    from .schema import SchemaError
+
     try:
-        facts = ({"observables": len(scenario_from_dict(doc).observables)}
-                 if kind == "scenario" else {"flavor": schema_from_dict(doc).flavor})
-    except (InvalidScenarioError, SchemaError) as exc:
+        return kind, (), {"flavor": schema_from_dict(doc).flavor}, ()
+    except SchemaError as exc:
         return kind, exc.problems, {}, ()
-    return kind, (), facts, ()
 
 
 def cmd_validate(args) -> int:
     kind, problems, facts, records = _check(Path(args.path))
     for problem in problems:
         print(problem, file=sys.stderr)
-    _warn_repeated_ids(records)
+    if records:  # only response files have records; other kinds need no `ingest`
+        _warn_repeated_ids(records)
     if problems:
         return 1
     _emit(args, {"kind": kind, "valid": True, **facts}, VALIDATE_TEXT[kind].format_map)
@@ -113,14 +146,16 @@ def cmd_validate(args) -> int:
 def _aggregate_responses(responses, schema_path, needs: str):
     """Model and tallies of a response file under a two-pronoun schema;
     `needs` names the caller in the error for any other schema."""
-    parsed = parse_responses(responses)
+    parsed = _bound("parse_responses")(responses)
     for problem in parsed.problems:
         print(f"warning: {problem}", file=sys.stderr)
     schema = schema_from_dict(load_json(schema_path))
     if len(schema.pronouns) != 2:
+        from .schema import SchemaError
+
         raise SchemaError(f"{needs} needs a two-pronoun schema")
     _warn_repeated_ids(parsed.records)
-    return aggregate(parsed.records, schema)
+    return _bound("aggregate")(parsed.records, schema)
 
 
 def _load_analysis_inputs(args):
@@ -134,8 +169,11 @@ def _load_analysis_inputs(args):
 
 
 def cmd_analyze(args) -> int:
+    from .report import render_text
+
     model, tallies = _load_analysis_inputs(args)
-    _emit(args, build_report(model, tol=args.tol, tallies=tallies).to_dict(), render_text)
+    report = _bound("build_report")(model, tol=args.tol, tallies=tallies)
+    _emit(args, report.to_dict(), render_text)
     return 0
 
 
@@ -149,6 +187,8 @@ BOOTSTRAP_TEXT = (
 
 
 def cmd_bootstrap(args) -> int:
+    from .bootstrap import BIN_WIDTH, GENERATOR, SAMPLER, BootstrapConfig, cycle_order_tallies
+
     model, tallies = _aggregate_responses(args.responses, args.schema, "bootstrap")
     ordered = cycle_order_tallies(model.scenario, tallies)
     config = BootstrapConfig(
@@ -160,7 +200,7 @@ def cmd_bootstrap(args) -> int:
     )
     # open --out before drawing, so that an unwritable path costs no draws
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fh:
-        result = run(ordered, config)
+        result = _bound("run")(ordered, config)
         if fh is not None:
             fh.write("bin_center,density\n")
             fh.writelines(f"{center:.6f},{density:.6f}\n" for center, density
@@ -190,6 +230,8 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_schema(args) -> int:
+    from .schema import instantiate, ws_scenario
+
     if bool(args.compile) == bool(args.instantiate):
         raise FileFormatError("pick exactly one of --compile or --instantiate")
     if args.out and not args.compile:

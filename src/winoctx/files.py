@@ -27,11 +27,13 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .empirical import PROB_TOL, EmpiricalModel
 from .scenario import SEPARATOR, MeasurementScenario, maximal_contexts
-from .schema import MAX_SLOTS, WinogradSchema, flavor_of
+
+if TYPE_CHECKING:
+    from .schema import WinogradSchema
 
 RENORM_BAND = 1e-2  # rows off by at most this much are rescaled on load
 
@@ -62,10 +64,12 @@ def load_json(path) -> dict:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not parseable as JSON: {exc}") from exc
+        except FileFormatError:  # a repeated key
+            raise
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # malformed, or an integer too long to convert
+            raise FileFormatError(f"{path}: not parseable as JSON: {exc}") from exc
         except RecursionError:
             raise FileFormatError(f"{path}: nested too deeply to parse") from None
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
@@ -213,6 +217,8 @@ def _word_pair(doc: dict, slot: str) -> tuple[str, str]:
 
 
 def schema_from_dict(doc: dict) -> WinogradSchema:
+    from .schema import MAX_SLOTS, WinogradSchema, flavor_of  # only schema files need it
+
     for key in ("noun_phrases", "pronouns", "words", "template"):
         _require(key in doc, f"schema document lacks {key!r}")
     nps = _string_list(doc["noun_phrases"], "noun_phrases")

@@ -31,6 +31,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .empirical import EmpiricalModel
+from .files import FileFormatError
 from .scenario import Context, Frozen
 from .schema import SchemaError, WinogradSchema, version_contexts, ws_scenario
 
@@ -49,7 +50,7 @@ class IngestError(ValueError):
     pass
 
 
-class ResponseFormatError(IngestError):
+class ResponseFormatError(IngestError, FileFormatError):
     """Structural problem with a response file (missing/bad header)."""
 
 

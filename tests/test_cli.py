@@ -317,6 +317,31 @@ def test_deeply_nested_json_is_unreadable(tmp_path, capsys, command):
     assert err == f"error: {deep}: nested too deeply to parse\n"
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="integer string conversion has no digit limit")
+@pytest.mark.parametrize("command", ["validate-scenario", "analyze-model", "bootstrap-schema"])
+def test_integer_over_the_digit_limit_is_unparseable(tmp_path, capsys, command):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError) as limit:
+        int(digits)
+    big = tmp_path / "big.json"
+    scenario = '{"observables": ["p"], "contexts": [["p"]], "outcomes": ["x", %s]}'
+    if command == "validate-scenario":
+        big.write_text(scenario % digits)
+        argv = ["validate", str(big)]
+    elif command == "analyze-model":
+        big.write_text('{"scenario": %s, "distributions": [{"context": ["p"], '
+                       '"probs": {"x": %s}}]}' % (scenario % '"y"', digits))
+        argv = ["analyze", str(big)]
+    else:
+        schema = fixture_path("cannibal_schema.json").read_text(encoding="utf-8")
+        big.write_text(schema.replace('"pronouns": [', '"pronouns": [%s, ' % digits, 1))
+        argv = ["bootstrap", fx("cannibal_responses.csv"), str(big), "--samples", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {big}: not parseable as JSON: {limit.value}\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "analyze", "bootstrap"])
 def test_oversized_csv_field_is_unreadable(tmp_path, capsys, command):
     responses = tmp_path / "responses.csv"
@@ -815,6 +840,88 @@ def test_report_and_bootstrap_import_without_ingest(module):
     proc = python_process("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the modules that only some commands run
+ON_DISPATCH = ("csv", "winoctx.ingest", "winoctx.schema", "winoctx.report", "winoctx.bootstrap",
+               "winoctx.sheaf", "winoctx.linprog")
+RESPONSE_FILES = ("csv", "winoctx.ingest", "winoctx.schema")
+LOADED_BY = {
+    "import": ([], ()),
+    "analyze-model": (["analyze", fx("cannibal_judgment_model.json")], ("winoctx.report",)),
+    "analyze-responses": (["analyze", "--responses", fx("cannibal_responses.csv"),
+                           "--schema", fx("cannibal_schema.json")],
+                          (*RESPONSE_FILES, "winoctx.report")),
+    "validate-model": (["validate", fx("cannibal_judgment_model.json")], ()),
+    "validate-scenario": (["validate", fx("chsh_scenario.json")], ()),
+    "validate-schema": (["validate", fx("cannibal_schema.json")], ("winoctx.schema",)),
+    "validate-responses": (["validate", fx("cannibal_responses.csv")], RESPONSE_FILES),
+    "schema": (["schema", fx("cannibal_schema.json"), "--compile"], ("winoctx.schema",)),
+    **{f"bootstrap-{stat}": (["bootstrap", fx("cannibal_responses.csv"),
+                              fx("cannibal_schema.json"), "--samples", "100",
+                              "--statistic", stat], (*RESPONSE_FILES, "winoctx.bootstrap"))
+       for stat in ("violation", "cf")},
+}
+
+LOAD_PROBE = """
+import contextlib, io, json, sys
+import winoctx.cli
+argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+code = 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = winoctx.cli.main(argv)
+print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(LOADED_BY))
+def test_each_command_loads_only_the_modules_it_runs(command):
+    argv, loads = LOADED_BY[command]
+    proc = python_process("-c", LOAD_PROBE, json.dumps(argv), json.dumps(ON_DISPATCH))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, sorted(loads)]
+
+
+# the names by which benchmarks/spans.py wraps the layers a command calls:
+# each with its defining module and a command that calls it once
+CLI_HOOKS = {
+    "load_json": ("files", ["analyze", fx("cannibal_judgment_model.json")]),
+    "model_from_dict": ("files", ["analyze", fx("cannibal_judgment_model.json")]),
+    "parse_responses": ("ingest", LOADED_BY["analyze-responses"][0]),
+    "aggregate": ("ingest", LOADED_BY["analyze-responses"][0]),
+    "build_report": ("report", ["analyze", fx("cannibal_judgment_model.json")]),
+    "run": ("bootstrap", LOADED_BY["bootstrap-violation"][0]),
+}
+
+HOOK_PROBE = """
+import json, sys
+import winoctx.cli
+found = [getattr(winoctx.cli, name).__module__ for name in json.loads(sys.argv[1])]
+print(json.dumps([found, hasattr(winoctx.cli, "no_such_name")]))
+"""
+
+
+def test_hooked_names_resolve_before_any_command_runs():
+    names = sorted(CLI_HOOKS)
+    proc = python_process("-c", HOOK_PROBE, json.dumps(names))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[f"winoctx.{CLI_HOOKS[n][0]}" for n in names], False]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_HOOKS))
+def test_main_calls_a_wrapper_set_on_the_cli_module(capsys, monkeypatch, name):
+    import winoctx.cli
+
+    original, calls = getattr(winoctx.cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(winoctx.cli, name, wrapper)
+    code, _, err = run_cli(capsys, *CLI_HOOKS[name][1])
+    assert (code, err, calls) == (0, "", [name])
 
 
 BOOTSTRAP_ARGV =["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json")]
