@@ -100,6 +100,16 @@ def _marginal(
 
 class EmpiricalModel(Frozen):
     def __init__(self, scenario: MeasurementScenario, distributions: tuple[Distribution, ...]):
+        # at most one distribution per context of the scenario; `build`
+        # also refuses a missing one
+        contexts, seen = set(scenario.maximal), set()
+        for dist in distributions:
+            if dist.context not in contexts:
+                raise EmpiricalModelError(
+                    f"distribution for {dist.context!r}, which is not a context of the scenario")
+            if dist.context in seen:
+                raise EmpiricalModelError(f"context {dist.context!r} has two distributions")
+            seen.add(dist.context)
         super().__init__(scenario=scenario, distributions=distributions)
 
     @classmethod

@@ -15,7 +15,8 @@ outcome-symmetric, and their single-observable marginals are (1/2, 1/2)
 bit-for-bit, so the signalling discrepancy is exactly 0.0.
 
 Records are named tuples, built without a Python-level constructor call per
-row, with the cyclic garbage collector paused for the row loop.
+row, with the cyclic garbage collector paused for the row loop; records that
+name the same word share one string object for it.
 Aggregation counts the distinct (word1, word2, picks) keys in one C loop
 and checks words and tallies contexts per key, not per record.
 Repeated respondent ids are not an error: `repeated_ids` lists them, and the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import sys
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -114,7 +116,7 @@ def parse_responses(path) -> ParseResult:
                 )
             records: list[ResponseRecord] = []
             problems: list[str] = []
-            append, new, width = records.append, tuple.__new__, len(HEADER)
+            append, new, width, intern = records.append, tuple.__new__, len(HEADER), sys.intern
             # a record starts on the line after the previous one ends; a
             # quoted field may span lines, so rows are not lines
             last = reader.line_num
@@ -128,7 +130,7 @@ def parse_responses(path) -> ParseResult:
                         rid, word1, word2, pick1, pick2 = map(str.strip, row)
                         picks = PICK_PAIRS.get((pick1, pick2))
                         if rid and picks is not None:
-                            append(new(ResponseRecord, (rid, word1, word2, picks)))
+                            append(new(ResponseRecord, (rid, intern(word1), intern(word2), picks)))
                             last = reader.line_num
                             continue
                     problem = _row_problem(last + 1, row)

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import gc
 import itertools
 import json
 import os
@@ -945,3 +948,121 @@ def test_a_callers_blas_thread_count_is_kept_and_changes_no_output(monkeypatch):
     assert (code, code2, value) == (0, 0, "2")
     assert json.loads(unset)["n_resamples"] == 3000
     assert two == unset
+
+
+COLLECTOR_CASES = {
+    "ok": (["analyze", fx("cannibal_judgment_model.json")], 0),
+    "exit-1": (["schema", fx("cannibal_schema.json"), "--instantiate", "nope", "never"], 1),
+    "exit-2": (["analyze", "no-such-model.json"], 2),
+    "usage": (["bootstrap", *BOOTSTRAP_ARGV[1:], "--statistic", "bogus"], SystemExit),
+    "help": (["analyze", "--help"], SystemExit),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, case):
+    import winoctx.cli
+
+    argv, outcome = COLLECTOR_CASES[case]
+    seen = []
+    parse = winoctx.cli.build_parser
+
+    def build_parser(argv):
+        seen.append(gc.isenabled())
+        return parse(argv)
+
+    monkeypatch.setattr(winoctx.cli, "build_parser", build_parser)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False]  # paused for the whole command, its parsing included
+
+
+ENTRY_PROBE = """
+import contextlib, gc, io, json, sys
+import winoctx.cli
+passes = []
+gc.callbacks.append(lambda phase, info: passes.append(info["generation"])
+                    if phase == "start" else None)
+sys.argv = ["winoctx", *json.loads(sys.argv[1])]
+numpy_before = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = winoctx.cli.entry()
+print(json.dumps([code, numpy_before, "numpy" in sys.modules, passes,
+                  gc.get_freeze_count() > 0, gc.isenabled()]))
+"""
+
+
+@pytest.mark.parametrize("argv, numpy", [
+    (BOOTSTRAP_ARGV + ["--samples", "20000"], True),
+    (LOADED_BY["analyze-responses"][0], False),
+])
+def test_the_process_entry_runs_no_collection_and_freezes_the_heap(argv, numpy):
+    proc = python_process("-c", ENTRY_PROBE, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    # numpy's import, inside the command, runs dozens of passes when collecting
+    assert json.loads(proc.stdout) == [0, False, numpy, [], True, True]
+
+
+def test_the_console_script_is_the_function_the_main_block_calls():
+    import winoctx.cli
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["winoctx"]
+    module, _, name = target.partition(":")
+    assert (module, getattr(winoctx.cli, name)) == ("winoctx.cli", winoctx.cli.entry)
+    tree = ast.parse(Path(winoctx.cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block) == f"if __name__ == '__main__':\n    sys.exit({name}())"
+
+
+PARSER_ARGVS = [
+    [], ["--help"], ["bogus"], ["analyze", "--help"], ["--", "analyze", "m.json"],
+    ["validate", "analyze"], ["analyze", "validate", "--format", "json"],
+    ["bootstrap", "r.csv", "s.json", "--statistic", "cf", "--samples", "7"],
+    ["schema", "s.json", "--instantiate", "a", "b"], ["schema", "analyze", "--compile"],
+]
+
+
+def parsed(parser, argv, capsys):
+    """What parsing argv gives: the namespace, or the exit code and output."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_the_dispatched_commands_arguments_parse_as_every_commands_do(capsys, argv):
+    from winoctx.cli import build_parser
+
+    assert parsed(build_parser(argv), argv, capsys) == parsed(build_parser(), argv, capsys)
+
+
+def test_the_parser_adds_arguments_only_for_the_command_argv_names():
+    from winoctx.cli import COMMANDS, build_parser
+
+    def arguments(argv):
+        [sub] = [action for action in build_parser(argv)._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(COMMANDS)
+        assert [a.help for a in sub._choices_actions] == [COMMANDS[n][0] for n in COMMANDS]
+        return {name: len(p._actions) - 1 for name, p in sub.choices.items()}  # less -h
+
+    every = arguments(None)
+    assert every == {"validate": 2, "analyze": 5, "bootstrap": 9, "schema": 4}
+    assert arguments([]) == arguments(["bogus"]) == arguments(["--help"]) == every
+    for name in COMMANDS:
+        assert arguments([name, "x"]) == {n: every[n] if n == name else 0 for n in COMMANDS}

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -405,6 +406,31 @@ def test_signalling_refuses_a_model_without_one_of_its_contexts():
             model = EmpiricalModel(scenario, built.distributions[:k] + built.distributions[k + 1:])
             with pytest.raises(EmpiricalModelError, match="no distribution for context"):
                 signalling(model)
+
+
+def test_a_model_refuses_a_table_off_its_contexts_or_a_context_listed_twice(chsh_scenario):
+    built = random_model(chsh_scenario, np.random.default_rng(0), "random")
+    dists = built.distributions
+    first = dists[0]
+    strangers = [
+        Distribution.from_mapping(("a1", "a2"), ("0", "1"), {("0", "0"): 1.0}),
+        # the context's observables out of the scenario's order
+        Distribution.from_mapping(first.context[::-1], ("0", "1"), {("0", "0"): 1.0}),
+    ]
+    for stranger in strangers:
+        for listed in (dists + (stranger,), (stranger,) + dists, (stranger,)):
+            with pytest.raises(EmpiricalModelError,
+                               match=re.escape(f"distribution for {stranger.context!r}, which "
+                                                 "is not a context of the scenario")):
+                EmpiricalModel(chsh_scenario, listed)
+    for k in range(len(dists)):
+        with pytest.raises(EmpiricalModelError,
+                           match=re.escape(f"context {dists[k].context!r} has two distributions")):
+            EmpiricalModel(chsh_scenario, dists + (dists[k],))
+    # one table per context, in any order, or fewer than every context
+    assert EmpiricalModel(chsh_scenario, dists[::-1]).contexts == tuple(
+        d.context for d in dists[::-1])
+    assert EmpiricalModel(chsh_scenario, ()).contexts == ()
 
 
 def test_outcome_symmetry(judgment_model, pr_model):

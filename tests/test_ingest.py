@@ -93,6 +93,21 @@ def test_parse_well_formed(tmp_path):
     assert result.records[0] == record("r1", "cannibalistic", "hungry", ("AA", "BB"))
 
 
+def test_records_naming_the_same_word_share_its_string(tmp_path):
+    path = tmp_path / "responses.csv"
+    path.write_text(
+        "respondent_id,word1,word2,pick1,pick2\n"
+        "r1,cannibalistic,hungry,AA,BB\n"
+        "r2, cannibalistic ,hungry,AB,BA\n"
+        "r3,hungry,cannibalistic,AA,BB\n"
+    )
+    result = parse_responses(path)
+    assert result == parse_responses_by_row(path)
+    r1, r2, r3 = result.records
+    assert r1.word1 is r2.word1 is r3.word2
+    assert r1.word2 is r2.word2 is r3.word1
+
+
 def test_parse_duplicate_pick_is_malformed(tmp_path):
     path = tmp_path / "responses.csv"
     path.write_text(
