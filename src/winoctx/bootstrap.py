@@ -15,13 +15,16 @@ ACM TOMS 3 (1977) 253-256), built in linear time as in Vose, IEEE TSE 17
 (1991) 972-975.  A draw then costs one uniform, one gather and one compare,
 whatever n_valid and the split are.
 
-Draws are made context by context in blocks of `_BLOCK`, and each block of
-correlations is folded at once into three values per draw: the running sum
-of |correlation|, the least |correlation| and the parity of the negative
-ones.  s_odd follows from those, and the statistic is computed in place, so
-a run holds 17 bytes per draw plus one block's temporaries, and never a
-draws x contexts array.  `contextual_fraction` turns each draw's s_odd
-into cf and lives here, its one user.
+Draws are made in blocks of `_BLOCK` resamples.  A block draws every
+context in turn and folds each context's correlations at once into three
+values per draw: the running sum of |correlation|, the least |correlation|
+and the parity of the negative ones.  s_odd follows from those and is
+written into the samples vector before the next block is drawn, and the
+statistic is then computed in place.  Every array a block touches is a
+buffer allocated once per run, so a run holds the samples vector, 8 bytes
+per draw, plus one block's buffers, and never a draws x contexts array.
+`contextual_fraction` turns each draw's s_odd into cf and lives here, its
+one user.
 
 Every statistic counts a draw toward `fraction_positive` when it is above
 `tol`, as `analyze` decides its verdicts (cnt1 > tol, cf > tol): a draw on
@@ -31,16 +34,18 @@ numpy is imported inside the functions that touch arrays, so that the
 commands that import this module without drawing (`winoctx analyze`,
 `validate`, `schema`) do not load it.
 
-Determinism contract: all randomness comes from one Philox generator
-(counter-based, documented algorithm philox4x64-10), read as uniforms in
-[0, 1) by the walker-alias sampler: every draw of context 0 first, then
-every draw of context 1, and so on.  A draw uses one uniform and nothing
-else, so drawing a context in blocks gives the same numbers as one call for
-all its draws, and statistic values are written into the samples vector by
-resample index.  Everything runs on one thread; `workers` is validated and
-otherwise ignored, so it cannot change a single bit of the output.  No BLAS
-call is made, only elementwise ufuncs, gathers and Philox draws, so no BLAS
-thread count can change a bit either.
+Determinism contract: all randomness comes from one Philox stream
+(counter-based, documented algorithm philox4x64-10, seeded with `seed`),
+read as uniforms in [0, 1) by the walker-alias sampler: uniforms k n to
+(k + 1) n - 1 of the stream are the n draws of context k, in resample
+order.  Each context reads its part from its own generator, placed there
+by Philox's `advance` (Salmon et al., SC 2011), so the blocks draw the
+numbers that one generator gives to all of context 0's draws, then all of
+context 1's, and so on; statistic values are written into the samples
+vector by resample index.  Everything runs on one thread; `workers` is
+validated and otherwise ignored, so it cannot change a single bit of the
+output.  No BLAS call is made, only elementwise ufuncs, gathers and Philox
+draws, so no BLAS thread count can change a bit either.
 """
 
 from __future__ import annotations
@@ -59,11 +64,12 @@ if TYPE_CHECKING:
 
 GENERATOR = "philox4x64-10"
 SAMPLER = "walker-alias"
-# a run holds 17 bytes per draw (two floats and a flag) plus one block's
-# temporaries: at the cap, 172 MB traced and 200 MB process RSS at rank 4
+# a run holds its samples, 8 bytes per draw, plus one block's buffers, and
+# the full-length temporary of `samples.std()` doubles that at the peak: at
+# the cap, a rank-4 run takes 1.0-1.3 s, 160 MB traced and 187 MB VmHWM
 MAX_RESAMPLES = 10**7
 BIN_WIDTH = 0.02  # of the histogram of draws
-_BLOCK = 2**16  # draws per block
+_BLOCK = 2**14  # draws per block: 2**13 to 2**15 ran fastest, 2**11, 2**12, 2**16 slower
 
 
 class BootstrapError(ValueError):
@@ -127,39 +133,6 @@ def histogram(samples: Sequence[float]) -> Histogram:
     densities = counts / (data.size * BIN_WIDTH)
     centers = (np.arange(lo, hi) + 0.5) * BIN_WIDTH
     return Histogram(centers=centers, densities=densities)
-
-
-# a function, not inlined into `run`, so that its arrays are freed before the
-# histogram is built: inlined, `bootstrap` peak RSS rose from 44.6-44.8 to 47.0 MB
-def _fold_s_odd(n_rows: int, blocks) -> np.ndarray:
-    """Closed-form `cbd.s_odd` of `n_rows` rows, folded in column by column.
-
-    `blocks` yields (rows, values): a column's `values` on the slice `rows`.
-    Each block updates three per-row values, the running sum of |value|, the
-    least |value| and the parity of negative values, so no rows x columns
-    array is built.  The sum runs left to right from 0, as numpy's row sum
-    does for up to 7 terms; from 8 on numpy sums pairwise and can differ in
-    the last bits.  Only elementwise ufuncs, so the result does not depend
-    on thread count.
-    """
-    import numpy as np
-
-    total = np.zeros(n_rows)
-    least = np.full(n_rows, np.inf)
-    odd = np.zeros(n_rows, dtype=bool)
-    for rows, values in blocks:
-        block_total, block_least, block_odd = total[rows], least[rows], odd[rows]
-        mags = np.abs(values)
-        block_total += mags
-        np.minimum(block_least, mags, out=block_least)
-        block_odd ^= values < 0.0
-        # let this block's arrays go before `blocks` draws the next one
-        del values, mags
-    # an even count of negatives flips the least term; an odd one keeps all
-    least *= 2.0
-    least[odd] = 0.0
-    total -= least
-    return total
 
 
 def contextual_fraction(s_odd: np.ndarray, rank: int) -> np.ndarray:
@@ -260,19 +233,100 @@ def _slot_correlations(tally: ContextTally) -> tuple[np.ndarray, np.ndarray]:
     return table.prob, (2.0 * counts - tally.n_valid) / tally.n_valid
 
 
+class _Block(NamedTuple):
+    """Buffers for one block of draws, allocated once per run and written
+    through `out=`, so that no block allocates."""
+
+    uniform: np.ndarray   # a context's uniforms, then its correlations
+    slot: np.ndarray      # intp: the alias-table slot of each draw
+    prob: np.ndarray      # that slot's `prob`
+    alias: np.ndarray     # bool: the draws that take the slot's alias
+    negative: np.ndarray  # bool: the draws whose correlation is below 0
+    total: np.ndarray     # running sum of |correlation| over the contexts
+    least: np.ndarray     # least |correlation| so far
+    odd: np.ndarray       # bool: parity of the negative correlations so far
+
+    @classmethod
+    def empty(cls, size: int) -> _Block:
+        import numpy as np
+
+        kinds = {"slot": np.intp, "alias": bool, "negative": bool, "odd": bool}
+        return cls(*(np.empty(size, dtype=kinds.get(f, float)) for f in cls._fields))
+
+
 def _draw_correlations(rng: np.random.Generator, prob: np.ndarray, slots: np.ndarray,
-                       size: int) -> np.ndarray:
+                       size: int, out: _Block | None = None) -> np.ndarray:
     """Correlations of `size` resamples of one context, from its alias table
-    as `_slot_correlations` lays it out."""
+    as `_slot_correlations` lays it out.  With `out`, every array is a view
+    of its buffers, and the correlations land in `out.uniform[:size]`."""
     import numpy as np
 
+    if out is None:
+        u = rng.random(size)
+        j, taken, alias = np.empty(size, np.intp), np.empty(size), np.empty(size, bool)
+    else:
+        u = rng.random(out=out.uniform[:size])
+        j, taken, alias = out.slot[:size], out.prob[:size], out.alias[:size]
     m = len(prob)
-    u = rng.random(size)
     u *= m  # below m even for the largest uniform, 1 - 2**-53
-    j = u.astype(np.intp)
+    np.copyto(j, u, casting="unsafe")  # truncates, as astype(np.intp) does
     u -= j
-    np.add(j, m, out=j, where=u >= prob.take(j))
+    # take keeps its bounds check: with `out` it copies through a temporary
+    # that malloc reuses, and ran no slower than mode="clip"
+    np.greater_equal(u, prob.take(j, out=taken), out=alias)
+    np.add(j, m, out=j, where=alias)
     return slots.take(j, out=u)
+
+
+def _generator_at(seed: int, position: int) -> np.random.Generator:
+    """A generator whose next uniform is uniform `position` of the stream
+    of `Generator(Philox(seed))`.  Philox makes four 64-bit words, one
+    uniform each, per counter step, and `advance` moves the counter."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.bit_generator.advance(position // 4)
+    rng.random(position % 4)
+    return rng
+
+
+def _s_odd_samples(contexts: Sequence[tuple[np.ndarray, np.ndarray]], n: int,
+                   seed: int) -> np.ndarray:
+    """Closed-form `cbd.s_odd` of `n` resamples of the `contexts`, each an
+    alias table as `_slot_correlations` lays it out.
+
+    Context k draws uniforms k n to (k + 1) n - 1 of the seed's stream, from
+    its own generator placed there.  Draws run in blocks of `_BLOCK` rows,
+    and each block folds its contexts' correlations into three values per
+    row, the running sum of |c|, the least |c| and the parity of the
+    negative ones, and writes its s_odd before the next block is drawn.  The
+    sum runs left to right from 0, as numpy's row sum does for up to 7
+    terms; from 8 on numpy sums pairwise and can differ in the last bits.
+    """
+    import numpy as np
+
+    rngs = [_generator_at(seed, k * n) for k in range(len(contexts))]
+    work = _Block.empty(min(n, _BLOCK))
+    samples = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        negative, total, least, odd = (
+            a[:size] for a in (work.negative, work.total, work.least, work.odd))
+        total.fill(0.0)
+        least.fill(np.inf)
+        odd.fill(False)
+        for rng, (prob, slots) in zip(rngs, contexts):
+            values = _draw_correlations(rng, prob, slots, size, work)
+            odd ^= np.less(values, 0.0, out=negative)
+            mags = np.abs(values, out=values)
+            total += mags
+            np.minimum(least, mags, out=least)
+        # an even count of negatives drops twice the least term; an odd one
+        # keeps all
+        least *= 2.0
+        np.copyto(least, 0.0, where=odd)
+        np.subtract(total, least, out=samples[start:start + size])
+    return samples
 
 
 def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapResult:
@@ -282,8 +336,6 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     reflection gives the same statistics; see cycle_order_tallies for the
     canonical arrangement).
     """
-    import numpy as np
-
     tallies = list(tallies)
     rank = len(tallies)
     if rank < 3:
@@ -295,14 +347,7 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
         raise BootstrapError("the violation statistic is defined for rank 4 only")
 
     contexts = [_slot_correlations(t) for t in tallies]
-    # all of context 0's draws, then all of context 1's, ..., each context in
-    # blocks: the same numbers as one call per context
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    n = config.n_resamples
-    blocks = [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
-    samples = _fold_s_odd(n, (
-        (rows, _draw_correlations(rng, prob, slots, rows.stop - rows.start))
-        for prob, slots in contexts for rows in blocks))
+    samples = _s_odd_samples(contexts, config.n_resamples, config.seed)
 
     if config.statistic != "cf":
         # violation (rank 4 only) and cnt1 are both s_odd - (rank - 2):
