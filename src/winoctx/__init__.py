@@ -17,14 +17,13 @@ __all__ = [
     "cnt1",
     "chsh_violation",
     "contextual_fraction",
-    "is_noncontextual",
 ]
 
 
 def __getattr__(name):
     # the LP measures load sheaf, and with it numpy, on first use only
-    if name in ("contextual_fraction", "is_noncontextual"):
+    if name == "contextual_fraction":
         from . import sheaf
 
-        return getattr(sheaf, name)
+        return sheaf.contextual_fraction
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

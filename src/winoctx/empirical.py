@@ -69,20 +69,6 @@ class Distribution(Frozen):
     def prob(self, outcome: tuple[str, ...]) -> float:
         return self.table[outcome]
 
-    def marginalize(self, keep: Iterable[str]) -> "Distribution":
-        """Marginal over a subset of the context's observables."""
-        keep = set(keep)
-        missing = keep.difference(self.context)
-        if missing:
-            raise EmpiricalModelError(f"{sorted(missing)} not in context {self.context!r}")
-        keep = tuple(k for k in self.context if k in keep)
-        if not keep:
-            raise EmpiricalModelError("cannot marginalize onto the empty face")
-        positions = [self.context.index(k) for k in keep]
-        sums = _marginal(self.table, positions, self.outcome_set)
-        table = dict(zip(outcome_tuples(self.outcome_set, len(keep)), sums))
-        return Distribution(context=keep, outcome_set=self.outcome_set, table=table)
-
 
 def _marginal(
     table: Mapping[tuple[str, ...], float], positions: list[int], outcome_set: tuple[str, ...]
@@ -139,10 +125,6 @@ class EmpiricalModel(Frozen):
     @cached_property
     def _by_context(self) -> dict[Context, Distribution]:
         return {d.context: d for d in self.distributions}
-
-    @property
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple(d.context for d in self.distributions)
 
     def distribution(self, context: Context) -> Distribution:
         try:
@@ -209,33 +191,3 @@ def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
     flip = dict(zip(outcomes, reversed(outcomes)))
     return all(abs(p - dist.table[tuple(flip[label] for label in joint)]) <= tol
                for dist in model.distributions for joint, p in dist.table.items())
-
-
-def from_global_weights(
-    scenario: MeasurementScenario,
-    weights: Mapping[tuple[str, ...], float],
-) -> EmpiricalModel:
-    """Model induced by a distribution on global assignments.
-
-    Assignment tuples follow scenario.observables order.  Models built this
-    way are non-signalling and noncontextual by construction, which makes
-    this the reference generator for property tests.
-    """
-    total = math.fsum(weights.values())
-    if abs(total - 1.0) > PROB_TOL:
-        raise EmpiricalModelError(f"global weights sum to {total!r}, not 1")
-    if any(w < -PROB_TOL for w in weights.values()):
-        raise EmpiricalModelError("negative global weight")
-    tables: dict[Context, dict[tuple[str, ...], float]] = {}
-    for ctx in maximal_contexts(scenario):
-        idx = [scenario.index[obs] for obs in ctx]
-        buckets: dict[tuple[str, ...], list[float]] = {}
-        for assignment, w in weights.items():
-            if len(assignment) != len(scenario.observables):
-                raise EmpiricalModelError(
-                    f"assignment {assignment!r} does not cover every observable"
-                )
-            key = tuple(assignment[i] for i in idx)
-            buckets.setdefault(key, []).append(w)
-        tables[ctx] = {key: math.fsum(ws) for key, ws in buckets.items()}
-    return EmpiricalModel.build(scenario, tables)

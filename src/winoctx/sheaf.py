@@ -12,12 +12,13 @@ rows and b stacks the empirical probabilities.  cf = 1 - optimum.  Since
 b >= 0 (`_rhs` floors rounding noise at 0), w = 0 is a vertex, and
 `linprog` solves in one phase from the slack basis.  Every solve carries a
 dual certificate; `CfResult.gap` reports how tight it is.  Columns, and so
-the witness w, are aligned with `global_assignments(model.scenario)`.
-Both counts, rows and assignments, must stay within `linprog.MAX_SIZE`
-(1024, so binary cycles up to rank 10); `incidence` checks them first.
-The same program answers the yes/no question too: a non-signalling model
-is noncontextual iff cf = 0, so `is_noncontextual` reads its verdict and
-witness off this solve.
+the witness w, are the global assignments (one outcome per observable,
+in `scenario.observables` order) in lexicographic order of the declared
+outcomes.  Both counts, rows and assignments, must stay within
+`linprog.MAX_SIZE` (1024, so binary cycles up to rank 10); `incidence`
+checks them first.  A non-signalling model is noncontextual iff cf = 0
+(Abramsky, Barbosa and Mansfield, PRL 119, 050504, 2017); `report` calls
+a model sheaf-contextual when cf > tol.
 
 Reports and the bootstrap do not solve this program for a non-signalling
 binary cycle: there cf = max(0, (s_odd - (n - 2)) / 2) in closed form
@@ -27,31 +28,20 @@ signalling, non-binary and non-cyclic models, within the cap.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .empirical import PROB_TOL, EmpiricalModel, outcome_tuples, signalling
+# signalling is bound only for benchmarks/spans.py::HOOKS, until its next change (ROADMAP item 4)
+from .empirical import EmpiricalModel, outcome_tuples, signalling  # noqa: F401
 from .linprog import OPTIMAL, LpProblem, check_size, solve
 from .scenario import Context, MeasurementScenario, maximal_contexts
 
 
-class SignallingModelError(ValueError):
-    """The question needs consistent marginals and the model has none."""
-
-
-def global_assignments(scenario: MeasurementScenario) -> list[tuple[str, ...]]:
-    """Every total outcome assignment, aligned with scenario.observables.
-
-    Enumerated lexicographically in outcome declaration order.
-    """
-    return outcome_tuples(scenario.outcomes, len(scenario.observables))
-
-
 class IncidenceSystem(NamedTuple):
     """Rows are (context, joint outcome) pairs in a fixed order; columns are
-    the global assignments in `global_assignments` order.  matrix[r, g] = 1
-    when assignment g restricts to row r's outcome."""
+    the global assignments in lexicographic order of the declared outcomes.
+    matrix[r, g] = 1 when assignment g restricts to row r's outcome."""
 
     rows: tuple[tuple[Context, tuple[str, ...]], ...]
     matrix: np.ndarray
@@ -66,7 +56,7 @@ def incidence(scenario: MeasurementScenario) -> IncidenceSystem:
     m = sum(k ** len(ctx) for ctx in contexts)
     check_size(m, k**n)
     # digits[i, g] is observable i's outcome index under assignment g, in
-    # the lexicographic order of `global_assignments`
+    # lexicographic order
     digits = np.indices((k,) * n).reshape(n, -1)
     columns = np.arange(k**n)
     rows: list[tuple[Context, tuple[str, ...]]] = []
@@ -86,7 +76,7 @@ class CfResult(NamedTuple):
     Meaningful (in [0, 1], convex, 0 iff noncontextual) only for
     non-signalling input; the LP value is returned regardless, and callers
     that may see signalling models check `empirical.signalling` themselves.
-    `witness` is aligned with `global_assignments(model.scenario)`.
+    `witness` is aligned with the columns of `incidence(model.scenario)`.
     """
 
     cf: float
@@ -126,33 +116,3 @@ def contextual_fraction(model: EmpiricalModel) -> CfResult:
         dual_certificate=solution.dual,
         gap=solution.gap,
     )
-
-
-def is_noncontextual(
-    model: EmpiricalModel, tol: float = PROB_TOL
-) -> tuple[bool, Optional[dict[tuple[str, ...], float]]]:
-    """Does some global distribution reproduce every context exactly?
-
-    Read off the contextual fraction: a non-signalling model is
-    noncontextual iff cf = 0 (Abramsky, Barbosa, Mansfield, PRL 119,
-    050504, 2017), decided here as cf <= tol so that honest float rounding
-    does not flip the verdict.  The witness is the LP's explaining
-    sub-distribution rescaled to total mass 1.  Signalling models are
-    refused: no global distribution can match marginals that disagree with
-    each other.
-    """
-    sig = signalling(model).max_discrepancy
-    if sig > tol:
-        raise SignallingModelError(
-            f"marginals disagree by {sig:.3e} (> {tol:.1e}); "
-            "global-distribution question is void"
-        )
-    result = contextual_fraction(model)
-    if result.cf > tol:
-        return False, None
-    weights = {
-        assignment: float(w) / result.ncf_weight
-        for assignment, w in zip(global_assignments(model.scenario), result.witness)
-        if w > 0.0
-    }
-    return True, weights

@@ -13,7 +13,7 @@ import numpy as np
 
 from winoctx.bootstrap import alias_table
 from winoctx.cbd import CyclicSystem
-from winoctx.empirical import EmpiricalModel, SignallingReport
+from winoctx.empirical import PROB_TOL, EmpiricalModel, EmpiricalModelError, SignallingReport
 from winoctx.ingest import (
     DIFF,
     HEADER,
@@ -194,39 +194,70 @@ def maximal_contexts_by_completion(observables, faces):
     )
 
 
+def marginal(table, context, face):
+    """A table over `context`'s joint outcomes summed onto `face`, a subset
+    of the context: each entry bucketed by a plain loop under its outcomes
+    at the face's observables, taken in the context's order, and each
+    bucket summed with math.fsum."""
+    idx = [i for i, obs in enumerate(context) if obs in face]
+    sums = {}
+    for joint, p in table.items():
+        sums.setdefault(tuple(joint[i] for i in idx), []).append(p)
+    return {key: math.fsum(ps) for key, ps in sums.items()}
+
+
+def from_global_weights(scenario, weights) -> EmpiricalModel:
+    """Model induced by a distribution on global assignments, each a tuple
+    in scenario.observables order: non-signalling and noncontextual by
+    construction, the reference generator for property tests."""
+    total = math.fsum(weights.values())
+    if abs(total - 1.0) > PROB_TOL:
+        raise EmpiricalModelError(f"global weights sum to {total!r}, not 1")
+    if any(w < -PROB_TOL for w in weights.values()):
+        raise EmpiricalModelError("negative global weight")
+    for assignment in weights:
+        if len(assignment) != len(scenario.observables):
+            raise EmpiricalModelError(f"assignment {assignment!r} does not cover every observable")
+    tables = {
+        ctx: marginal(weights, scenario.observables, ctx)
+        for ctx in maximal_contexts_by_completion(scenario.observables, scenario.contexts)
+    }
+    return EmpiricalModel.build(scenario, tables)
+
+
+def model_contexts(model):
+    """The model's contexts in the package's order, recomputed from the
+    scenario's faces."""
+    return maximal_contexts_by_completion(model.scenario.observables, model.scenario.contexts)
+
+
 def signalling_by_faces(model) -> float:
     """Largest L1 distance between two contexts' marginals on any face they
     share: every non-empty proper sub-face of every context, marginalised
     by summing table entries directly."""
-    contexts = model.contexts
+    contexts = model_contexts(model)
     shared = set()
     for ctx in contexts:
         for r in range(1, len(ctx)):
             shared.update(frozenset(c) for c in itertools.combinations(ctx, r))
-
-    def marginal(ctx, face):
-        idx = [i for i, obs in enumerate(ctx) if obs in face]
-        sums = {}
-        for joint, p in model.distribution(ctx).table.items():
-            sums.setdefault(tuple(joint[i] for i in idx), []).append(p)
-        return {key: math.fsum(ps) for key, ps in sums.items()}
 
     worst = 0.0
     for face in shared:
         holders = [ctx for ctx in contexts if face <= set(ctx)]
         for i, first in enumerate(holders):
             for second in holders[i + 1:]:
-                a, b = marginal(first, face), marginal(second, face)
+                a = marginal(model.distribution(first).table, first, face)
+                b = marginal(model.distribution(second).table, second, face)
                 worst = max(worst, math.fsum(abs(a[key] - b[key]) for key in a))
     return worst
 
 
 def signalling_pairwise(model) -> SignallingReport:
     """`empirical.signalling` as an all-pairs scan: intersect every pair of
-    contexts in (i, j) order and compare the two `Distribution.marginalize`
-    tables of each pair that shares an observable; the first pair that
-    reaches the strict maximum is the worst."""
-    contexts = model.contexts
+    contexts in (i, j) order and compare the two `marginal` tables of each
+    pair that shares an observable; the first pair that reaches the strict
+    maximum is the worst, its face in the first context's order."""
+    contexts = model_contexts(model)
     worst = None
     worst_val = 0.0
     for i, first in enumerate(contexts):
@@ -234,12 +265,12 @@ def signalling_pairwise(model) -> SignallingReport:
             shared = set(first).intersection(second)
             if not shared:
                 continue
-            a = model.distribution(first).marginalize(shared)
-            b = model.distribution(second).marginalize(shared)
-            dist = math.fsum(abs(a.table[o] - b.table[o]) for o in a.table)
+            a = marginal(model.distribution(first).table, first, shared)
+            b = marginal(model.distribution(second).table, second, shared)
+            dist = math.fsum(abs(a[o] - b[o]) for o in a)
             if dist > worst_val:
                 worst_val = dist
-                worst = (a.context, first, second)
+                worst = (tuple(obs for obs in first if obs in shared), first, second)
     return SignallingReport(max_discrepancy=worst_val, worst=worst)
 
 

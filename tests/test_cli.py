@@ -845,6 +845,29 @@ def test_report_and_bootstrap_import_without_ingest(module):
     assert proc.stdout.strip() == "[]"
 
 
+PACKAGE_PROBE = """
+import json, sys
+import winoctx
+loaded = sorted({"winoctx.sheaf", "numpy"} & set(sys.modules))
+unresolved = [name for name in winoctx.__all__ if not hasattr(winoctx, name)]
+import winoctx.sheaf
+try:
+    winoctx.is_noncontextual
+except AttributeError:
+    refused = True
+else:
+    refused = False
+print(json.dumps([loaded, unresolved,
+                  winoctx.contextual_fraction is winoctx.sheaf.contextual_fraction, refused]))
+"""
+
+
+def test_package_exports_resolve_and_load_the_lp_on_first_use():
+    proc = python_process("-c", PACKAGE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], True, True]
+
+
 # the modules that only some commands run
 ON_DISPATCH = ("csv", "winoctx.ingest", "winoctx.schema", "winoctx.report", "winoctx.bootstrap",
                "winoctx.sheaf", "winoctx.linprog")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_model, symmetric_tables
-from oracles import incidence_by_loop
+from oracles import from_global_weights, incidence_by_loop
 from winoctx import sheaf
 from winoctx.cbd import chsh_violation
-from winoctx.empirical import EmpiricalModel, from_global_weights, outcome_tuples
+from winoctx.empirical import EmpiricalModel, outcome_tuples
 from winoctx.ingest import ContextTally, tally_distribution
 from winoctx.linprog import LpSizeError
 from winoctx.report import build_report, render_text
@@ -16,31 +16,42 @@ from winoctx.scenario import (
     maximal_contexts,
     validate,
 )
-from winoctx.sheaf import (
-    SignallingModelError,
-    contextual_fraction,
-    global_assignments,
-    incidence,
-    is_noncontextual,
-)
+from winoctx.sheaf import contextual_fraction, incidence
+
+
+def column_assignments(scenario):
+    """Each column of `incidence(scenario)` read back as the global
+    assignment, in scenario.observables order, whose restrictions its
+    1-entries mark."""
+    system = incidence(scenario)
+    assignments = []
+    for column in system.matrix.T:
+        values = {}
+        for (ctx, joint), cell in zip(system.rows, column):
+            if cell:
+                values.update(zip(ctx, joint))
+        assignments.append(tuple(values[obs] for obs in scenario.observables))
+    return assignments
 
 
 def test_assignment_counts(chsh_scenario):
-    assert len(global_assignments(chsh_scenario)) == 16
+    assert incidence(chsh_scenario).matrix.shape[1] == 16
     ws = MeasurementScenario.from_maximal(
         observables=("p_s", "p_a"),
         maximal_faces=[("p_s",), ("p_a",)],
         outcomes=("A", "B"),
     )
-    assert len(global_assignments(ws)) == 4
+    assert incidence(ws).matrix.shape[1] == 4
     single = MeasurementScenario.from_maximal(
         observables=("x",), maximal_faces=[("x",)], outcomes=("r", "g", "b")
     )
-    assert global_assignments(single) == [("r",), ("g",), ("b",)]
+    assert incidence(single).matrix.shape[1] == 3
+    assert column_assignments(single) == [("r",), ("g",), ("b",)]
 
 
 def test_assignments_are_lexicographic(chsh_scenario):
-    assignments = global_assignments(chsh_scenario)
+    assignments = column_assignments(chsh_scenario)
+    assert tuple(assignments) == incidence_by_loop(chsh_scenario)[1]
     assert assignments[0] == ("0", "0", "0", "0")
     assert assignments[1] == ("0", "0", "0", "1")
     assert assignments[-1] == ("1", "1", "1", "1")
@@ -115,8 +126,8 @@ def test_incidence_matches_loop(name):
     rows, assignments, matrix = incidence_by_loop(scenario)
     system = incidence(scenario)
     assert system.rows == rows
-    # columns follow `global_assignments`, which the witness is read against
-    assert tuple(global_assignments(scenario)) == assignments
+    # equal bytes pin the columns, which the witness is read against, to
+    # the oracle's order of assignments
     assert system.matrix.shape == matrix.shape
     assert system.matrix.tobytes() == matrix.tobytes()
 
@@ -125,7 +136,7 @@ def test_cf_size_refused_before_enumeration(monkeypatch):
     def enumerate_outcomes(*args):
         raise AssertionError("rows or assignments of an oversized program were enumerated")
 
-    # the one enumerator of `incidence`'s rows and of `global_assignments`
+    # the one enumerator of `incidence`'s rows
     monkeypatch.setattr(sheaf, "outcome_tuples", enumerate_outcomes)
     with pytest.raises(LpSizeError, match=r"^48x4096 problem exceeds the 1024x1024 cap$"):
         incidence(cycle(12))
@@ -197,21 +208,13 @@ def test_judgment_model_fraction(judgment_model):
 
 def test_witness_is_dominated_subdistribution(judgment_model):
     result = contextual_fraction(judgment_model)
-    weights = dict(zip(global_assignments(judgment_model.scenario), result.witness))
-    assert all(w >= -1e-12 for w in weights.values())
-    total = sum(weights.values())
-    assert total == pytest.approx(result.ncf_weight, abs=1e-9)
+    system = incidence(judgment_model.scenario)
+    assert result.witness.shape == (system.matrix.shape[1],)
+    assert np.all(result.witness >= -1e-12)
+    assert result.witness.sum() == pytest.approx(result.ncf_weight, abs=1e-9)
     # pushforward of the witness never exceeds the empirical probabilities
-    for ctx in judgment_model.contexts:
-        dist = judgment_model.distribution(ctx)
-        idx = [judgment_model.scenario.observables.index(o) for o in ctx]
-        for outcome in outcome_tuples(judgment_model.scenario.outcomes, len(ctx)):
-            mass = sum(
-                w
-                for assignment, w in weights.items()
-                if tuple(assignment[i] for i in idx) == outcome
-            )
-            assert mass <= dist.prob(outcome) + 1e-9
+    b = np.array([judgment_model.distribution(ctx).prob(joint) for ctx, joint in system.rows])
+    assert np.all(system.matrix @ result.witness <= b + 1e-9)
 
 
 def test_symmetric_models_saturate_violation_bound(chsh_scenario):
@@ -232,7 +235,7 @@ def test_noise_mixing_monotonicity(bell_model, chsh_scenario):
     base = contextual_fraction(bell_model).cf
     for mu in (0.05, 0.2, 0.5, 0.9):
         tables = {}
-        for ctx in bell_model.contexts:
+        for ctx in bell_model.scenario.maximal:
             dist = bell_model.distribution(ctx)
             tables[ctx] = {
                 o: (1.0 - mu) * dist.prob(o) + mu * 0.25
@@ -247,25 +250,26 @@ def test_noise_mixing_monotonicity(bell_model, chsh_scenario):
 
 def test_deterministic_models_not_contextual(chsh_scenario):
     rng = np.random.default_rng(23)
-    assignments = global_assignments(chsh_scenario)
+    assignments = column_assignments(chsh_scenario)
     for _ in range(10):
         point = {assignments[rng.integers(len(assignments))]: 1.0}
         model = from_global_weights(chsh_scenario, point)
-        assert contextual_fraction(model).cf == 0.0
-        ok, witness = is_noncontextual(model)
-        assert ok
+        result = contextual_fraction(model)
+        assert result.cf == 0.0
+        assert build_report(model).verdict_sheaf is False
         # the feasibility band is +-1e-7 wide, so the point mass can sit
         # a hair inside it
-        assert max(witness.values()) == pytest.approx(1.0, abs=1e-6)
+        assert result.witness.max() == pytest.approx(1.0, abs=1e-6)
+        assert assignments[int(np.argmax(result.witness))] in point
 
 
 def test_is_noncontextual_verdicts(uniform_model, pr_model, judgment_model, bell_model):
-    ok, witness = is_noncontextual(uniform_model)
-    assert ok
-    assert sum(witness.values()) == pytest.approx(1.0, abs=1e-9)
-    assert not is_noncontextual(pr_model)[0]
-    assert not is_noncontextual(judgment_model)[0]
-    assert not is_noncontextual(bell_model)[0]
+    result = contextual_fraction(uniform_model)
+    assert build_report(uniform_model).verdict_sheaf is False
+    assert result.witness.sum() == pytest.approx(1.0, abs=1e-9)
+    assert build_report(pr_model).verdict_sheaf is True
+    assert build_report(judgment_model).verdict_sheaf is True
+    assert build_report(bell_model).verdict_sheaf is True
 
 
 def test_report_and_is_noncontextual_share_the_default_tolerance(chsh_scenario):
@@ -278,16 +282,6 @@ def test_report_and_is_noncontextual_share_the_default_tolerance(chsh_scenario):
     report = build_report(model)
     assert report.cf.cf == pytest.approx(5e-8, rel=1e-6)
     assert report.verdict_sheaf is True
-    assert is_noncontextual(model) == (False, None)
-
-
-def test_cf_zero_iff_noncontextual(chsh_scenario):
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        model = random_symmetric_model(chsh_scenario, rng)
-        cf = contextual_fraction(model).cf
-        verdict = is_noncontextual(model)[0]
-        assert (cf <= 1e-9) == verdict
 
 
 def signalling_model():
@@ -303,11 +297,6 @@ def signalling_model():
             ("a1", "b2"): {("0", "0"): 0.5, ("1", "0"): 0.5},
         },
     )
-
-
-def test_signalling_model_refused():
-    with pytest.raises(SignallingModelError):
-        is_noncontextual(signalling_model())
 
 
 def test_report_marks_cf_of_signalling_model_unreliable(pr_model):
@@ -334,7 +323,6 @@ def test_report_sheaf_verdict_decided_at_tol():
     }
     model = EmpiricalModel.build(scenario, tables)
     assert 0.0 < contextual_fraction(model).cf <= 1e-15
-    assert is_noncontextual(model)[0]
     report = build_report(model)
     assert report.verdict_cbd is False
     assert report.verdict_sheaf is False
@@ -361,13 +349,13 @@ def test_report_cbd_verdict_decided_at_tol():
 
 def test_mixture_of_global_weights_noncontextual(chsh_scenario):
     rng = np.random.default_rng(41)
-    assignments = global_assignments(chsh_scenario)
+    assignments = column_assignments(chsh_scenario)
     for _ in range(10):
         raw = rng.random(len(assignments))
         weights = dict(zip(assignments, raw / raw.sum()))
         model = from_global_weights(chsh_scenario, weights)
         assert contextual_fraction(model).cf <= 1e-9
-        assert is_noncontextual(model)[0]
+        assert build_report(model).verdict_sheaf is False
 
 
 def test_ws_scenario_models_never_contextual():
@@ -387,4 +375,4 @@ def test_ws_scenario_models_never_contextual():
         }
         model = EmpiricalModel.build(ws, tables)
         assert contextual_fraction(model).cf == 0.0
-        assert is_noncontextual(model)[0]
+        assert build_report(model).verdict_sheaf is False
