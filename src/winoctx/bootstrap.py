@@ -30,10 +30,6 @@ Every statistic counts a draw toward `fraction_positive` when it is above
 `tol`, as `analyze` decides its verdicts (cnt1 > tol, cf > tol): a draw on
 the facet s_odd = n - 2 can read 4.4e-16 through rounding.
 
-numpy is imported inside the functions that touch arrays, so that the
-commands that import this module without drawing (`winoctx analyze`,
-`validate`, `schema`) do not load it.
-
 Determinism contract: all randomness comes from one Philox stream
 (counter-based, documented algorithm philox4x64-10, seeded with `seed`),
 read as uniforms in [0, 1) by the walker-alias sampler: uniforms k n to
@@ -53,13 +49,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .cbd import STATISTICS
 from .empirical import PROB_TOL
 from .scenario import Context, Frozen, MeasurementScenario, cyclic_structure
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .ingest import ContextTally
 
 GENERATOR = "philox4x64-10"
@@ -116,8 +112,6 @@ class BootstrapResult(NamedTuple):
 
 def histogram(samples: Sequence[float]) -> Histogram:
     """Normalized histogram with bin edges pinned to multiples of BIN_WIDTH."""
-    import numpy as np
-
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise BootstrapError("cannot histogram zero samples")
@@ -139,8 +133,6 @@ def contextual_fraction(s_odd: np.ndarray, rank: int) -> np.ndarray:
     """Closed-form cf of non-signalling binary rank-`rank` cycles, one per
     entry of `s_odd` (see `cbd`).  Computed in place: `s_odd` is overwritten
     and returned."""
-    import numpy as np
-
     s_odd -= rank - 2
     s_odd /= 2.0
     return np.maximum(0.0, s_odd, out=s_odd)
@@ -184,8 +176,6 @@ def alias_table(n_valid: int, n_same: int) -> AliasTable:
     below 2**-1074, so together they hold less than (n_valid + 1) * 2**-1074
     of the mass.  n_same of 0 or n_valid gives a one-slot table.
     """
-    import numpy as np
-
     n, s = n_valid, n_same
     if s in (0, n):
         return AliasTable(np.array([s]), np.ones(1), np.zeros(1, dtype=np.intp))
@@ -226,8 +216,6 @@ def _slot_correlations(tally: ContextTally) -> tuple[np.ndarray, np.ndarray]:
     """The context's alias table as `_draw_correlations` reads it: `prob` per
     slot, and the correlation (2k - n_valid) / n_valid of each slot's own
     count k followed by that of its alias's count (2m entries for m slots)."""
-    import numpy as np
-
     table = alias_table(tally.n_valid, tally.n_same)
     counts = np.concatenate([table.counts, table.counts[table.alias]])
     return table.prob, (2.0 * counts - tally.n_valid) / tally.n_valid
@@ -248,31 +236,23 @@ class _Block(NamedTuple):
 
     @classmethod
     def empty(cls, size: int) -> _Block:
-        import numpy as np
-
         kinds = {"slot": np.intp, "alias": bool, "negative": bool, "odd": bool}
         return cls(*(np.empty(size, dtype=kinds.get(f, float)) for f in cls._fields))
 
 
 def _draw_correlations(rng: np.random.Generator, prob: np.ndarray, slots: np.ndarray,
-                       size: int, out: _Block | None = None) -> np.ndarray:
+                       size: int, out: _Block) -> np.ndarray:
     """Correlations of `size` resamples of one context, from its alias table
-    as `_slot_correlations` lays it out.  With `out`, every array is a view
-    of its buffers, and the correlations land in `out.uniform[:size]`."""
-    import numpy as np
-
-    if out is None:
-        u = rng.random(size)
-        j, taken, alias = np.empty(size, np.intp), np.empty(size), np.empty(size, bool)
-    else:
-        u = rng.random(out=out.uniform[:size])
-        j, taken, alias = out.slot[:size], out.prob[:size], out.alias[:size]
+    as `_slot_correlations` lays it out.  Every array is a view of `out`'s
+    buffers, and the correlations land in `out.uniform[:size]`."""
+    u = rng.random(out=out.uniform[:size])
+    j, taken, alias = out.slot[:size], out.prob[:size], out.alias[:size]
     m = len(prob)
     u *= m  # below m even for the largest uniform, 1 - 2**-53
     np.copyto(j, u, casting="unsafe")  # truncates, as astype(np.intp) does
     u -= j
-    # take keeps its bounds check: with `out` it copies through a temporary
-    # that malloc reuses, and ran no slower than mode="clip"
+    # take keeps its bounds check: it copies through a temporary that
+    # malloc reuses, and ran no slower than mode="clip"
     np.greater_equal(u, prob.take(j, out=taken), out=alias)
     np.add(j, m, out=j, where=alias)
     return slots.take(j, out=u)
@@ -282,8 +262,6 @@ def _generator_at(seed: int, position: int) -> np.random.Generator:
     """A generator whose next uniform is uniform `position` of the stream
     of `Generator(Philox(seed))`.  Philox makes four 64-bit words, one
     uniform each, per counter step, and `advance` moves the counter."""
-    import numpy as np
-
     rng = np.random.Generator(np.random.Philox(seed))
     rng.bit_generator.advance(position // 4)
     rng.random(position % 4)
@@ -303,8 +281,6 @@ def _s_odd_samples(contexts: Sequence[tuple[np.ndarray, np.ndarray]], n: int,
     sum runs left to right from 0, as numpy's row sum does for up to 7
     terms; from 8 on numpy sums pairwise and can differ in the last bits.
     """
-    import numpy as np
-
     rngs = [_generator_at(seed, k * n) for k in range(len(contexts))]
     work = _Block.empty(min(n, _BLOCK))
     samples = np.empty(n)

@@ -15,7 +15,7 @@ positive when its statistic > tol), --seed (bootstrap resampling seed).
 
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
 bad probabilities, non-conforming schema, unknown words), 2 the input could
-not be read or parsed at all.
+not be read or parsed at all, or --out is empty or names an input file.
 
 Every command runs on one thread.  `main` sets OPENBLAS_NUM_THREADS to 1
 before any command loads numpy (only `bootstrap` and the LP path of
@@ -25,21 +25,23 @@ uses; a value the caller has set is kept.
 Start-up: this module loads `files` and, through the package, `scenario`,
 `empirical` and `cbd`; every command runs them.  The rest loads on
 dispatch, in the commands that run it: `ingest` (with `csv`) for response
-files, `schema` for schema files, `report` in `analyze`, `bootstrap` in
-`bootstrap`.  `parse_responses`, `aggregate`, `build_report` and `run`
-stay attributes of this module (PEP 562): the first lookup imports and
-binds the function, and each call site reads the binding when it calls,
-so a wrapper set on this module is the one called.
+files, `schema` for schema files, `report` in `analyze`, `bootstrap` (with
+numpy) in `bootstrap` once its inputs have loaded.  `parse_responses`,
+`aggregate`, `build_report` and `run` stay attributes of this module (PEP
+562): the first lookup imports and binds the function, and each call site
+reads the binding when it calls, so a wrapper set on this module is the
+one called.
 
 Collector: `main` pauses the cyclic garbage collector for the command,
-parsing included, and then restores the caller's state; a collector the
-caller disabled stays disabled.  A command's objects live until it
-returns, so a pass would free nothing, yet importing numpy alone runs ~29
-passes (5-8 ms).  `entry`, which is the `winoctx` script and `python -m
-winoctx.cli`, freezes the heap once `main` is done, so the collections of
-interpreter finalization skip it.  Finalization then takes ~6 ms in a
-`bootstrap` process (~22 ms before) and ~3 ms in an `analyze` process
-(~9-10 ms before): shared 2-core machine, Python 3.11.7.
+argument and response parsing included, and then restores the caller's
+state; a collector the caller disabled stays disabled.  A command's
+objects live until it returns, so a pass would free nothing, yet
+importing numpy alone runs ~29 passes (5-8 ms).  `entry`, which is the
+`winoctx` script and `python -m winoctx.cli`, freezes the heap once `main`
+is done, so the collections of interpreter finalization skip it.
+Finalization then takes ~6 ms in a `bootstrap` process (~22 ms before)
+and ~3 ms in an `analyze` process (~9-10 ms before): shared 2-core
+machine, Python 3.11.7.
 """
 
 from __future__ import annotations
@@ -95,6 +97,19 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= value < math.inf:  # written so that NaN fails it
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _check_out(out: str | None, *inputs: str) -> None:
+    """Refuse an `--out` that is empty or names one of the command's inputs,
+    before anything is drawn or written."""
+    if out is None:
+        return
+    if not out:
+        raise FileFormatError("--out needs a file name")
+    if os.path.exists(out):
+        for path in inputs:
+            if os.path.exists(path) and os.path.samefile(out, path):
+                raise FileFormatError(f"--out {out} is the input file {path}")
 
 
 def _emit(args, doc: dict, render) -> None:
@@ -198,9 +213,11 @@ BOOTSTRAP_TEXT = (
 
 
 def cmd_bootstrap(args) -> int:
+    _check_out(args.out, args.responses, args.schema)
+    model, tallies = _aggregate_responses(args.responses, args.schema, "bootstrap")
+    # after the inputs load, so that a response or schema error loads no numpy
     from .bootstrap import BIN_WIDTH, GENERATOR, SAMPLER, BootstrapConfig, cycle_order_tallies
 
-    model, tallies = _aggregate_responses(args.responses, args.schema, "bootstrap")
     ordered = cycle_order_tallies(model.scenario, tallies)
     config = BootstrapConfig(
         n_resamples=args.samples,
@@ -245,8 +262,9 @@ def cmd_schema(args) -> int:
 
     if bool(args.compile) == bool(args.instantiate):
         raise FileFormatError("pick exactly one of --compile or --instantiate")
-    if args.out and not args.compile:
+    if args.out is not None and not args.compile:
         raise FileFormatError("--out needs --compile")
+    _check_out(args.out, args.schema)
     schema = schema_from_dict(load_json(args.schema))
 
     if args.instantiate:
@@ -317,23 +335,16 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser, with every command registered and its help line.  Only
-    the command that `argv` names gets its arguments; with no argv, or one
-    that names no command, every command gets them.  argparse hands the
-    rest of argv to the subparser of the first positional argument, and a
-    command's name is never an option, so the first command name in argv
-    is the one dispatched, if any is."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, with every command, its help line and its arguments."""
     parser = argparse.ArgumentParser(
         prog="winoctx",
         description="Contextuality analysis of ambiguous-coreference judgment data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv or () if arg in COMMANDS), None)
     for name, (help_line, add_arguments, func) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if named in (None, name):
-            add_arguments(p)
+        add_arguments(p)
         p.set_defaults(func=func)
     return parser
 
@@ -347,7 +358,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
         try:
             return args.func(args)
         except STRUCTURAL_ERRORS as exc:

@@ -15,8 +15,9 @@ outcome-symmetric, and their single-observable marginals are (1/2, 1/2)
 bit-for-bit, so the signalling discrepancy is exactly 0.0.
 
 Records are named tuples, built without a Python-level constructor call per
-row, with the cyclic garbage collector paused for the row loop; records that
-name the same word share one string object for it.
+row; records that name the same word share one string object for it.  The
+parser leaves the cyclic garbage collector as the caller set it: `cli.main`
+pauses it for every command, and a direct caller keeps its own setting.
 Aggregation counts the distinct (word1, word2, picks) keys in one C loop
 and checks words and tallies contexts per key, not per record.
 Repeated respondent ids are not an error: `repeated_ids` lists them, and the
@@ -26,7 +27,6 @@ caller decides how to show them.
 from __future__ import annotations
 
 import csv
-import gc
 import sys
 from collections import Counter
 from operator import itemgetter
@@ -120,26 +120,18 @@ def parse_responses(path) -> ParseResult:
             # a record starts on the line after the previous one ends; a
             # quoted field may span lines, so rows are not lines
             last = reader.line_num
-            # every record is a tracked tuple and none forms a cycle, so the
-            # collector's passes over them would find nothing to free
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                for row in reader:
-                    if len(row) == width:
-                        rid, word1, word2, pick1, pick2 = map(str.strip, row)
-                        picks = PICK_PAIRS.get((pick1, pick2))
-                        if rid and picks is not None:
-                            append(new(ResponseRecord, (rid, intern(word1), intern(word2), picks)))
-                            last = reader.line_num
-                            continue
-                    problem = _row_problem(last + 1, row)
-                    if problem is not None:
-                        problems.append(problem)
-                    last = reader.line_num
-            finally:
-                if collecting:
-                    gc.enable()
+            for row in reader:
+                if len(row) == width:
+                    rid, word1, word2, pick1, pick2 = map(str.strip, row)
+                    picks = PICK_PAIRS.get((pick1, pick2))
+                    if rid and picks is not None:
+                        append(new(ResponseRecord, (rid, intern(word1), intern(word2), picks)))
+                        last = reader.line_num
+                        continue
+                problem = _row_problem(last + 1, row)
+                if problem is not None:
+                    problems.append(problem)
+                last = reader.line_num
             if not records and not problems:
                 problems.append("file has a header but no data rows")
     except UnicodeDecodeError as exc:

@@ -445,7 +445,8 @@ def test_alias_draws_pass_a_chi_square_test_against_the_pmf(n, s):
     draws = 10**6
     prob, slots = bootstrap._slot_correlations(ContextTally(n, n, s, n - s))
     rng = np.random.Generator(np.random.Philox(2024))
-    values = bootstrap._draw_correlations(rng, prob, slots, draws)
+    values = bootstrap._draw_correlations(rng, prob, slots, draws,
+                                           bootstrap._Block.empty(draws))
     counts = np.rint((values + 1.0) * n / 2.0).astype(int)
     assert np.array_equal((2.0 * counts - n) / n, values)
     observed = np.bincount(counts, minlength=n + 1).astype(float)
@@ -465,22 +466,25 @@ def test_alias_draws_pass_a_chi_square_test_against_the_pmf(n, s):
 def test_unanimous_context_draws_a_constant_correlation(s, value):
     prob, slots = bootstrap._slot_correlations(ContextTally(40, 40, s, 40 - s))
     rng = np.random.Generator(np.random.Philox(7))
-    assert np.all(bootstrap._draw_correlations(rng, prob, slots, 5000) == value)
+    assert np.all(bootstrap._draw_correlations(rng, prob, slots, 5000,
+                                               bootstrap._Block.empty(5000)) == value)
 
 
 class LargestUniform:
     """Stands in for the generator: every uniform is 1 - 2**-53, the largest
     that Philox's `random` returns."""
 
-    def random(self, size):
-        return np.full(size, 1.0 - 2.0**-53)
+    def random(self, out):
+        out.fill(1.0 - 2.0**-53)
+        return out
 
 
 def test_largest_uniform_lands_inside_the_table():
     for n, s in split_cases():
         prob, slots = bootstrap._slot_correlations(ContextTally(n, n, s, n - s))
         # take raises IndexError on a slot past the end
-        values = bootstrap._draw_correlations(LargestUniform(), prob, slots, 3)
+        values = bootstrap._draw_correlations(LargestUniform(), prob, slots, 3,
+                                               bootstrap._Block.empty(3))
         assert np.all(np.isin(values, slots))
     # every table length a context can give at these sizes
     for m in range(1, 20_000):

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import gc
 import itertools
@@ -486,6 +485,38 @@ def test_bootstrap_unwritable_out_exits_before_drawing(tmp_path, capsys, refuse_
     assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
+# --out -> the message it is refused with; "responses" and "schema" are the
+# inputs, named relative to the working directory, and "link" points at the schema
+REFUSED_OUTS = {
+    "responses": "--out responses is the input file {responses}",
+    "schema": "--out schema is the input file {schema}",
+    "link": "--out link is the input file {schema}",
+    "": "--out needs a file name",
+}
+
+
+@pytest.mark.parametrize("command, target", [
+    *(("bootstrap", target) for target in REFUSED_OUTS),
+    *(("schema", target) for target in REFUSED_OUTS if target != "responses"),
+])
+def test_out_naming_an_input_or_nothing_exits_before_drawing_or_writing(
+        tmp_path, capsys, monkeypatch, refuse_draws, command, target):
+    fixtures = {"responses": "cannibal_responses.csv", "schema": "cannibal_schema.json"}
+    inputs = {name: tmp_path / name for name in fixtures}
+    for name, fixture in fixtures.items():
+        inputs[name].write_bytes(fixture_path(fixture).read_bytes())
+    (tmp_path / "link").symlink_to("schema")
+    monkeypatch.chdir(tmp_path)
+    argv = {"bootstrap": ["bootstrap", str(inputs["responses"]), str(inputs["schema"])],
+            "schema": ["schema", str(inputs["schema"]), "--compile"]}[command]
+    code, out, err = run_cli(capsys, *argv, "--out", target)
+    assert (code, out) == (2, "")
+    assert err == "error: " + REFUSED_OUTS[target].format_map(inputs) + "\n"
+    for name, fixture in fixtures.items():
+        assert inputs[name].read_bytes() == fixture_path(fixture).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "responses", "schema"]
+
+
 def test_bootstrap_tol_decides_cf_positivity(capsys):
     fractions = {}
     for tol in ("1e-9", "0.1"):
@@ -870,23 +901,28 @@ def test_package_exports_resolve_and_load_the_lp_on_first_use():
 
 # the modules that only some commands run
 ON_DISPATCH = ("csv", "winoctx.ingest", "winoctx.schema", "winoctx.report", "winoctx.bootstrap",
-               "winoctx.sheaf", "winoctx.linprog")
+               "winoctx.sheaf", "winoctx.linprog", "numpy")
 RESPONSE_FILES = ("csv", "winoctx.ingest", "winoctx.schema")
+# name -> (argv, its exit code, the modules of ON_DISPATCH it loads)
 LOADED_BY = {
-    "import": ([], ()),
-    "analyze-model": (["analyze", fx("cannibal_judgment_model.json")], ("winoctx.report",)),
+    "import": ([], 0, ()),
+    "analyze-model": (["analyze", fx("cannibal_judgment_model.json")], 0, ("winoctx.report",)),
     "analyze-responses": (["analyze", "--responses", fx("cannibal_responses.csv"),
                            "--schema", fx("cannibal_schema.json")],
-                          (*RESPONSE_FILES, "winoctx.report")),
-    "validate-model": (["validate", fx("cannibal_judgment_model.json")], ()),
-    "validate-scenario": (["validate", fx("chsh_scenario.json")], ()),
-    "validate-schema": (["validate", fx("cannibal_schema.json")], ("winoctx.schema",)),
-    "validate-responses": (["validate", fx("cannibal_responses.csv")], RESPONSE_FILES),
-    "schema": (["schema", fx("cannibal_schema.json"), "--compile"], ("winoctx.schema",)),
+                          0, (*RESPONSE_FILES, "winoctx.report")),
+    "validate-model": (["validate", fx("cannibal_judgment_model.json")], 0, ()),
+    "validate-scenario": (["validate", fx("chsh_scenario.json")], 0, ()),
+    "validate-schema": (["validate", fx("cannibal_schema.json")], 0, ("winoctx.schema",)),
+    "validate-responses": (["validate", fx("cannibal_responses.csv")], 0, RESPONSE_FILES),
+    "schema": (["schema", fx("cannibal_schema.json"), "--compile"], 0, ("winoctx.schema",)),
     **{f"bootstrap-{stat}": (["bootstrap", fx("cannibal_responses.csv"),
                               fx("cannibal_schema.json"), "--samples", "100",
-                              "--statistic", stat], (*RESPONSE_FILES, "winoctx.bootstrap"))
+                              "--statistic", stat], 0,
+                             (*RESPONSE_FILES, "winoctx.bootstrap", "numpy"))
        for stat in ("violation", "cf")},
+    # refused once its inputs load, before the resampler or numpy does
+    "bootstrap-one-pronoun": (["bootstrap", fx("cannibal_responses.csv"),
+                               fx("trophy_schema.json")], 1, RESPONSE_FILES),
 }
 
 LOAD_PROBE = """
@@ -903,10 +939,10 @@ print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
 
 @pytest.mark.parametrize("command", sorted(LOADED_BY))
 def test_each_command_loads_only_the_modules_it_runs(command):
-    argv, loads = LOADED_BY[command]
+    argv, code, loads = LOADED_BY[command]
     proc = python_process("-c", LOAD_PROBE, json.dumps(argv), json.dumps(ON_DISPATCH))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, sorted(loads)]
+    assert json.loads(proc.stdout) == [code, sorted(loads)]
 
 
 # the names by which benchmarks/spans.py wraps the layers a command calls:
@@ -991,9 +1027,9 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, 
     seen = []
     parse = winoctx.cli.build_parser
 
-    def build_parser(argv):
+    def build_parser():
         seen.append(gc.isenabled())
-        return parse(argv)
+        return parse()
 
     monkeypatch.setattr(winoctx.cli, "build_parser", build_parser)
     was = gc.isenabled()
@@ -1049,43 +1085,3 @@ def test_the_console_script_is_the_function_the_main_block_calls():
     [block] = [node for node in tree.body if isinstance(node, ast.If)
                and ast.unparse(node.test) == "__name__ == '__main__'"]
     assert ast.unparse(block) == f"if __name__ == '__main__':\n    sys.exit({name}())"
-
-
-PARSER_ARGVS = [
-    [], ["--help"], ["bogus"], ["analyze", "--help"], ["--", "analyze", "m.json"],
-    ["validate", "analyze"], ["analyze", "validate", "--format", "json"],
-    ["bootstrap", "r.csv", "s.json", "--statistic", "cf", "--samples", "7"],
-    ["schema", "s.json", "--instantiate", "a", "b"], ["schema", "analyze", "--compile"],
-]
-
-
-def parsed(parser, argv, capsys):
-    """What parsing argv gives: the namespace, or the exit code and output."""
-    try:
-        return vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        return exc.code, capsys.readouterr()
-
-
-@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
-def test_the_dispatched_commands_arguments_parse_as_every_commands_do(capsys, argv):
-    from winoctx.cli import build_parser
-
-    assert parsed(build_parser(argv), argv, capsys) == parsed(build_parser(), argv, capsys)
-
-
-def test_the_parser_adds_arguments_only_for_the_command_argv_names():
-    from winoctx.cli import COMMANDS, build_parser
-
-    def arguments(argv):
-        [sub] = [action for action in build_parser(argv)._actions
-                 if isinstance(action, argparse._SubParsersAction)]
-        assert list(sub.choices) == list(COMMANDS)
-        assert [a.help for a in sub._choices_actions] == [COMMANDS[n][0] for n in COMMANDS]
-        return {name: len(p._actions) - 1 for name, p in sub.choices.items()}  # less -h
-
-    every = arguments(None)
-    assert every == {"validate": 2, "analyze": 5, "bootstrap": 9, "schema": 4}
-    assert arguments([]) == arguments(["bogus"]) == arguments(["--help"]) == every
-    for name in COMMANDS:
-        assert arguments([name, "x"]) == {n: every[n] if n == name else 0 for n in COMMANDS}
