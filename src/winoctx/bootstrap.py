@@ -3,10 +3,11 @@
 Resampling is stratified: each resample independently redraws every
 context's valid responses from that context's empirical same/diff split,
 keeping the per-context sample sizes of the original design.  Resampled
-models are symmetric by construction, so their delta is 0, cnt1 equals the
-rank-4 violation, and cf is the closed form max(0, (s_odd - (n - 2)) / 2)
-of `cbd.CyclicSystem.contextual_fraction` on every draw.  No draw solves a
-linear program.
+models are symmetric by construction, so their delta is 0.  The two
+statistics are read off each draw's s_odd: `violation` is s_odd - (n - 2),
+which is cnt1 at every rank and the Bell-CHSH violation at rank 4, and `cf`
+is the closed form max(0, (s_odd - (n - 2)) / 2) of
+`cbd.CyclicSystem.contextual_fraction`.  No draw solves a linear program.
 
 A context's resampled same-pick count k is Binomial(n_valid, n_same /
 n_valid), and its correlation is (2k - n_valid) / n_valid.  Before any
@@ -319,15 +320,11 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     for i, t in enumerate(tallies):
         if t.n_valid < 1:
             raise BootstrapError(f"context {i} has no valid responses to resample")
-    if config.statistic == "violation" and rank != 4:
-        raise BootstrapError("the violation statistic is defined for rank 4 only")
 
     contexts = [_slot_correlations(t) for t in tallies]
     samples = _s_odd_samples(contexts, config.n_resamples, config.seed)
 
-    if config.statistic != "cf":
-        # violation (rank 4 only) and cnt1 are both s_odd - (rank - 2):
-        # resampled models are symmetric, so delta = 0 identically
+    if config.statistic == "violation":
         samples -= float(rank - 2)
     else:
         samples = contextual_fraction(samples, rank)

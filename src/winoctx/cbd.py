@@ -19,9 +19,9 @@ non-signalling input.
 s_odd <= n - 2 are the n-cycle noncontextuality facets (Araujo et al.,
 PRA 88, 022118, 2013).  s_odd and the sign pattern attaining it have an
 O(n) closed form (`chsh_pattern`); the sign-vector enumeration lives only
-in the test oracles.  The cf below taken from many draws' s_odd at once,
-`contextual_fraction`, lives in `bootstrap`, its one user, so that this
-module needs no numpy.
+in the test oracles.  `bootstrap` reads `violation`, s_odd - (n - 2) at
+every rank (cnt1, as its draws have delta 0), and the cf below off many
+draws' s_odd at once, with numpy, which this module does without.
 
 The contextual fraction of a non-signalling binary cycle is closed form too:
 
@@ -70,7 +70,7 @@ from .scenario import Context, Frozen, Observable
 
 
 # what `winoctx bootstrap` can draw; each is read off a cycle's s_odd
-STATISTICS = ("violation", "cnt1", "cf")
+STATISTICS = ("violation", "cf")
 
 
 class CyclicSystemError(ValueError):

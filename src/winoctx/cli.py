@@ -15,7 +15,8 @@ positive when its statistic > tol), --seed (bootstrap resampling seed).
 
 Exit codes: 0 success, 1 the input is semantically invalid (bad scenario,
 bad probabilities, non-conforming schema, unknown words), 2 the input could
-not be read or parsed at all, or --out is empty or names an input file.
+not be read or parsed at all or is a document of another kind than the
+command reads there, or --out is empty or names an input file.
 
 Every command runs on one thread.  `main` sets OPENBLAS_NUM_THREADS to 1
 before any command loads numpy (only `bootstrap` and the LP path of
@@ -39,9 +40,8 @@ objects live until it returns, so a pass would free nothing, yet
 importing numpy alone runs ~29 passes (5-8 ms).  `entry`, which is the
 `winoctx` script and `python -m winoctx.cli`, freezes the heap once `main`
 is done, so the collections of interpreter finalization skip it.
-Finalization then takes ~6 ms in a `bootstrap` process (~22 ms before)
-and ~3 ms in an `analyze` process (~9-10 ms before): shared 2-core
-machine, Python 3.11.7.
+Finalization then takes ~6 ms in a `bootstrap` process and ~3 ms in an
+`analyze` process: shared 2-core machine, Python 3.11.7.
 """
 
 from __future__ import annotations
@@ -63,12 +63,13 @@ from .files import (
     detect_kind,
     load_json,
     model_from_dict,
+    require_kind,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     schema_from_dict,
 )
-from .scenario import InvalidScenarioError
+from .scenario import ProblemsError
 
 # exit 2; ingest's ResponseFormatError is a FileFormatError
 STRUCTURAL_ERRORS = (FileFormatError, OSError)
@@ -144,16 +145,11 @@ def _check(path: Path) -> tuple:
     if kind == "model":
         model = model_from_dict(doc, base_dir=path.parent)
         return kind, (), {"contexts": len(model.distributions)}, ()
-    if kind == "scenario":
-        try:
-            return kind, (), {"observables": len(scenario_from_dict(doc).observables)}, ()
-        except InvalidScenarioError as exc:
-            return kind, exc.problems, {}, ()
-    from .schema import SchemaError
-
     try:
+        if kind == "scenario":
+            return kind, (), {"observables": len(scenario_from_dict(doc).observables)}, ()
         return kind, (), {"flavor": schema_from_dict(doc).flavor}, ()
-    except SchemaError as exc:
+    except ProblemsError as exc:
         return kind, exc.problems, {}, ()
 
 
@@ -175,7 +171,7 @@ def _aggregate_responses(responses, schema_path, needs: str):
     parsed = _bound("parse_responses")(responses)
     for problem in parsed.problems:
         print(f"warning: {problem}", file=sys.stderr)
-    schema = schema_from_dict(load_json(schema_path))
+    schema = schema_from_dict(require_kind(load_json(schema_path), "schema", schema_path))
     if len(schema.pronouns) != 2:
         from .schema import SchemaError
 
@@ -188,7 +184,8 @@ def _load_analysis_inputs(args):
     if args.model and (args.responses or args.schema):
         raise FileFormatError("give either a model file or --responses with --schema")
     if args.model:
-        return model_from_dict(load_json(args.model), base_dir=Path(args.model).parent), None
+        doc = require_kind(load_json(args.model), "model", args.model)
+        return model_from_dict(doc, base_dir=Path(args.model).parent), None
     if not (args.responses and args.schema):
         raise FileFormatError("need a model file, or both --responses and --schema")
     return _aggregate_responses(args.responses, args.schema, "aggregation")
@@ -265,7 +262,7 @@ def cmd_schema(args) -> int:
     if args.out is not None and not args.compile:
         raise FileFormatError("--out needs --compile")
     _check_out(args.out, args.schema)
-    schema = schema_from_dict(load_json(args.schema))
+    schema = schema_from_dict(require_kind(load_json(args.schema), "schema", args.schema))
 
     if args.instantiate:
         print(instantiate(schema, *args.instantiate))

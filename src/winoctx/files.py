@@ -13,9 +13,10 @@ Three kinds of documents are read; only scenarios are written, as
 Joint-outcome keys join outcome labels with scenario.SEPARATOR "|" in
 context member order.
 Structural problems (wrong shapes, bad keys, unparseable JSON, a key
-repeated in one object) raise FileFormatError; semantic problems (oversized
-contexts, too many faces, bad probabilities) surface from the domain modules
-so callers can tell the two apart.  Scenarios and schemas are checked when
+repeated in one object, a document of one kind read where another belongs)
+raise FileFormatError; semantic problems (oversized contexts, too many
+faces, bad probabilities) surface from the domain modules so callers can
+tell the two apart.  Scenarios and schemas are checked when
 made, so their problems surface on load; a model's scenario is made before
 its distributions are read, so an invalid one is the fault a model names.
 Files are UTF-8, with or without a leading byte-order mark.
@@ -89,6 +90,18 @@ def detect_kind(doc: dict) -> str:
     )
 
 
+def require_kind(doc: dict, kind: str, path) -> dict:
+    """`doc`, read from `path` where a `kind` document belongs, unless
+    `detect_kind` tells it is another kind.  One it cannot tell is returned,
+    so that its reader names the key it lacks."""
+    try:
+        found = detect_kind(doc)
+    except FileFormatError:
+        return doc
+    _require(found == kind, f"{path} is a {found} document, not a {kind} document")
+    return doc
+
+
 # -- scenarios ---------------------------------------------------------------
 
 def scenario_from_dict(doc: dict) -> MeasurementScenario:
@@ -110,7 +123,7 @@ def scenario_to_dict(scenario: MeasurementScenario) -> dict:
 
 
 def load_scenario(path) -> MeasurementScenario:
-    return scenario_from_dict(load_json(path))
+    return scenario_from_dict(require_kind(load_json(path), "scenario", path))
 
 
 def save_scenario(scenario: MeasurementScenario, path) -> None:

@@ -16,8 +16,9 @@ it: its ordered maximal contexts (`maximal`), each face that pairs of them
 share (`shared_faces`) and its cycle (`cycle`).  These are not fields: they
 take no part in equality, hashing, `repr` or a pickle or copy.
 
-`Frozen`, the base of the package's validated value types, lives here, in
-the module every other one imports.
+`Frozen`, the base of the package's validated value types, and
+`ProblemsError`, the base of the errors that list an input's every problem,
+live here, in the module every other one imports.
 """
 
 from __future__ import annotations
@@ -42,12 +43,16 @@ MAX_FACES = 1024  # listed faces, as linprog.MAX_SIZE: an LP-sized cf program ha
 SEPARATOR = "|"  # between the labels of a joint outcome in file keys
 
 
-class InvalidScenarioError(ValueError):
-    """A scenario broke its invariants; `problems` lists every one."""
+class ProblemsError(ValueError):
+    """Every problem of one input: `problems` lists them, the message joins them."""
 
-    def __init__(self, problems: tuple[str, ...]):
+    def __init__(self, *problems: str):
         super().__init__("; ".join(problems))
         self.problems = problems
+
+
+class InvalidScenarioError(ProblemsError):
+    """A scenario broke its invariants."""
 
 
 class Frozen:
@@ -124,12 +129,11 @@ class MeasurementScenario(Frozen):
                  outcomes: tuple[str, ...]):
         faces = contexts - {frozenset()}
         if len(faces) > MAX_FACES:
-            raise InvalidScenarioError(
-                (f"{len(faces)} faces exceed the supported {MAX_FACES}",))
+            raise InvalidScenarioError(f"{len(faces)} faces exceed the supported {MAX_FACES}")
         super().__init__(observables=observables, contexts=frozenset(maximal_only(faces)),
                          outcomes=outcomes)
         if problems := validate(self):
-            raise InvalidScenarioError(problems)
+            raise InvalidScenarioError(*problems)
 
     @classmethod
     def from_maximal(

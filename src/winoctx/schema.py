@@ -22,19 +22,15 @@ from __future__ import annotations
 from itertools import product
 from string import Template
 
-from .scenario import Context, Frozen, MeasurementScenario, separator_problems
+from .scenario import Context, Frozen, MeasurementScenario, ProblemsError, separator_problems
 
 # slot counts spelled out; a schema has 1 to MAX_SLOTS pronoun slots
 _COUNTS = ("one", "two")
 MAX_SLOTS = len(_COUNTS)
 
 
-class SchemaError(ValueError):
-    """The schema violates a structural requirement; `problems` lists every one."""
-
-    def __init__(self, *problems: str):
-        super().__init__("; ".join(problems))
-        self.problems = problems
+class SchemaError(ProblemsError):
+    """The schema violates a structural requirement."""
 
 
 def flavor_of(slots: int) -> str:

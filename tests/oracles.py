@@ -400,8 +400,6 @@ def bootstrap_samples_matrix(tallies, config) -> np.ndarray:
     s_odd = np.where(odd, totals, totals - 2.0 * mags.min(axis=1))
     rank = len(tallies)
     if config.statistic == "violation":
-        return s_odd - 2.0
-    if config.statistic == "cnt1":
         return s_odd - float(rank - 2)
     return np.maximum(0.0, (s_odd - (rank - 2)) / 2.0)
 

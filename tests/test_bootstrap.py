@@ -176,13 +176,6 @@ def test_worker_count_does_not_change_cf_samples():
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_cnt1_equals_violation_on_rank_four():
-    tallies = make_tallies(SKEWED)
-    v = run(tallies, BootstrapConfig(n_resamples=3000, seed=8, statistic="violation"))
-    c = run(tallies, BootstrapConfig(n_resamples=3000, seed=8, statistic="cnt1"))
-    assert np.array_equal(v.samples, c.samples)
-
-
 def test_cf_samples_are_half_the_positive_violation():
     tallies = make_tallies(SKEWED)
     v = run(tallies, BootstrapConfig(n_resamples=60, seed=13, statistic="violation"))
@@ -217,10 +210,7 @@ def test_run_rejects_bad_inputs():
     with pytest.raises(BootstrapError, match="no valid responses"):
         run(tallies, BootstrapConfig(n_resamples=10))
     rank5 = make_tallies([(5, 5)] * 5)
-    with pytest.raises(BootstrapError, match="rank 4"):
-        run(rank5, BootstrapConfig(n_resamples=10, statistic="violation"))
-    # cnt1 and cf still work off rank 4
-    run(rank5, BootstrapConfig(n_resamples=5, statistic="cnt1"))
+    run(rank5, BootstrapConfig(n_resamples=5, statistic="violation"))
     run(rank5, BootstrapConfig(n_resamples=5, statistic="cf"))
 
 
@@ -229,6 +219,8 @@ def test_config_validation():
         BootstrapConfig(n_resamples=0)
     with pytest.raises(BootstrapError):
         BootstrapConfig(statistic="median")
+    with pytest.raises(BootstrapError, match="unknown statistic 'cnt1'"):
+        BootstrapConfig(statistic="cnt1")  # violation is cnt1 on every draw
     with pytest.raises(BootstrapError):
         BootstrapConfig(workers=0)
     for tol in (-1e-9, float("nan"), float("inf")):
@@ -264,6 +256,11 @@ def test_cycle_order_follows_the_cycle():
     for i, tally in enumerate(ordered):
         edge = frozenset({structure.ordering[i], structure.ordering[(i + 1) % n]})
         assert tally.n_same == sizes[edge]
+    missing = structure.contexts[0]
+    del tallies[missing]
+    with pytest.raises(BootstrapError) as caught:
+        cycle_order_tallies(scenario, tallies)
+    assert str(caught.value) == f"no tally for context {sorted(missing)}"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
@@ -372,7 +369,7 @@ def test_each_context_generator_reads_its_own_part_of_the_one_stream(rank, n):
                                    2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
 def test_block_draws_match_the_matrix_oracle_bit_for_bit(rank, draws):
     tallies = random_tallies(rank, seed=rank * draws)
-    for statistic in ("violation", "cnt1", "cf") if rank == 4 else ("cnt1", "cf"):
+    for statistic in ("violation", "cf"):
         config = BootstrapConfig(n_resamples=draws, seed=draws, statistic=statistic)
         assert np.array_equal(run(tallies, config).samples,
                               bootstrap_samples_matrix(tallies, config))
@@ -382,13 +379,13 @@ def test_block_draws_match_the_matrix_oracle_bit_for_bit(rank, draws):
 def test_block_draws_match_the_matrix_oracle_at_high_rank(rank):
     # numpy sums rows of 8 or more terms pairwise; the fold sums left to right
     tallies = random_tallies(rank, seed=rank)
-    for statistic in ("cnt1", "cf"):
+    for statistic in ("violation", "cf"):
         config = BootstrapConfig(n_resamples=BLOCK + 3, seed=rank, statistic=statistic)
         samples = run(tallies, config).samples
         assert np.max(np.abs(samples - bootstrap_samples_matrix(tallies, config))) <= 1e-12
 
 
-@pytest.mark.parametrize("statistic", ["violation", "cnt1", "cf"])
+@pytest.mark.parametrize("statistic", ["violation", "cf"])
 def test_peak_memory_per_draw_is_bounded(statistic):
     tallies = make_tallies(SKEWED)
     draws = 200_000

@@ -67,16 +67,16 @@ def test_closed_form_matches_enumeration(values):
 
 
 def test_s_odd_rows_matches_scalar():
-    """`bootstrap.run` folds each draw's correlations into s_odd: its cnt1
-    draws plus (rank - 2) are `s_odd` of the correlations rebuilt from the
-    oracle's resampled counts."""
+    """`bootstrap.run` folds each draw's correlations into s_odd: its
+    violation draws plus (rank - 2) are `s_odd` of the correlations rebuilt
+    from the oracle's resampled counts."""
     rng = np.random.default_rng(21)
     for rank in (4, 6):
         n_valid = rng.integers(1, 200, size=rank)
         tallies = [ContextTally(n_total=int(n), n_valid=int(n), n_same=int(s),
                                 n_diff=int(n - s))
                    for n, s in zip(n_valid, rng.integers(0, n_valid + 1))]
-        config = BootstrapConfig(n_resamples=50, seed=rank, statistic="cnt1")
+        config = BootstrapConfig(n_resamples=50, seed=rank, statistic="violation")
         vector = run(tallies, config).samples + (rank - 2)
         counts = resample_counts_matrix(tallies, config.n_resamples, config.seed)
         for row, value in zip(counts, vector):

@@ -433,6 +433,44 @@ def test_analyze_needs_some_input(capsys):
     assert "need a model file" in err
 
 
+# a document read where another kind belongs, and the message naming it;
+# {tmp}/names_X.json is a model whose scenario is the path X, and
+# {tmp}/empty.json is "{}", which no kind claims, so its reader names the
+# key it lacks
+MODEL, SCENARIO = fx("cannibal_judgment_model.json"), fx("chsh_scenario.json")
+SCHEMA, RESPONSES = fx("cannibal_schema.json"), fx("cannibal_responses.csv")
+OF_ANOTHER_KIND = {
+    "analyze-scenario": (["analyze", SCENARIO],
+                         f"{SCENARIO} is a scenario document, not a model document"),
+    "analyze-schema": (["analyze", SCHEMA],
+                       f"{SCHEMA} is a schema document, not a model document"),
+    "analyze-responses-model": (["analyze", "--responses", RESPONSES, "--schema", MODEL],
+                                f"{MODEL} is a model document, not a schema document"),
+    "bootstrap-model": (["bootstrap", RESPONSES, MODEL],
+                        f"{MODEL} is a model document, not a schema document"),
+    "schema-model": (["schema", MODEL, "--compile"],
+                     f"{MODEL} is a model document, not a schema document"),
+    "scenario-path-schema": (["analyze", "{tmp}/names_schema.json"],
+                             f"{SCHEMA} is a schema document, not a scenario document"),
+    "analyze-empty": (["analyze", "{tmp}/empty.json"], "model document lacks 'scenario'"),
+    "schema-empty": (["schema", "{tmp}/empty.json", "--compile"],
+                     "schema document lacks 'noun_phrases'"),
+    "scenario-path-empty": (["analyze", "{tmp}/names_empty.json"],
+                            "scenario document lacks 'observables'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OF_ANOTHER_KIND))
+def test_a_document_of_another_kind_is_named_by_path_and_kind(tmp_path, capsys, case):
+    argv, message = OF_ANOTHER_KIND[case]
+    (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
+    for name, scenario in (("schema", SCHEMA), ("empty", "empty.json")):
+        (tmp_path / f"names_{name}.json").write_text(
+            json.dumps({"scenario": scenario, "distributions": []}), encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, caller", [
     (["analyze", "--responses", fx("cannibal_responses.csv"), "--schema"], "aggregation"),
     (["bootstrap", fx("cannibal_responses.csv")], "bootstrap"),
@@ -538,10 +576,10 @@ def test_bootstrap_tol_decides_cf_positivity(capsys):
 
 def test_bootstrap_statistics_agree_on_draws_at_the_facet(tmp_path, capsys):
     # every correlation -1/3, and many resamples land on s_odd = 2 exactly,
-    # where violation and cnt1 read 0 up to rounding and cf reads 0
+    # where violation reads 0 up to rounding and cf reads 0
     responses = tmp_path / "small_n.csv"
     responses.write_text(SMALL_N_RESPONSES, encoding="utf-8")
-    for statistic in ("violation", "cnt1", "cf"):
+    for statistic in ("violation", "cf"):
         code, out, _ = run_cli(
             capsys, "bootstrap", str(responses), fx("cannibal_schema.json"),
             "--statistic", statistic, "--samples", "100000", "--seed", "0", "--format", "json",

@@ -74,6 +74,14 @@ def test_detect_kind():
         detect_kind({"contents": []})
 
 
+def test_fixture_path_refuses_an_unknown_name_and_lists_the_bundled_ones():
+    with pytest.raises(FileNotFoundError) as caught:
+        fixture_path("no_such_fixture.json")
+    bundled = sorted(p.name for p in fixture_path("chsh_scenario.json").parent.iterdir())
+    assert str(caught.value) == (
+        f"no fixture 'no_such_fixture.json'; bundled: {', '.join(bundled)}")
+
+
 def test_rounding_artifact_rows_are_rescaled():
     rounded = {"0|0": 0.044, "0|1": 0.455, "1|0": 0.455, "1|1": 0.044}
     tables = {

@@ -204,7 +204,7 @@ COMMANDS = {
        for p in sorted(FIXTURES.iterdir()) if p.suffix in (".json", ".csv")},
     **{f"bootstrap_{stat}{suffix}": ["bootstrap", *RESPONSES, "--statistic", stat,
                                      *SEEDED, *out]
-       for stat in ("violation", "cnt1", "cf")
+       for stat in ("violation", "cf")
        for suffix, out in (("", []), ("_out", ["--out", "hist.csv"]))},
     "bootstrap_one_pronoun": ["bootstrap", RESPONSES[0],
                               str(FIXTURES / "trophy_schema.json"), *SEEDED],

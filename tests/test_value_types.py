@@ -21,7 +21,7 @@ from winoctx.ingest import ContextTally, IngestError, ParseResult, ResponseRecor
 from winoctx.linprog import LpError, LpProblem, LpSizeError, LpSolution
 from winoctx.report import AnalysisReport, CfReport, build_report
 from winoctx.scenario import (MAX_FACES, CyclicStructure, Frozen, InvalidScenarioError,
-                              MeasurementScenario)
+                              MeasurementScenario, ProblemsError)
 from winoctx.schema import SchemaError, WinogradSchema
 from winoctx.sheaf import CfResult, IncidenceSystem
 
@@ -110,6 +110,7 @@ def test_equality_follows_the_fields(name):
     assert first == first
     assert first != second
     assert not first == second
+    assert first != object()  # an instance of another class
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -242,10 +243,15 @@ INVALID = [
     (BootstrapConfig, (MAX_RESAMPLES + 1,), BootstrapError,
      f"n_resamples {MAX_RESAMPLES + 1} exceeds the cap of {MAX_RESAMPLES} draws"),
     (BootstrapConfig, (10, 0, "mean"), BootstrapError,
-     "unknown statistic 'mean', pick one of ['violation', 'cnt1', 'cf']"),
+     "unknown statistic 'mean', pick one of ['violation', 'cf']"),
     (BootstrapConfig, (10, 0, "cf", 0), BootstrapError, "workers must be >= 1"),
     (BootstrapConfig, (10, 0, "cf", 1, math.nan), BootstrapError,
      "tol must be a finite number >= 0"),
+    # appended, so that every earlier case keeps its id
+    (MeasurementScenario, ((), frozenset(), ("A", "B")), InvalidScenarioError,
+     "scenario declares no observables"),
+    (MeasurementScenario, (("",), frozenset({frozenset({""})}), ("A", "B")),
+     InvalidScenarioError, "observable with empty id"),
 ]
 
 
@@ -258,3 +264,6 @@ def test_invalid_input_raises_the_same_error(cls, args, error, message):
             build()
         assert type(caught.value) is error
         assert str(caught.value) == message
+        if error in (InvalidScenarioError, SchemaError):  # they list every problem
+            assert isinstance(caught.value, ProblemsError)
+            assert "; ".join(caught.value.problems) == message
