@@ -24,6 +24,10 @@ written into the samples vector before the next block is drawn, and the
 statistic is then computed in place.  Every array a block touches is a
 buffer allocated once per run, so a run holds the samples vector, 8 bytes
 per draw, plus one block's buffers, and never a draws x contexts array.
+The summary reads the samples a block at a time too: `std` walks numpy's
+pairwise summation of the squared deviations and sums each part that fits
+one block with numpy's own code, so it equals `samples.std()` bit for bit
+with no full-length temporary, and `fraction_positive` counts per block.
 `contextual_fraction` turns each draw's s_odd into cf and lives here, its
 one user.
 
@@ -62,8 +66,8 @@ if TYPE_CHECKING:
 GENERATOR = "philox4x64-10"
 SAMPLER = "walker-alias"
 # a run holds its samples, 8 bytes per draw, plus one block's buffers, and
-# the full-length temporary of `samples.std()` doubles that at the peak: at
-# the cap, a rank-4 run takes 1.0-1.3 s, 160 MB traced and 187 MB VmHWM
+# its std keeps numpy's summation order with no full-length temporary: at
+# the cap, a rank-4 `winoctx bootstrap` takes 0.9-1.3 s and 113 MB VmHWM
 MAX_RESAMPLES = 10**7
 BIN_WIDTH = 0.02  # of the histogram of draws
 _BLOCK = 2**14  # draws per block: 2**13 to 2**15 ran fastest, 2**11, 2**12, 2**16 slower
@@ -106,7 +110,7 @@ class Histogram(NamedTuple):
 class BootstrapResult(NamedTuple):
     samples: np.ndarray
     mean: float
-    std: float  # population denominator
+    std: float  # population denominator; `samples.std()` bit for bit, read block by block
     fraction_positive: float
     histogram: Histogram
 
@@ -306,12 +310,34 @@ def _s_odd_samples(contexts: Sequence[tuple[np.ndarray, np.ndarray]], n: int,
     return samples
 
 
+def _sum_of_squares(x: np.ndarray, mean: float, buf: np.ndarray) -> float:
+    """The sum of (x - mean)**2 that `x.std()` takes, bit for bit, with no
+    array as long as `x`.
+
+    numpy sums a contiguous float64 array pairwise: a part of n > 128 terms
+    splits at h = n // 2 rounded down to a multiple of 8, and the two sums
+    are added (Higham, SIAM J. Sci. Comput. 14 (1993) 783-799).  This walks
+    the same splits down to parts that fit `buf`, writes each part's
+    squared deviations there and sums them with `np.add.reduce`, numpy's
+    own code for that part.
+    """
+    n = len(x)
+    if n <= len(buf):
+        d = np.subtract(x, mean, out=buf[:n])
+        return float(np.add.reduce(np.multiply(d, d, out=d)))
+    h = n // 2
+    h -= h % 8
+    return _sum_of_squares(x[:h], mean, buf) + _sum_of_squares(x[h:], mean, buf)
+
+
 def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapResult:
     """Resample the tallies and evaluate the configured statistic per draw.
 
     `tallies` follow the cycle order of their scenario (any rotation or
     reflection gives the same statistics; see cycle_order_tallies for the
-    canonical arrangement).
+    canonical arrangement).  `violation` is s_odd - (n - 2) at every rank n;
+    at rank 4, the only rank a command draws, that is
+    `cbd.CyclicSystem.violation`, which is defined there only.
     """
     tallies = list(tallies)
     rank = len(tallies)
@@ -329,10 +355,15 @@ def run(tallies: Sequence[ContextTally], config: BootstrapConfig) -> BootstrapRe
     else:
         samples = contextual_fraction(samples, rank)
 
+    n = config.n_resamples
+    mean = float(samples.mean())
+    squares = _sum_of_squares(samples, mean, np.empty(min(n, _BLOCK)))
+    positive = sum(np.count_nonzero(samples[start:start + _BLOCK] > config.tol)
+                   for start in range(0, n, _BLOCK))
     return BootstrapResult(
         samples=samples,
-        mean=float(samples.mean()),
-        std=float(samples.std()),
-        fraction_positive=float((samples > config.tol).mean()),
+        mean=mean,
+        std=math.sqrt(squares / n),
+        fraction_positive=positive / n,
         histogram=histogram(samples),
     )

@@ -160,7 +160,8 @@ class CyclicSystem(Frozen):
     def violation(self) -> float:
         """Excess of the best odd-signed correlation sum over the classical
         bound of 2.  Defined for rank-4 cycles only; negative means no
-        violation."""
+        violation.  `bootstrap.run`'s `violation`, s_odd - (n - 2) at every
+        rank n, equals it at rank 4, the only rank a command draws."""
         if self.rank != 4:
             raise CyclicSystemError(
                 f"correlation-bound statistic needs a rank-4 cycle, got rank {self.rank}"

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,11 +145,19 @@ def test_histogram_rejects_bad_input():
 
 
 def test_degenerate_tallies_give_constant_samples():
-    tallies = make_tallies([(10, 0), (10, 0), (10, 0), (10, 0)])
-    result = run(tallies, BootstrapConfig(n_resamples=500, seed=3))
-    assert np.all(result.samples == 0.0)
-    assert result.std == 0.0
-    assert result.fraction_positive == 0.0
+    # each context all same or all different: every draw is the data, and
+    # run's s_odd - 2 is CyclicSystem.violation, which is defined at rank 4
+    scenario, contexts = cycle(4)
+    n_valid = [3, 10, 7, 1]
+    for pattern in range(16):
+        same = [n if pattern >> k & 1 else 0 for k, n in enumerate(n_valid)]
+        tallies = make_tallies([(s, n - s) for s, n in zip(same, n_valid)])
+        expected = CyclicSystem.from_model(draw_model(scenario, contexts, n_valid, same)).violation
+        result = run(tallies, BootstrapConfig(n_resamples=500, seed=3))
+        assert result.samples.tolist() == [expected] * 500
+        assert result.std == 0.0
+        assert result.fraction_positive == (expected > 0.0)
+    assert expected == 0.0  # every context all same
 
 
 def test_single_resample_is_a_draw_not_the_point_estimate():
@@ -385,10 +397,38 @@ def test_block_draws_match_the_matrix_oracle_at_high_rank(rank):
         assert np.max(np.abs(samples - bootstrap_samples_matrix(tallies, config))) <= 1e-12
 
 
+@pytest.mark.parametrize("rank, pairs", [(4, SKEWED), (6, STRADDLE)], ids=["rank4", "rank6"])
+@pytest.mark.parametrize("statistic", ["violation", "cf"])
+def test_std_and_fraction_positive_are_numpys_bit_for_bit(rank, pairs, statistic):
+    tallies = make_tallies(pairs)
+    assert len(tallies) == rank
+    sizes = [*range(1, 301), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 100_003, 10**6]
+    for draws in sizes:
+        result = run(tallies, BootstrapConfig(n_resamples=draws, seed=draws,
+                                              statistic=statistic))
+        assert result.std == float(result.samples.std()), draws
+        assert result.fraction_positive == float((result.samples > PROB_TOL).mean()), draws
+    assert 0.0 < result.fraction_positive < 1.0
+
+
+def test_block_wise_sum_of_squares_follows_numpys_pairwise_order():
+    rng = np.random.default_rng(33)
+    sizes = [*range(1, 260), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 2**16 - 1, 2**16 + 9,
+             100_003, 500_000, 3_000_017, *rng.integers(BLOCK, 3 * 10**6, size=8)]
+    for n in sizes:
+        for x in (rng.standard_normal(n), rng.random(n) * 1e3 - 3.0,
+                  rng.integers(-5, 5, size=n) / 7.0 + 0.192):
+            mean = float(x.mean())
+            std = math.sqrt(bootstrap._sum_of_squares(x, mean, np.empty(min(n, BLOCK))) / n)
+            assert std == float(x.std()), (
+                f"n = {n}: numpy's x.std() no longer sums in the pairwise order that "
+                "bootstrap._sum_of_squares walks; the printed std would change")
+
+
 @pytest.mark.parametrize("statistic", ["violation", "cf"])
 def test_peak_memory_per_draw_is_bounded(statistic):
     tallies = make_tallies(SKEWED)
-    draws = 200_000
+    draws = 10**6
     run(tallies, BootstrapConfig(n_resamples=10, statistic=statistic))  # warm up
     tracemalloc.start()
     try:
@@ -396,9 +436,37 @@ def test_peak_memory_per_draw_is_bounded(statistic):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # drawing the whole draws x contexts matrix took about 130 bytes per draw;
-    # the samples and the full-length temporary of their std take 16
-    assert peak <= 20 * draws
+    # the samples take 8 bytes per draw; one block's buffers take about 60
+    # bytes per row of the block, and nothing else is as long as the samples
+    assert peak <= 8 * draws + 96 * BLOCK
+
+
+HIGH_WATER_PROBE = """
+from winoctx.bootstrap import BootstrapConfig, run
+from winoctx.ingest import ContextTally
+
+def high_water_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+tallies = [ContextTally(s + d, s + d, s, d) for s, d in %r]
+for draws in (10, 10**6):
+    run(tallies, BootstrapConfig(n_resamples=draws))
+    print(high_water_kb())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_million_draws_raise_the_processs_own_peak_by_its_samples():
+    # a fresh interpreter reads its own VmHWM, not the ru_maxrss it inherits
+    src = str(Path(bootstrap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", HIGH_WATER_PROBE % (SKEWED,)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    few, many = map(int, proc.stdout.split())
+    # the samples take 8 MB; a full-length temporary would add 8 more
+    assert many - few <= 10 * 1024
 
 
 def split_cases():

@@ -210,53 +210,59 @@ def test_analysis_report_is_an_unhashable_value_with_a_fresh_notices_list(judgme
 
 SCHEMA_ARGS = CASES["WinogradSchema"][1]
 
+# each case carries its own number, so its test id, <class>-<number>, stays
+# put wherever a case is inserted; a new case takes the next unused number
 INVALID = [
-    (MeasurementScenario, (("a", "a"), frozenset({frozenset({"a"})}), ("A", "B")),
+    (0, MeasurementScenario, (("a", "a"), frozenset({frozenset({"a"})}), ("A", "B")),
      InvalidScenarioError, "duplicate observable 'a'"),
-    (MeasurementScenario, (OBS, FACES, ("A", "A|B")), InvalidScenarioError,
+    (1, MeasurementScenario, (OBS, FACES, ("A", "A|B")), InvalidScenarioError,
      "outcome label 'A|B' contains '|', the joint-outcome separator"),
-    (MeasurementScenario, (OBS, frozenset(frozenset({i}) for i in range(MAX_FACES + 1)),
-                           ("A", "B")),
+    (2, MeasurementScenario, (OBS, frozenset(frozenset({i}) for i in range(MAX_FACES + 1)),
+                              ("A", "B")),
      InvalidScenarioError, f"{MAX_FACES + 1} faces exceed the supported {MAX_FACES}"),
-    (WinogradSchema, (("x", "y"), ("p", "q"), ("s1",), ("t1",), TEMPLATE), SchemaError,
+    (3, WinogradSchema, (("x", "y"), ("p", "q"), ("s1",), ("t1",), TEMPLATE), SchemaError,
      "pronouns, special and alternate need the same number of entries, 1 to 2; "
      "got (2, 1, 1)"),
-    (WinogradSchema, (("x", "x"), *SCHEMA_ARGS[1:]), SchemaError,
+    (4, WinogradSchema, (("x", "x"), *SCHEMA_ARGS[1:]), SchemaError,
      "noun_phrases entries must differ, both are 'x'"),
-    (ContextTally, (5, 3, 1, 1), IngestError, "n_valid must equal n_same + n_diff"),
-    (ContextTally, (2, 3, 2, 1), IngestError, "n_valid cannot exceed n_total"),
-    (ContextTally, (1, -1, 0, -1), IngestError, "negative tally"),
-    (CyclicSystem, (("a", "b"), CTXS[:2], (1.0, 1.0), ((0.0, 0.0),) * 2), CyclicSystemError,
-     "cyclic systems need rank >= 3, got 2"),
-    (CyclicSystem, (OBS, CTXS, (1.0, 1.0), ((0.0, 0.0),) * 3), CyclicSystemError,
+    (5, ContextTally, (5, 3, 1, 1), IngestError, "n_valid must equal n_same + n_diff"),
+    (6, ContextTally, (2, 3, 2, 1), IngestError, "n_valid cannot exceed n_total"),
+    (7, ContextTally, (1, -1, 0, -1), IngestError, "negative tally"),
+    (8, CyclicSystem, (("a", "b"), CTXS[:2], (1.0, 1.0), ((0.0, 0.0),) * 2),
+     CyclicSystemError, "cyclic systems need rank >= 3, got 2"),
+    (9, CyclicSystem, (OBS, CTXS, (1.0, 1.0), ((0.0, 0.0),) * 3), CyclicSystemError,
      "contents/contexts/correlations/expectations must align"),
-    (LpProblem, ([1.0], [1.0], [1.0]), LpError, "lhs must be a 2-d matrix"),
-    (LpProblem, ([1.0], MATRIX, [1.0, 1.0]), LpError, "objective has shape (1,), expected (2,)"),
-    (LpProblem, ([1.0, 1.0], MATRIX, [1.0]), LpError, "rhs has shape (1,), expected (2,)"),
-    (LpProblem, ([1.0], np.ones((1025, 1)), np.ones(1025)), LpSizeError,
+    (10, LpProblem, ([1.0], [1.0], [1.0]), LpError, "lhs must be a 2-d matrix"),
+    (11, LpProblem, ([1.0], MATRIX, [1.0, 1.0]), LpError,
+     "objective has shape (1,), expected (2,)"),
+    (12, LpProblem, ([1.0, 1.0], MATRIX, [1.0]), LpError, "rhs has shape (1,), expected (2,)"),
+    (13, LpProblem, ([1.0], np.ones((1025, 1)), np.ones(1025)), LpSizeError,
      "1025x1 problem exceeds the 1024x1024 cap"),
-    (LpProblem, ([math.nan, 1.0], MATRIX, [1.0, 1.0]), LpError, "non-finite coefficients"),
-    (LpProblem, ([1.0, 1.0], MATRIX, [1.0, -1.0]), LpError,
+    (14, LpProblem, ([math.nan, 1.0], MATRIX, [1.0, 1.0]), LpError, "non-finite coefficients"),
+    (15, LpProblem, ([1.0, 1.0], MATRIX, [1.0, -1.0]), LpError,
      "rhs must be >= 0: the slack basis is the starting vertex"),
-    (BootstrapConfig, (10, -1), BootstrapError, "seed must be >= 0, got -1"),
-    (BootstrapConfig, (0,), BootstrapError, "n_resamples must be >= 1"),
-    (BootstrapConfig, (MAX_RESAMPLES + 1,), BootstrapError,
+    (16, BootstrapConfig, (10, -1), BootstrapError, "seed must be >= 0, got -1"),
+    (17, BootstrapConfig, (0,), BootstrapError, "n_resamples must be >= 1"),
+    (18, BootstrapConfig, (MAX_RESAMPLES + 1,), BootstrapError,
      f"n_resamples {MAX_RESAMPLES + 1} exceeds the cap of {MAX_RESAMPLES} draws"),
-    (BootstrapConfig, (10, 0, "mean"), BootstrapError,
+    (19, BootstrapConfig, (10, 0, "mean"), BootstrapError,
      "unknown statistic 'mean', pick one of ['violation', 'cf']"),
-    (BootstrapConfig, (10, 0, "cf", 0), BootstrapError, "workers must be >= 1"),
-    (BootstrapConfig, (10, 0, "cf", 1, math.nan), BootstrapError,
+    (20, BootstrapConfig, (10, 0, "cf", 0), BootstrapError, "workers must be >= 1"),
+    (21, BootstrapConfig, (10, 0, "cf", 1, math.nan), BootstrapError,
      "tol must be a finite number >= 0"),
-    # appended, so that every earlier case keeps its id
-    (MeasurementScenario, ((), frozenset(), ("A", "B")), InvalidScenarioError,
+    (22, MeasurementScenario, ((), frozenset(), ("A", "B")), InvalidScenarioError,
      "scenario declares no observables"),
-    (MeasurementScenario, (("",), frozenset({frozenset({""})}), ("A", "B")),
+    (23, MeasurementScenario, (("",), frozenset({frozenset({""})}), ("A", "B")),
      InvalidScenarioError, "observable with empty id"),
 ]
 
 
-@pytest.mark.parametrize("cls, args, error, message", INVALID,
-                         ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(INVALID)])
+INVALID_IDS = [f"{cls.__name__}-{number}" for number, cls, *_ in INVALID]
+assert len(set(INVALID_IDS)) == len(INVALID_IDS), "two INVALID cases share a number"
+
+
+@pytest.mark.parametrize("cls, args, error, message", [case[1:] for case in INVALID],
+                         ids=INVALID_IDS)
 def test_invalid_input_raises_the_same_error(cls, args, error, message):
     keywords = dict(zip(fields_of(cls), args))
     for build in (lambda: cls(*args), lambda: cls(**keywords)):
