@@ -1,5 +1,9 @@
 """Empirical models: one outcome distribution per maximal context.
 
+A model is made only valid, as a scenario is, and keeps its distributions
+in its scenario's context order, so equality ignores the order they were
+listed in.  A distribution's outcome labels are its scenario's.
+
 All probability sums go through math.fsum so that algebraically-zero
 quantities (marginal mismatches of models built from tallies) come out
 exactly 0.0 rather than merely small; `cbd` sums expectations the same way.
@@ -11,7 +15,7 @@ import math
 from functools import cached_property
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .scenario import Context, Frozen, MeasurementScenario, maximal_contexts
 
@@ -34,9 +38,8 @@ class Distribution(Frozen):
     entries are filled with 0.0 by `from_mapping`.
     """
 
-    def __init__(self, context: Context, outcome_set: tuple[str, ...],
-                 table: Mapping[tuple[str, ...], float]):
-        super().__init__(context=context, outcome_set=outcome_set, table=table)
+    def __init__(self, context: Context, table: Mapping[tuple[str, ...], float]):
+        super().__init__(context=context, table=table)
 
     @classmethod
     def from_mapping(
@@ -45,7 +48,6 @@ class Distribution(Frozen):
         outcome_set: Iterable[str],
         probs: Mapping[tuple[str, ...], float],
     ) -> "Distribution":
-        outcome_set = tuple(outcome_set)
         full = outcome_tuples(outcome_set, len(context))
         known = set(full)
         for key in probs:
@@ -64,7 +66,7 @@ class Distribution(Frozen):
             raise EmpiricalModelError(
                 f"context {context!r} probabilities sum to {total!r}, not 1"
             )
-        return cls(context=context, outcome_set=outcome_set, table=table)
+        return cls(context=context, table=table)
 
     def prob(self, outcome: tuple[str, ...]) -> float:
         return self.table[outcome]
@@ -85,18 +87,27 @@ def _marginal(
 
 
 class EmpiricalModel(Frozen):
-    def __init__(self, scenario: MeasurementScenario, distributions: tuple[Distribution, ...]):
-        # at most one distribution per context of the scenario; `build`
-        # also refuses a missing one
-        contexts, seen = set(scenario.maximal), set()
+    """Exactly one distribution per context of `scenario`: construction
+    refuses a missing, a foreign or a repeated context, and keeps the
+    distributions in `scenario.maximal` order, however they were listed."""
+
+    def __init__(self, scenario: MeasurementScenario, distributions: Iterable[Distribution]):
+        by_context: dict[Context, Distribution] = {}
         for dist in distributions:
-            if dist.context not in contexts:
-                raise EmpiricalModelError(
-                    f"distribution for {dist.context!r}, which is not a context of the scenario")
-            if dist.context in seen:
+            if dist.context in by_context:
                 raise EmpiricalModelError(f"context {dist.context!r} has two distributions")
-            seen.add(dist.context)
-        super().__init__(scenario=scenario, distributions=distributions)
+            by_context[dist.context] = dist
+        contexts = maximal_contexts(scenario)
+        given, expected = set(by_context), set(contexts)
+        if given != expected:
+            parts = []
+            if missing := sorted(expected - given):
+                parts.append(f"missing distributions for {missing}")
+            if extra := sorted(given - expected):
+                parts.append(f"distributions for non-contexts {extra}")
+            raise EmpiricalModelError("; ".join(parts))
+        super().__init__(scenario=scenario,
+                         distributions=tuple([by_context[ctx] for ctx in contexts]))
 
     @classmethod
     def build(
@@ -104,23 +115,8 @@ class EmpiricalModel(Frozen):
         scenario: MeasurementScenario,
         tables: Mapping[Context, Mapping[tuple[str, ...], float]],
     ) -> "EmpiricalModel":
-        contexts = maximal_contexts(scenario)
-        given = set(tables)
-        expected = set(contexts)
-        if given != expected:
-            missing = sorted(expected - given)
-            extra = sorted(given - expected)
-            parts = []
-            if missing:
-                parts.append(f"missing distributions for {missing}")
-            if extra:
-                parts.append(f"distributions for non-contexts {extra}")
-            raise EmpiricalModelError("; ".join(parts))
-        dists = tuple(
-            Distribution.from_mapping(ctx, scenario.outcomes, tables[ctx])
-            for ctx in contexts
-        )
-        return cls(scenario=scenario, distributions=dists)
+        return cls(scenario, [Distribution.from_mapping(ctx, scenario.outcomes, table)
+                              for ctx, table in tables.items()])
 
     @cached_property
     def _by_context(self) -> dict[Context, Distribution]:
@@ -135,7 +131,6 @@ class EmpiricalModel(Frozen):
 
 class SignallingReport(NamedTuple):
     max_discrepancy: float
-    worst: Optional[tuple[tuple[str, ...], Context, Context]]  # intersection, two contexts
 
 
 def signalling(model: EmpiricalModel) -> SignallingReport:
@@ -147,35 +142,27 @@ def signalling(model: EmpiricalModel) -> SignallingReport:
     onto it once per call and compared with the face's first holder, so a
     model that does not signal costs one marginal per (context, shared
     face), one comparison per holder after the first and no pair.  Only
-    the pairs of a face whose holders differ are measured.  `worst` is the
-    first pair, in the order (i, j), i < j, of the scenario's contexts,
-    whose distance is the maximum, i.e. strictly above every pair before
-    it; a model that does not signal has max_discrepancy 0.0 and no worst
-    pair.  An n-cycle costs n comparisons and 2n marginals, and contexts
-    that share nothing cost none.
+    the pairs of a face whose holders differ are measured.  An n-cycle
+    costs n comparisons and 2n marginals, and contexts that share nothing
+    cost none.
 
     Marginalising never increases L1 distance, so no shared sub-face of an
     intersection can show more.  0.0 exactly means every pair of contexts
     agrees bit-for-bit on what they share.
     """
     contexts = model.scenario.maximal
-    dists = list(map(model.distribution, contexts))
-    worst = None
-    worst_val = 0.0
-    worst_at = (0, 0)  # no pair comes before it, so a tie with 0.0 sets no worst
+    dists = model.distributions  # in the order of `contexts`
+    outcomes = model.scenario.outcomes
+    largest = 0.0
     for face, holders, pairs in model.scenario.shared_faces:
-        sums = [_marginal(dists[k].table, [contexts[k].index(obs) for obs in face],
-                          dists[k].outcome_set) for k in holders]
+        sums = [_marginal(dists[k].table, [contexts[k].index(obs) for obs in face], outcomes)
+                for k in holders]
         if sums.count(sums[0]) == len(sums):  # every holder agrees with the first
             continue
         at = dict(zip(holders, sums))
         for i, j in pairs:
-            dist = math.fsum([abs(x - y) for x, y in zip(at[i], at[j])])
-            if dist > worst_val or dist == worst_val and (i, j) < worst_at:
-                worst_val = dist
-                worst_at = (i, j)
-                worst = (face, contexts[i], contexts[j])
-    return SignallingReport(max_discrepancy=worst_val, worst=worst)
+            largest = max(largest, math.fsum([abs(x - y) for x, y in zip(at[i], at[j])]))
+    return SignallingReport(max_discrepancy=largest)
 
 
 def is_non_signalling(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:

@@ -16,7 +16,7 @@ Structural problems (wrong shapes, bad keys, unparseable JSON, a key
 repeated in one object, a document of one kind read where another belongs)
 raise FileFormatError; semantic problems (oversized contexts, too many
 faces, bad probabilities) surface from the domain modules so callers can
-tell the two apart.  Scenarios and schemas are checked when
+tell the two apart.  Scenarios, schemas and models are checked when
 made, so their problems surface on load; a model's scenario is made before
 its distributions are read, so an invalid one is the fault a model names.
 Files are UTF-8, with or without a leading byte-order mark.
@@ -215,7 +215,8 @@ def distributions_to_list(model: EmpiricalModel) -> list[dict]:
 
 
 def load_model(path) -> EmpiricalModel:
-    return model_from_dict(load_json(path), base_dir=Path(path).parent)
+    return model_from_dict(require_kind(load_json(path), "model", path),
+                           base_dir=Path(path).parent)
 
 
 # -- schemas -----------------------------------------------------------------
@@ -257,4 +258,4 @@ def schema_from_dict(doc: dict) -> WinogradSchema:
 
 
 def load_schema(path) -> WinogradSchema:
-    return schema_from_dict(load_json(path))
+    return schema_from_dict(require_kind(load_json(path), "schema", path))

@@ -69,16 +69,20 @@ class ParseResult(NamedTuple):
 
 
 class ContextTally(Frozen):
-    def __init__(self, n_total: int, n_valid: int,
+    """One context's response counts; `n_valid` is derived, n_same + n_diff."""
+
+    def __init__(self, n_total: int,
                  n_same: int,   # picks {AA,BB}
                  n_diff: int):  # picks {AB,BA}
-        if n_same + n_diff != n_valid:
-            raise IngestError("n_valid must equal n_same + n_diff")
-        if n_valid > n_total:
+        if n_same + n_diff > n_total:
             raise IngestError("n_valid cannot exceed n_total")
-        if min(n_total, n_valid, n_same, n_diff) < 0:
+        if min(n_total, n_same, n_diff) < 0:
             raise IngestError("negative tally")
-        super().__init__(n_total=n_total, n_valid=n_valid, n_same=n_same, n_diff=n_diff)
+        super().__init__(n_total=n_total, n_same=n_same, n_diff=n_diff)
+
+    @property
+    def n_valid(self) -> int:
+        return self.n_same + self.n_diff
 
 
 def _row_problem(lineno: int, row: list[str]) -> str | None:
@@ -189,8 +193,7 @@ def aggregate(
     tables: dict[Context, dict[tuple[str, str], float]] = {}
     for words, ctx in ctx_of.items():
         same, diff = counts[(*words, SAME)], counts[(*words, DIFF)]
-        tally = tallies[ctx] = ContextTally(n_total=totals[words], n_valid=same + diff,
-                                            n_same=same, n_diff=diff)
+        tally = tallies[ctx] = ContextTally(n_total=totals[words], n_same=same, n_diff=diff)
         if tally.n_valid == 0:
             raise IngestError(
                 f"context {ctx} has no valid responses; cannot estimate a distribution"

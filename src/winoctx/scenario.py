@@ -9,7 +9,8 @@ constructor drops the empty face and every face another one contains.
 Outcome labels are declared in order (`cbd` reads the first as +1) and may
 not contain SEPARATOR, which joins them into joint-outcome keys.
 Invariants are checked when a scenario is made, so an invalid one never
-exists and the code that uses a scenario trusts it.
+exists and the code that uses a scenario trusts it.  Models follow the same
+rule: one is made only with exactly one distribution per context.
 
 A scenario computes what depends on it alone once, on first use, and keeps
 it: its ordered maximal contexts (`maximal`), each face that pairs of them
@@ -107,12 +108,15 @@ class CyclicStructure(NamedTuple):
 
     contexts[i] is the pair (ordering[i], ordering[i+1]) with its members in
     scenario declaration order, the same tuple the scenario's models key
-    their distributions by.
+    their distributions by.  `rank` is derived: len(ordering).
     """
 
-    rank: int
     ordering: tuple[Observable, ...]
     contexts: tuple[Context, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.ordering)
 
 
 class MeasurementScenario(Frozen):
@@ -318,4 +322,4 @@ def cycle_through(
         cycle.append(ctx)
     if len(ordering) != len(scenario.observables):
         return None  # more than one cycle component
-    return CyclicStructure(rank=len(ordering), ordering=tuple(ordering), contexts=tuple(cycle))
+    return CyclicStructure(ordering=tuple(ordering), contexts=tuple(cycle))

@@ -254,12 +254,10 @@ def signalling_by_faces(model) -> float:
 
 def signalling_pairwise(model) -> SignallingReport:
     """`empirical.signalling` as an all-pairs scan: intersect every pair of
-    contexts in (i, j) order and compare the two `marginal` tables of each
-    pair that shares an observable; the first pair that reaches the strict
-    maximum is the worst, its face in the first context's order."""
+    contexts and compare the two `marginal` tables of each pair that shares
+    an observable; the largest distance is the discrepancy."""
     contexts = model_contexts(model)
-    worst = None
-    worst_val = 0.0
+    largest = 0.0
     for i, first in enumerate(contexts):
         for second in contexts[i + 1:]:
             shared = set(first).intersection(second)
@@ -267,11 +265,8 @@ def signalling_pairwise(model) -> SignallingReport:
                 continue
             a = marginal(model.distribution(first).table, first, shared)
             b = marginal(model.distribution(second).table, second, shared)
-            dist = math.fsum(abs(a[o] - b[o]) for o in a)
-            if dist > worst_val:
-                worst_val = dist
-                worst = (tuple(obs for obs in first if obs in shared), first, second)
-    return SignallingReport(max_discrepancy=worst_val, worst=worst)
+            largest = max(largest, math.fsum(abs(a[o] - b[o]) for o in a))
+    return SignallingReport(max_discrepancy=largest)
 
 
 def parse_responses_by_row(path) -> ParseResult:
@@ -358,7 +353,6 @@ def aggregate_by_record(records, schema):
     for ctx, c in counts.items():
         tally = ContextTally(
             n_total=c["total"],
-            n_valid=c["same"] + c["diff"],
             n_same=c["same"],
             n_diff=c["diff"],
         )

@@ -35,7 +35,7 @@ from winoctx.schema import ws_scenario
 
 def make_tallies(pairs):
     return [
-        ContextTally(n_total=s + d, n_valid=s + d, n_same=s, n_diff=d)
+        ContextTally(n_total=s + d, n_same=s, n_diff=d)
         for s, d in pairs
     ]
 
@@ -65,7 +65,7 @@ def cycle(rank):
 
 def draw_model(scenario, contexts, n_valid, same_counts):
     tables = {
-        ctx: tally_distribution(ContextTally(int(n), int(n), int(k), int(n - k)))
+        ctx: tally_distribution(ContextTally(int(n), int(k), int(n - k)))
         for ctx, n, k in zip(contexts, n_valid, same_counts)
     }
     return EmpiricalModel.build(scenario, tables)
@@ -217,7 +217,7 @@ def test_bootstrap_mean_tracks_point_estimate(cannibal_tallies):
 def test_run_rejects_bad_inputs():
     with pytest.raises(BootstrapError, match=">= 3"):
         run(make_tallies([(5, 5), (5, 5)]), BootstrapConfig(n_resamples=10))
-    empty = ContextTally(n_total=4, n_valid=0, n_same=0, n_diff=0)
+    empty = ContextTally(n_total=4, n_same=0, n_diff=0)
     tallies = make_tallies(SKEWED[:3]) + [empty]
     with pytest.raises(BootstrapError, match="no valid responses"):
         run(tallies, BootstrapConfig(n_resamples=10))
@@ -260,7 +260,7 @@ def test_cycle_order_follows_the_cycle():
     sizes = {}
     for k, ctx in enumerate(maximal_contexts(scenario)):
         tallies[ctx] = ContextTally(
-            n_total=100, n_valid=100, n_same=10 * (k + 1), n_diff=100 - 10 * (k + 1)
+            n_total=100, n_same=10 * (k + 1), n_diff=100 - 10 * (k + 1)
         )
         sizes[frozenset(ctx)] = 10 * (k + 1)
     ordered = cycle_order_tallies(scenario, tallies)
@@ -284,7 +284,7 @@ def test_cycle_order_agrees_with_from_model_on_rotated_and_reflected_cycles(n):
     rotations = [names[r:] + names[:r] for r in range(n)]
     for declared in rotations + [order[::-1] for order in rotations]:
         scenario = MeasurementScenario.from_maximal(declared, faces[::-1], ("A", "B"))
-        tallies = {ctx: ContextTally(n_total=100, n_valid=100, n_same=k, n_diff=100 - k)
+        tallies = {ctx: ContextTally(n_total=100, n_same=k, n_diff=100 - k)
                    for k, ctx in enumerate(maximal_contexts(scenario))}
         model = EmpiricalModel.build(
             scenario, {ctx: tally_distribution(t) for ctx, t in tallies.items()})
@@ -338,7 +338,7 @@ def test_cf_fraction_positive_is_decided_at_tol():
 
 small_rank4_tallies = st.lists(
     st.integers(1, 12).flatmap(lambda n: st.integers(0, n).map(
-        lambda s: ContextTally(n_total=n, n_valid=n, n_same=s, n_diff=n - s))),
+        lambda s: ContextTally(n_total=n, n_same=s, n_diff=n - s))),
     min_size=4, max_size=4)
 
 
@@ -449,7 +449,7 @@ def high_water_kb():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-tallies = [ContextTally(s + d, s + d, s, d) for s, d in %r]
+tallies = [ContextTally(s + d, s, d) for s, d in %r]
 for draws in (10, 10**6):
     run(tallies, BootstrapConfig(n_resamples=draws))
     print(high_water_kb())
@@ -508,7 +508,7 @@ def chi_square_critical(df, z=3.090):
 @pytest.mark.parametrize("n, s", [(85, 59), (945, 761), (945, 84)])
 def test_alias_draws_pass_a_chi_square_test_against_the_pmf(n, s):
     draws = 10**6
-    prob, slots = bootstrap._slot_correlations(ContextTally(n, n, s, n - s))
+    prob, slots = bootstrap._slot_correlations(ContextTally(n, s, n - s))
     rng = np.random.Generator(np.random.Philox(2024))
     values = bootstrap._draw_correlations(rng, prob, slots, draws,
                                            bootstrap._Block.empty(draws))
@@ -529,7 +529,7 @@ def test_alias_draws_pass_a_chi_square_test_against_the_pmf(n, s):
 
 @pytest.mark.parametrize("s, value", [(0, -1.0), (40, 1.0)])
 def test_unanimous_context_draws_a_constant_correlation(s, value):
-    prob, slots = bootstrap._slot_correlations(ContextTally(40, 40, s, 40 - s))
+    prob, slots = bootstrap._slot_correlations(ContextTally(40, s, 40 - s))
     rng = np.random.Generator(np.random.Philox(7))
     assert np.all(bootstrap._draw_correlations(rng, prob, slots, 5000,
                                                bootstrap._Block.empty(5000)) == value)
@@ -546,7 +546,7 @@ class LargestUniform:
 
 def test_largest_uniform_lands_inside_the_table():
     for n, s in split_cases():
-        prob, slots = bootstrap._slot_correlations(ContextTally(n, n, s, n - s))
+        prob, slots = bootstrap._slot_correlations(ContextTally(n, s, n - s))
         # take raises IndexError on a slot past the end
         values = bootstrap._draw_correlations(LargestUniform(), prob, slots, 3,
                                                bootstrap._Block.empty(3))

@@ -73,8 +73,7 @@ def test_s_odd_rows_matches_scalar():
     rng = np.random.default_rng(21)
     for rank in (4, 6):
         n_valid = rng.integers(1, 200, size=rank)
-        tallies = [ContextTally(n_total=int(n), n_valid=int(n), n_same=int(s),
-                                n_diff=int(n - s))
+        tallies = [ContextTally(n_total=int(n), n_same=int(s), n_diff=int(n - s))
                    for n, s in zip(n_valid, rng.integers(0, n_valid + 1))]
         config = BootstrapConfig(n_resamples=50, seed=rank, statistic="violation")
         vector = run(tallies, config).samples + (rank - 2)

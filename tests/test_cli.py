@@ -14,7 +14,7 @@ import winoctx
 from conftest import SMALL_N_RESPONSES
 from winoctx.bootstrap import MAX_RESAMPLES, BootstrapConfig, cycle_order_tallies, run
 from winoctx.cli import main
-from winoctx.files import load_schema, scenario_from_dict
+from winoctx.files import FileFormatError, load_model, load_schema, scenario_from_dict
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import aggregate, parse_responses
 from winoctx.scenario import cyclic_structure
@@ -433,7 +433,8 @@ def test_analyze_needs_some_input(capsys):
     assert "need a model file" in err
 
 
-# a document read where another kind belongs, and the message naming it;
+# a document read where another kind belongs, and the message naming it,
+# by a command (argv) or by a library loader (loader, path);
 # {tmp}/names_X.json is a model whose scenario is the path X, and
 # {tmp}/empty.json is "{}", which no kind claims, so its reader names the
 # key it lacks
@@ -457,6 +458,19 @@ OF_ANOTHER_KIND = {
                      "schema document lacks 'noun_phrases'"),
     "scenario-path-empty": (["analyze", "{tmp}/names_empty.json"],
                             "scenario document lacks 'observables'"),
+    "load_model-scenario": ((load_model, SCENARIO),
+                            f"{SCENARIO} is a scenario document, not a model document"),
+    "load_model-schema": ((load_model, SCHEMA),
+                          f"{SCHEMA} is a schema document, not a model document"),
+    "load_model-scenario-path-schema": ((load_model, "{tmp}/names_schema.json"),
+                                        f"{SCHEMA} is a schema document, not a scenario document"),
+    "load_model-empty": ((load_model, "{tmp}/empty.json"), "model document lacks 'scenario'"),
+    "load_schema-model": ((load_schema, MODEL),
+                          f"{MODEL} is a model document, not a schema document"),
+    "load_schema-scenario": ((load_schema, SCENARIO),
+                             f"{SCENARIO} is a scenario document, not a schema document"),
+    "load_schema-empty": ((load_schema, "{tmp}/empty.json"),
+                          "schema document lacks 'noun_phrases'"),
 }
 
 
@@ -467,6 +481,12 @@ def test_a_document_of_another_kind_is_named_by_path_and_kind(tmp_path, capsys, 
     for name, scenario in (("schema", SCHEMA), ("empty", "empty.json")):
         (tmp_path / f"names_{name}.json").write_text(
             json.dumps({"scenario": scenario, "distributions": []}), encoding="utf-8")
+    if callable(argv[0]):
+        load, path = argv
+        with pytest.raises(FileFormatError) as caught:
+            load(path.format(tmp=tmp_path))
+        assert str(caught.value) == message
+        return
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 

@@ -250,7 +250,7 @@ def test_aggregate_arithmetic(cannibal):
     assert dist.prob(("B", "A")) == dist.prob(("A", "B"))
     # off-diagonal mass is 0.5 - p_same by construction: marginals exact
     assert dist.prob(("A", "A")) + dist.prob(("A", "B")) == 0.5
-    assert tallies[ctx] == ContextTally(n_total=100, n_valid=100, n_same=80, n_diff=20)
+    assert tallies[ctx] == ContextTally(n_total=100, n_same=80, n_diff=20)
 
 
 def test_aggregate_reproduces_published_style_row(cannibal):
@@ -454,19 +454,25 @@ def test_aggregate_names_the_unknown_record_and_leaves_repeats_alone(cannibal):
 
 def test_tally_invariants():
     with pytest.raises(IngestError):
-        ContextTally(n_total=5, n_valid=4, n_same=2, n_diff=1)
+        ContextTally(n_total=2, n_same=2, n_diff=1)
     with pytest.raises(IngestError):
-        ContextTally(n_total=2, n_valid=3, n_same=2, n_diff=1)
-    with pytest.raises(IngestError):
-        ContextTally(n_total=2, n_valid=-1, n_same=-1, n_diff=0)
+        ContextTally(n_total=2, n_same=-1, n_diff=0)
+
+
+def test_a_tallys_valid_count_is_derived_and_read_only():
+    tally = ContextTally(n_total=5, n_same=2, n_diff=1)
+    assert tally.n_valid == 3
+    assert ContextTally._fields == ("n_total", "n_same", "n_diff")
+    with pytest.raises(AttributeError):
+        tally.n_valid = 4
 
 
 def test_tally_distribution_exact_half_split():
-    tally = ContextTally(n_total=10, n_valid=10, n_same=5, n_diff=5)
+    tally = ContextTally(n_total=10, n_same=5, n_diff=5)
     probs = tally_distribution(tally)
     assert probs[("A", "A")] == 0.25
     assert probs[("A", "B")] == 0.25
-    tally = ContextTally(n_total=3, n_valid=3, n_same=1, n_diff=2)
+    tally = ContextTally(n_total=3, n_same=1, n_diff=2)
     probs = tally_distribution(tally)
     # marginal stays exactly one half even when thirds do not round nicely
     assert probs[("A", "A")] + probs[("A", "B")] == 0.5
@@ -474,7 +480,7 @@ def test_tally_distribution_exact_half_split():
 
 def test_tally_distribution_refuses_empty():
     with pytest.raises(IngestError):
-        tally_distribution(ContextTally(n_total=3, n_valid=0, n_same=0, n_diff=0))
+        tally_distribution(ContextTally(n_total=3, n_same=0, n_diff=0))
 
 
 def test_bundled_response_file_parses_clean(cannibal):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_lp, random_bounded_lp
+from winoctx import linprog
 from winoctx.linprog import (
     LpError,
+    LpNumericalError,
     LpProblem,
     LpSizeError,
     solve,
@@ -23,6 +25,16 @@ def test_single_upper_bound():
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simplex_stops_at_the_iteration_cap(monkeypatch):
+    # max x s.t. x <= 1 takes one pivot: a cap of 1 lets it finish, 0 stops it
+    problem = lp([1.0], [[1.0]], [1.0])
+    monkeypatch.setattr(linprog, "MAX_ITER", 1)
+    assert solve(problem).iterations == 1
+    monkeypatch.setattr(linprog, "MAX_ITER", 0)
+    with pytest.raises(LpNumericalError, match="^simplex exceeded the iteration cap$"):
+        solve(problem)
 
 
 def test_unbounded():

@@ -6,17 +6,21 @@ a second argument list that differs in one field.  A field is read back
 under the name the constructor takes it by.
 """
 
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import winoctx
 from winoctx.bootstrap import (MAX_RESAMPLES, AliasTable, BootstrapConfig, BootstrapError,
                                BootstrapResult, Histogram)
 from winoctx.cbd import CyclicSystem, CyclicSystemError
-from winoctx.empirical import PROB_TOL, Distribution, EmpiricalModel, SignallingReport
+from winoctx.empirical import (PROB_TOL, Distribution, EmpiricalModel, EmpiricalModelError,
+                               SignallingReport)
 from winoctx.ingest import ContextTally, IngestError, ParseResult, ResponseRecord
 from winoctx.linprog import LpError, LpProblem, LpSizeError, LpSolution
 from winoctx.report import AnalysisReport, CfReport, build_report
@@ -29,13 +33,15 @@ OBS = ("a", "b", "c")
 CTXS = (("a", "b"), ("b", "c"), ("a", "c"))
 FACES = frozenset(map(frozenset, CTXS))
 TABLE = {("A", "A"): 0.5, ("A", "B"): 0.0, ("B", "A"): 0.0, ("B", "B"): 0.5}
+CROSSED = {("A", "A"): 0.0, ("A", "B"): 0.5, ("B", "A"): 0.5, ("B", "B"): 0.0}
 TEMPLATE = "${pron1} ${word1} and ${pron2} ${word2}."
 RECORD = ResponseRecord("r1", "w1", "w2", frozenset({"AA", "BB"}))
 # arrays of one entry compare to one truth value
 ARRAY, ONE, TWO = np.array([1.0, 2.0]), np.array([1.0]), np.array([2.0])
 MATRIX, SQUARE = np.ones((2, 2)), np.ones((1, 1))
 SCENARIO = MeasurementScenario(OBS, FACES, ("A", "B"))
-DIST = Distribution(("a", "b"), ("A", "B"), TABLE)
+# listed in CTXS order, kept in the scenario's: (a, b), (a, c), (b, c)
+DISTS = tuple(Distribution(ctx, TABLE) for ctx in CTXS)
 HIST = Histogram(ARRAY, ARRAY)
 
 
@@ -46,7 +52,7 @@ def model():
 # (type, positional arguments, the same with one field changed, formerly
 # frozen, hashable)
 CASES = {
-    "CyclicStructure": (CyclicStructure, (3, OBS, CTXS), (4, OBS, CTXS), True, True),
+    "CyclicStructure": (CyclicStructure, (OBS, CTXS), (OBS[::-1], CTXS), True, True),
     "MeasurementScenario": (MeasurementScenario, (OBS, FACES, ("A", "B")),
                             (OBS, FACES, ("A", "C")), True, True),
     "WinogradSchema": (WinogradSchema, (("x", "y"), ("p", "q"), ("s1", "s2"), ("t1", "t2"),
@@ -54,12 +60,12 @@ CASES = {
                        (("x", "z"), ("p", "q"), ("s1", "s2"), ("t1", "t2"), TEMPLATE),
                        True, True),
     "ParseResult": (ParseResult, ((RECORD,), ()), ((RECORD,), ("line 3: bad",)), True, True),
-    "ContextTally": (ContextTally, (5, 4, 3, 1), (5, 4, 2, 2), True, True),
-    "Distribution": (Distribution, (("a", "b"), ("A", "B"), TABLE),
-                     (("b", "c"), ("A", "B"), TABLE), True, False),
-    "EmpiricalModel": (EmpiricalModel, (SCENARIO, (DIST,)), (SCENARIO, ()), True, False),
-    "SignallingReport": (SignallingReport, (0.25, (("b",), CTXS[0], CTXS[1])), (0.0, None),
-                         True, True),
+    "ResponseRecord": (ResponseRecord, tuple(RECORD), ("r2", *RECORD[1:]), True, True),
+    "ContextTally": (ContextTally, (5, 3, 1), (5, 2, 2), True, True),
+    "Distribution": (Distribution, (("a", "b"), TABLE), (("b", "c"), TABLE), True, False),
+    "EmpiricalModel": (EmpiricalModel, (SCENARIO, DISTS),
+                       (SCENARIO, (Distribution(CTXS[0], CROSSED), *DISTS[1:])), True, False),
+    "SignallingReport": (SignallingReport, (0.25,), (0.0,), True, True),
     "CyclicSystem": (CyclicSystem, (OBS, CTXS, (1.0, 1.0, -1.0), ((0.0, 0.0),) * 3),
                      (OBS, CTXS, (1.0, 1.0, 1.0), ((0.0, 0.0),) * 3), True, True),
     "LpProblem": (LpProblem, (ONE, SQUARE, ONE), (TWO, SQUARE, ONE), True, False),
@@ -99,7 +105,8 @@ def test_positional_and_keyword_construction_agree(name):
     assert by_position == by_keyword
     assert not by_position != by_keyword
     for field, arg in zip(fields, args):
-        if field not in ("contexts", "objective", "lhs", "rhs"):  # normalised on entry
+        if field not in ("contexts", "distributions", "objective", "lhs", "rhs"):
+            # the others are normalised on entry
             assert getattr(by_position, field) is arg
 
 
@@ -142,6 +149,28 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         with pytest.raises(AttributeError):
             delattr(obj, field)
     assert obj == cls(*args)
+
+
+def public_value_types():
+    """Every public NamedTuple and Frozen class that a winoctx module defines."""
+    found = {}
+    for info in pkgutil.iter_modules(winoctx.__path__):
+        module = importlib.import_module(f"winoctx.{info.name}")
+        for name, cls in vars(module).items():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and not name.startswith("_") and cls is not Frozen
+                    and (issubclass(cls, Frozen)
+                         or issubclass(cls, tuple) and hasattr(cls, "_fields"))):
+                found[name] = cls
+    return found
+
+
+def test_every_public_value_type_has_a_case():
+    # AnalysisReport is tested apart, below
+    found = public_value_types()
+    assert sorted(found) == sorted([*CASES, "AnalysisReport"])
+    for name, case in CASES.items():
+        assert case[0] is found[name]
 
 
 def test_frozen_types_take_their_fields_from_init_alone():
@@ -225,9 +254,8 @@ INVALID = [
      "got (2, 1, 1)"),
     (4, WinogradSchema, (("x", "x"), *SCHEMA_ARGS[1:]), SchemaError,
      "noun_phrases entries must differ, both are 'x'"),
-    (5, ContextTally, (5, 3, 1, 1), IngestError, "n_valid must equal n_same + n_diff"),
-    (6, ContextTally, (2, 3, 2, 1), IngestError, "n_valid cannot exceed n_total"),
-    (7, ContextTally, (1, -1, 0, -1), IngestError, "negative tally"),
+    (6, ContextTally, (2, 2, 1), IngestError, "n_valid cannot exceed n_total"),
+    (7, ContextTally, (1, 0, -1), IngestError, "negative tally"),
     (8, CyclicSystem, (("a", "b"), CTXS[:2], (1.0, 1.0), ((0.0, 0.0),) * 2),
      CyclicSystemError, "cyclic systems need rank >= 3, got 2"),
     (9, CyclicSystem, (OBS, CTXS, (1.0, 1.0), ((0.0, 0.0),) * 3), CyclicSystemError,
@@ -254,6 +282,14 @@ INVALID = [
      "scenario declares no observables"),
     (23, MeasurementScenario, (("",), frozenset({frozenset({""})}), ("A", "B")),
      InvalidScenarioError, "observable with empty id"),
+    (24, MeasurementScenario, (("a",), frozenset({frozenset({"a"})}), ("A", "A", "B")),
+     InvalidScenarioError, "duplicate outcome labels"),
+    (25, EmpiricalModel, (SCENARIO, DISTS[:2]), EmpiricalModelError,
+     "missing distributions for [('a', 'c')]"),
+    (26, EmpiricalModel, (SCENARIO, DISTS + (Distribution(("a",), {("A",): 1.0}),)),
+     EmpiricalModelError, "distributions for non-contexts [('a',)]"),
+    (27, EmpiricalModel, (SCENARIO, DISTS + DISTS[:1]), EmpiricalModelError,
+     "context ('a', 'b') has two distributions"),
 ]
 
 
