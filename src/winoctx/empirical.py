@@ -1,8 +1,8 @@
 """Empirical models: one outcome distribution per maximal context.
 
-A model is made only valid, as a scenario is, and keeps its distributions
-in its scenario's context order, so equality ignores the order they were
-listed in.  A distribution's outcome labels are its scenario's.
+A model is made only valid, as a scenario is: one table per context, over
+its scenario's joint outcomes, kept in its scenario's context order, so
+equality ignores the order they were listed in.
 
 All probability sums go through math.fsum so that algebraically-zero
 quantities (marginal mismatches of models built from tallies) come out
@@ -12,12 +12,11 @@ exactly 0.0 rather than merely small; `cbd` sums expectations the same way.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .scenario import Context, Frozen, MeasurementScenario, maximal_contexts
+from .scenario import MAX_TABLE_ENTRIES, Context, Frozen, MeasurementScenario, maximal_contexts
 
 PROB_TOL = 1e-9
 
@@ -45,9 +44,12 @@ class Distribution(Frozen):
     def from_mapping(
         cls,
         context: Context,
-        outcome_set: Iterable[str],
+        outcome_set: tuple[str, ...],
         probs: Mapping[tuple[str, ...], float],
     ) -> "Distribution":
+        if len(outcome_set) ** len(context) > MAX_TABLE_ENTRIES:  # checked before it is built
+            raise EmpiricalModelError(f"context {context!r} has {len(outcome_set)}^{len(context)} "
+                                      f"joint outcomes, over the supported {MAX_TABLE_ENTRIES}")
         full = outcome_tuples(outcome_set, len(context))
         known = set(full)
         for key in probs:
@@ -88,8 +90,9 @@ def _marginal(
 
 class EmpiricalModel(Frozen):
     """Exactly one distribution per context of `scenario`: construction
-    refuses a missing, a foreign or a repeated context, and keeps the
-    distributions in `scenario.maximal` order, however they were listed."""
+    refuses a missing, a foreign or a repeated context and a table not over
+    the scenario's joint outcomes, and keeps the distributions in
+    `scenario.maximal` order, however they were listed."""
 
     def __init__(self, scenario: MeasurementScenario, distributions: Iterable[Distribution]):
         by_context: dict[Context, Distribution] = {}
@@ -98,16 +101,18 @@ class EmpiricalModel(Frozen):
                 raise EmpiricalModelError(f"context {dist.context!r} has two distributions")
             by_context[dist.context] = dist
         contexts = maximal_contexts(scenario)
-        given, expected = set(by_context), set(contexts)
-        if given != expected:
-            parts = []
-            if missing := sorted(expected - given):
-                parts.append(f"missing distributions for {missing}")
-            if extra := sorted(given - expected):
-                parts.append(f"distributions for non-contexts {extra}")
+        expected = set(contexts)
+        if parts := [f"{what} {sorted(found)}" for what, found in (
+                ("missing distributions for", expected - by_context.keys()),
+                ("distributions for non-contexts", by_context.keys() - expected)) if found]:
             raise EmpiricalModelError("; ".join(parts))
+        for ctx in contexts:
+            if by_context[ctx].table.keys() != set(outcome_tuples(scenario.outcomes, len(ctx))):
+                raise EmpiricalModelError(f"context {ctx!r} has a table not keyed by the joint "
+                                          f"outcomes of {list(scenario.outcomes)}")
         super().__init__(scenario=scenario,
-                         distributions=tuple([by_context[ctx] for ctx in contexts]))
+                         distributions=tuple([by_context[ctx] for ctx in contexts]),
+                         _by_context=by_context)  # no field: kept for `distribution`
 
     @classmethod
     def build(
@@ -117,10 +122,6 @@ class EmpiricalModel(Frozen):
     ) -> "EmpiricalModel":
         return cls(scenario, [Distribution.from_mapping(ctx, scenario.outcomes, table)
                               for ctx, table in tables.items()])
-
-    @cached_property
-    def _by_context(self) -> dict[Context, Distribution]:
-        return {d.context: d for d in self.distributions}
 
     def distribution(self, context: Context) -> Distribution:
         try:

@@ -10,7 +10,7 @@ Outcome labels are declared in order (`cbd` reads the first as +1) and may
 not contain SEPARATOR, which joins them into joint-outcome keys.
 Invariants are checked when a scenario is made, so an invalid one never
 exists and the code that uses a scenario trusts it.  Models follow the same
-rule: one is made only with exactly one distribution per context.
+rule: one is made only with one table per context, over its joint outcomes.
 
 A scenario computes what depends on it alone once, on first use, and keeps
 it: its ordered maximal contexts (`maximal`), each face that pairs of them
@@ -61,8 +61,9 @@ class Frozen:
     subclass's `__init__`, in order, which `_fields` names.
 
     A subclass checks its arguments in `__init__` and hands them to this
-    one, which sets them once.  Instances compare equal only to instances
-    of the same class with equal fields, and hash and print by those fields
+    one, which sets them once (a keyword that names no field is kept, but
+    outside the value).  Instances compare equal only to instances of the
+    same class with equal fields, and hash and print by those fields
     (`Name(field=value, ...)`).  Assigning or deleting any attribute raises
     AttributeError; `functools.cached_property` still works, as it writes
     the instance `__dict__` directly.  A pickle or copy is rebuilt from the

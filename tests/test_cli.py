@@ -458,37 +458,59 @@ OF_ANOTHER_KIND = {
                      "schema document lacks 'noun_phrases'"),
     "scenario-path-empty": (["analyze", "{tmp}/names_empty.json"],
                             "scenario document lacks 'observables'"),
-    "load_model-scenario": ((load_model, SCENARIO),
-                            f"{SCENARIO} is a scenario document, not a model document"),
-    "load_model-schema": ((load_model, SCHEMA),
-                          f"{SCHEMA} is a schema document, not a model document"),
-    "load_model-scenario-path-schema": ((load_model, "{tmp}/names_schema.json"),
-                                        f"{SCHEMA} is a schema document, not a scenario document"),
-    "load_model-empty": ((load_model, "{tmp}/empty.json"), "model document lacks 'scenario'"),
-    "load_schema-model": ((load_schema, MODEL),
-                          f"{MODEL} is a model document, not a schema document"),
-    "load_schema-scenario": ((load_schema, SCENARIO),
-                             f"{SCENARIO} is a scenario document, not a schema document"),
-    "load_schema-empty": ((load_schema, "{tmp}/empty.json"),
-                          "schema document lacks 'noun_phrases'"),
 }
+
+
+def write_documents_of_another_kind(tmp_path):
+    (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
+    for name, scenario in (("schema", SCHEMA), ("empty", "empty.json")):
+        (tmp_path / f"names_{name}.json").write_text(
+            json.dumps({"scenario": scenario, "distributions": []}), encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(OF_ANOTHER_KIND))
 def test_a_document_of_another_kind_is_named_by_path_and_kind(tmp_path, capsys, case):
     argv, message = OF_ANOTHER_KIND[case]
-    (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
-    for name, scenario in (("schema", SCHEMA), ("empty", "empty.json")):
-        (tmp_path / f"names_{name}.json").write_text(
-            json.dumps({"scenario": scenario, "distributions": []}), encoding="utf-8")
-    if callable(argv[0]):
-        load, path = argv
-        with pytest.raises(FileFormatError) as caught:
-            load(path.format(tmp=tmp_path))
-        assert str(caught.value) == message
-        return
+    write_documents_of_another_kind(tmp_path)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+LOADED_OF_ANOTHER_KIND = {
+    "model-scenario": (load_model, SCENARIO,
+                       f"{SCENARIO} is a scenario document, not a model document"),
+    "model-schema": (load_model, SCHEMA, f"{SCHEMA} is a schema document, not a model document"),
+    "model-scenario-path-schema": (load_model, "{tmp}/names_schema.json",
+                                   f"{SCHEMA} is a schema document, not a scenario document"),
+    "model-empty": (load_model, "{tmp}/empty.json", "model document lacks 'scenario'"),
+    "schema-model": (load_schema, MODEL, f"{MODEL} is a model document, not a schema document"),
+    "schema-scenario": (load_schema, SCENARIO,
+                        f"{SCENARIO} is a scenario document, not a schema document"),
+    "schema-empty": (load_schema, "{tmp}/empty.json", "schema document lacks 'noun_phrases'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADED_OF_ANOTHER_KIND))
+def test_a_loader_names_a_document_of_another_kind(tmp_path, case):
+    load, path, message = LOADED_OF_ANOTHER_KIND[case]
+    write_documents_of_another_kind(tmp_path)
+    with pytest.raises(FileFormatError) as caught:
+        load(path.format(tmp=tmp_path))
+    assert str(caught.value) == message
+
+
+def test_a_model_file_with_a_long_foreign_context_exits_1(tmp_path, capsys):
+    # the foreign context's table would have 2^40 entries: refused unbuilt
+    doc = json.loads(Path(MODEL).read_text(encoding="utf-8"))
+    long_context = [f"x{i}" for i in range(40)]
+    doc["scenario"] = str(Path(MODEL).parent / doc["scenario"])
+    doc["distributions"].append({"context": long_context, "probs": {}})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: context {tuple(long_context)!r} has 2^40 joint outcomes, "
+                   f"over the supported 65536\n")
 
 
 @pytest.mark.parametrize("command, caller", [

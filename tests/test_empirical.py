@@ -364,6 +364,16 @@ def test_a_model_refuses_a_table_off_its_contexts_or_a_context_listed_twice(chsh
             EmpiricalModel(chsh_scenario, dists + (dists[k],))
 
 
+def test_an_oversized_table_is_refused_before_it_is_built(monkeypatch):
+    # a foreign context may be long: 2^40 joint outcomes would never finish
+    monkeypatch.setattr(empirical, "outcome_tuples", None)
+    context = tuple(f"x{i}" for i in range(40))
+    with pytest.raises(EmpiricalModelError) as caught:
+        Distribution.from_mapping(context, ("0", "1"), {})
+    assert str(caught.value) == (f"context {context!r} has 2^40 joint outcomes, "
+                                 f"over the supported 65536")
+
+
 def test_a_model_holds_one_distribution_per_context_in_scenario_order():
     # a model lacking any context is refused when made, not when measured,
     # whether or not the context shares a face; one listed in any order

@@ -290,6 +290,9 @@ INVALID = [
      EmpiricalModelError, "distributions for non-contexts [('a',)]"),
     (27, EmpiricalModel, (SCENARIO, DISTS + DISTS[:1]), EmpiricalModelError,
      "context ('a', 'b') has two distributions"),
+    (28, EmpiricalModel, (SCENARIO, (Distribution(CTXS[0], {("A", "C"): 1.0}), *DISTS[1:])),
+     EmpiricalModelError,
+     "context ('a', 'b') has a table not keyed by the joint outcomes of ['A', 'B']"),
 ]
 
 
