@@ -21,7 +21,11 @@ records repeated before or after a record whose words match no context, and
 `validate` on the first of them; and `validate` on a scenario with several
 problems, with `validate` and `analyze` on a model that names it by path and
 on a model that holds it inline beside distributions that are not a list;
-and `validate` on a model whose probs repeat a key; `schema --compile` and
+and `validate` on a model whose probs repeat a key; `validate` and
+`analyze` on models with one fault each (an unknown outcome label, a
+probability of 1.5, a row summing to 1.4975, a missing context, a foreign
+context, a foreign context of 40 members) and on a missing or a foreign
+context beside a bad table; `schema --compile` and
 `schema --instantiate` on the schema whose noun phrase holds "|", `schema
 --compile` on the non-conforming sid_mark fixture and, with --instantiate
 as well, its flag error; and `analyze` and `bootstrap` of the fixture
@@ -176,6 +180,28 @@ BAD_SCENARIO_INPUTS = {
     "two_fault_model": {"scenario": BAD_SCENARIO, "distributions": {}},
 }
 
+# models on a binary 4-cycle with one fault each, then a cover fault beside
+# a bad table: an unknown outcome label, a probability of 1.5, a row summing
+# to 1.4975, a missing context, a foreign context, a foreign context of 40
+# members, a missing context with a bad table and a foreign context with a
+# bad table
+CYCLE = binary_cycle(4, (0.5,) * 4)
+ROWS = CYCLE["distributions"]
+BAD_ROW = {"context": ["x0", "x1"], "probs": {"A|A": 1.5}}
+FOREIGN_ROW = {"context": ["x0", "x2"], "probs": {"A|A": 1.0}}
+FAULTY_MODELS = {name: {**CYCLE, "distributions": rows} for name, rows in {
+    "unknown_outcome_model": [{"context": ["x0", "x1"], "probs": {"A|C": 1.0}}, *ROWS[1:]],
+    "out_of_range_model": [BAD_ROW, *ROWS[1:]],
+    "off_sum_model": [{"context": ["x0", "x1"], "probs": {
+        "A|A": 0.5, "A|B": 0.4975, "B|A": 0.25, "B|B": 0.25}}, *ROWS[1:]],
+    "missing_context_model": ROWS[:-1],
+    "foreign_context_model": [*ROWS, FOREIGN_ROW],
+    "long_foreign_context_model": [
+        *ROWS, {"context": [f"y{i}" for i in range(40)], "probs": {}}],
+    "missing_context_bad_table_model": [BAD_ROW, *ROWS[1:-1]],
+    "foreign_context_bad_table_model": [*ROWS, {**FOREIGN_ROW, "probs": {"A|A": 1.5}}],
+}.items()}
+
 # a model whose probs repeat a key, which json.dumps cannot write
 RAW_INPUTS = {
     "repeated_key_model": '{"scenario": {"observables": ["p", "q"], "contexts": [["p", "q"]], '
@@ -224,6 +250,8 @@ COMMANDS = {
     **{f"analyze_{name}": ["analyze", f"{{tmp}}/{name}.json"]
        for name in ("bad_scenario_by_path", "two_fault_model")},
     "validate_repeated_key_model": ["validate", "{tmp}/repeated_key_model.json"],
+    **{f"{cmd}_{name}": [cmd, f"{{tmp}}/{name}.json"]
+       for name in FAULTY_MODELS for cmd in ("validate", "analyze")},
     "analyze_sid_mark": ["analyze", "--responses", RESPONSES[0], "--schema", SID_MARK],
     "bootstrap_sid_mark": ["bootstrap", RESPONSES[0], SID_MARK, *SEEDED],
     **{f"bootstrap_small_n_{stat}": ["bootstrap", "{tmp}/small_n.csv", RESPONSES[1],
@@ -262,7 +290,7 @@ USAGE_COMMANDS = {
 def write_inputs(directory):
     """Write every input built here into `directory`, as <name>.json or,
     for response files, <name>.csv."""
-    for name, doc in {**INLINE, **PIPE_INPUTS, **BAD_SCENARIO_INPUTS}.items():
+    for name, doc in {**INLINE, **PIPE_INPUTS, **BAD_SCENARIO_INPUTS, **FAULTY_MODELS}.items():
         Path(directory, name + ".json").write_text(json.dumps(doc), encoding="utf-8")
     for name, text in RAW_INPUTS.items():
         Path(directory, name + ".json").write_text(text, encoding="utf-8")
@@ -321,7 +349,7 @@ def command_records():
 
 def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert sum(case.startswith("validate_") for case in COMMANDS) == 21
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 29
     assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
         command_records()) == {p.name for p in GOLDEN.iterdir()}
 
