@@ -1,8 +1,11 @@
 """Empirical models: one outcome distribution per maximal context.
 
-A model is made only valid, as a scenario is: one table per context, over
-its scenario's joint outcomes, kept in its scenario's context order, so
-equality ignores the order they were listed in.
+A model is made only valid, as a scenario is, and its constructor is the one
+check of its tables: it refuses a context listed twice, then a missing or a
+foreign context before it reads any table, then reads each context's table
+once into a dense one over its scenario's joint outcomes.  It keeps them in
+its scenario's context order, so equality ignores the order they were
+listed in.  The scenario's cap on joint outcomes bounds every table read.
 
 All probability sums go through math.fsum so that algebraically-zero
 quantities (marginal mismatches of models built from tallies) come out
@@ -16,7 +19,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .scenario import MAX_TABLE_ENTRIES, Context, Frozen, MeasurementScenario, maximal_contexts
+from .scenario import Context, Frozen, MeasurementScenario, maximal_contexts
 
 PROB_TOL = 1e-9
 
@@ -30,45 +33,16 @@ def outcome_tuples(outcome_set: tuple[str, ...], arity: int) -> list[tuple[str, 
     return list(product(outcome_set, repeat=arity))
 
 
-class Distribution(Frozen):
-    """A probability table over joint outcomes of one context.
+class Distribution(NamedTuple):
+    """A probability table over the joint outcomes of one context.
 
-    The table is dense: every joint outcome has an entry, missing input
-    entries are filled with 0.0 by `from_mapping`.
+    A model makes the ones it holds: dense, an entry for every joint
+    outcome in `outcome_tuples` order.  A (context, table) pair, so a
+    model's distributions, in any order, make the model again.
     """
 
-    def __init__(self, context: Context, table: Mapping[tuple[str, ...], float]):
-        super().__init__(context=context, table=table)
-
-    @classmethod
-    def from_mapping(
-        cls,
-        context: Context,
-        outcome_set: tuple[str, ...],
-        probs: Mapping[tuple[str, ...], float],
-    ) -> "Distribution":
-        if len(outcome_set) ** len(context) > MAX_TABLE_ENTRIES:  # checked before it is built
-            raise EmpiricalModelError(f"context {context!r} has {len(outcome_set)}^{len(context)} "
-                                      f"joint outcomes, over the supported {MAX_TABLE_ENTRIES}")
-        full = outcome_tuples(outcome_set, len(context))
-        known = set(full)
-        for key in probs:
-            if key not in known:
-                raise EmpiricalModelError(
-                    f"outcome {key!r} is not a joint outcome of context {context!r}"
-                )
-        table = {o: float(probs.get(o, 0.0)) for o in full}
-        for o, p in table.items():
-            if not -PROB_TOL <= p <= 1.0 + PROB_TOL:  # written so that NaN fails it
-                raise EmpiricalModelError(
-                    f"probability {p!r} for {o!r} in context {context!r} out of range"
-                )
-        total = math.fsum(table.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise EmpiricalModelError(
-                f"context {context!r} probabilities sum to {total!r}, not 1"
-            )
-        return cls(context=context, table=table)
+    context: Context
+    table: Mapping[tuple[str, ...], float]
 
     def prob(self, outcome: tuple[str, ...]) -> float:
         return self.table[outcome]
@@ -89,29 +63,46 @@ def _marginal(
 
 
 class EmpiricalModel(Frozen):
-    """Exactly one distribution per context of `scenario`: construction
-    refuses a missing, a foreign or a repeated context and a table not over
-    the scenario's joint outcomes, and keeps the distributions in
-    `scenario.maximal` order, however they were listed."""
+    """Exactly one distribution per context of `scenario`, made from
+    (context, table) pairs: `Distribution`s or a mapping's items.
 
-    def __init__(self, scenario: MeasurementScenario, distributions: Iterable[Distribution]):
-        by_context: dict[Context, Distribution] = {}
-        for dist in distributions:
-            if dist.context in by_context:
-                raise EmpiricalModelError(f"context {dist.context!r} has two distributions")
-            by_context[dist.context] = dist
+    Construction refuses a context listed twice, then a missing or a
+    foreign one, before it reads a table; then it reads each context's
+    table once, into a dense table over the scenario's joint outcomes with
+    0.0 where none is given, and refuses a joint outcome the context does
+    not have, a probability outside [0, 1] or a sum off 1 (within
+    PROB_TOL).  The distributions are kept in `scenario.maximal` order,
+    however they were listed."""
+
+    def __init__(self, scenario: MeasurementScenario,
+                 distributions: Iterable[tuple[Context, Mapping[tuple[str, ...], float]]]):
+        given: dict[Context, Mapping[tuple[str, ...], float]] = {}
+        for ctx, probs in distributions:
+            if ctx in given:
+                raise EmpiricalModelError(f"context {ctx!r} has two distributions")
+            given[ctx] = probs
         contexts = maximal_contexts(scenario)
         expected = set(contexts)
         if parts := [f"{what} {sorted(found)}" for what, found in (
-                ("missing distributions for", expected - by_context.keys()),
-                ("distributions for non-contexts", by_context.keys() - expected)) if found]:
+                ("missing distributions for", expected - given.keys()),
+                ("distributions for non-contexts", given.keys() - expected)) if found]:
             raise EmpiricalModelError("; ".join(parts))
-        for ctx in contexts:
-            if by_context[ctx].table.keys() != set(outcome_tuples(scenario.outcomes, len(ctx))):
-                raise EmpiricalModelError(f"context {ctx!r} has a table not keyed by the joint "
-                                          f"outcomes of {list(scenario.outcomes)}")
-        super().__init__(scenario=scenario,
-                         distributions=tuple([by_context[ctx] for ctx in contexts]),
+        by_context: dict[Context, Distribution] = {}
+        for ctx in contexts:  # the scenario caps each table's size
+            table = dict.fromkeys(outcome_tuples(scenario.outcomes, len(ctx)), 0.0)
+            for outcome, p in given[ctx].items():
+                if outcome not in table:
+                    raise EmpiricalModelError(
+                        f"outcome {outcome!r} is not a joint outcome of context {ctx!r}")
+                table[outcome] = float(p)
+            for outcome, p in table.items():
+                if not -PROB_TOL <= p <= 1.0 + PROB_TOL:  # written so that NaN fails it
+                    raise EmpiricalModelError(
+                        f"probability {p!r} for {outcome!r} in context {ctx!r} out of range")
+            if abs((total := math.fsum(table.values())) - 1.0) > PROB_TOL:
+                raise EmpiricalModelError(f"context {ctx!r} probabilities sum to {total!r}, not 1")
+            by_context[ctx] = Distribution(ctx, table)
+        super().__init__(scenario=scenario, distributions=tuple(by_context.values()),
                          _by_context=by_context)  # no field: kept for `distribution`
 
     @classmethod
@@ -120,8 +111,7 @@ class EmpiricalModel(Frozen):
         scenario: MeasurementScenario,
         tables: Mapping[Context, Mapping[tuple[str, ...], float]],
     ) -> "EmpiricalModel":
-        return cls(scenario, [Distribution.from_mapping(ctx, scenario.outcomes, table)
-                              for ctx, table in tables.items()])
+        return cls(scenario, tables.items())
 
     def distribution(self, context: Context) -> Distribution:
         try:

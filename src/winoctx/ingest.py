@@ -205,9 +205,10 @@ def aggregate(
 
 
 def tally_distribution(
-    tally: ContextTally, outcomes: Sequence[str] = ("A", "B")
+    tally: ContextTally, outcomes: Sequence[str]
 ) -> dict[tuple[str, str], float]:
-    """The symmetric two-observable table implied by a tally.
+    """The symmetric two-observable table implied by a tally, over the two
+    `outcomes`.
 
     p_diff is computed as 0.5 - p_same, not n_diff/(2 n_valid): the marginal
     p_same + (0.5 - p_same) then rounds to exactly 0.5 for every float

@@ -10,7 +10,8 @@ Outcome labels are declared in order (`cbd` reads the first as +1) and may
 not contain SEPARATOR, which joins them into joint-outcome keys.
 Invariants are checked when a scenario is made, so an invalid one never
 exists and the code that uses a scenario trusts it.  Models follow the same
-rule: one is made only with one table per context, over its joint outcomes.
+rule: one is made only with one table per context, over its joint outcomes,
+and the cap checked here, MAX_TABLE_ENTRIES, is the one bound on a table.
 
 A scenario computes what depends on it alone once, on first use, and keeps
 it: its ordered maximal contexts (`maximal`), each face that pairs of them

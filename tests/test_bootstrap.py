@@ -65,7 +65,7 @@ def cycle(rank):
 
 def draw_model(scenario, contexts, n_valid, same_counts):
     tables = {
-        ctx: tally_distribution(ContextTally(int(n), int(k), int(n - k)))
+        ctx: tally_distribution(ContextTally(int(n), int(k), int(n - k)), ("A", "B"))
         for ctx, n, k in zip(contexts, n_valid, same_counts)
     }
     return EmpiricalModel.build(scenario, tables)
@@ -287,7 +287,7 @@ def test_cycle_order_agrees_with_from_model_on_rotated_and_reflected_cycles(n):
         tallies = {ctx: ContextTally(n_total=100, n_same=k, n_diff=100 - k)
                    for k, ctx in enumerate(maximal_contexts(scenario))}
         model = EmpiricalModel.build(
-            scenario, {ctx: tally_distribution(t) for ctx, t in tallies.items()})
+            scenario, {ctx: tally_distribution(t, ("A", "B")) for ctx, t in tallies.items()})
         system = CyclicSystem.from_model(model)
         expected = tuple(tuple(declared[i:i + 2]) for i in range(n - 1))
         expected += ((declared[0], declared[-1]),)

@@ -1,6 +1,7 @@
 import math
+import pickle
 import re
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -43,12 +44,14 @@ def test_marginal_on_full_context_is_identity(judgment_model):
         assert marg[outcome] == dist.prob(outcome)
 
 
+def one_distribution(context, outcomes, probs):
+    """The distribution a model on the one context makes of `probs`."""
+    scenario = MeasurementScenario.from_maximal(context, [context], outcomes)
+    return EmpiricalModel.build(scenario, {context: probs}).distributions[0]
+
+
 def test_marginal_of_point_mass():
-    dist = Distribution.from_mapping(
-        context=("p1", "p2"),
-        outcome_set=("A", "B"),
-        probs={("A", "A"): 1.0},
-    )
+    dist = one_distribution(("p1", "p2"), ("A", "B"), {("A", "A"): 1.0})
     marg = marginal(dist.table, dist.context, ["p1"])
     assert marg[("A",)] == 1.0
     assert marg[("B",)] == 0.0
@@ -61,9 +64,7 @@ def test_marginalization_is_associative(raw):
         outcome: w / total
         for outcome, w in zip(outcome_tuples(("A", "B"), 3), raw)
     }
-    dist = Distribution.from_mapping(
-        context=("x", "y", "z"), outcome_set=("A", "B"), probs=probs
-    )
+    dist = one_distribution(("x", "y", "z"), ("A", "B"), probs)
     direct = marginal(dist.table, dist.context, ["x"])
     for step in (["x", "y"], ["x", "z"]):
         stepped = marginal(marginal(dist.table, dist.context, step), step, ["x"])
@@ -73,22 +74,13 @@ def test_marginalization_is_associative(raw):
 
 def test_distribution_rejects_negative_and_unnormalized():
     with pytest.raises(EmpiricalModelError):
-        Distribution.from_mapping(
-            context=("p",), outcome_set=("A", "B"), probs={("A",): -0.1, ("B",): 1.1}
-        )
+        one_distribution(("p",), ("A", "B"), {("A",): -0.1, ("B",): 1.1})
     with pytest.raises(EmpiricalModelError):
-        Distribution.from_mapping(
-            context=("p",), outcome_set=("A", "B"), probs={("A",): 0.7}
-        )
+        one_distribution(("p",), ("A", "B"), {("A",): 0.7})
     with pytest.raises(EmpiricalModelError, match="out of range"):
-        Distribution.from_mapping(
-            context=("p",), outcome_set=("A", "B"),
-            probs={("A",): float("nan"), ("B",): 1.0},
-        )
+        one_distribution(("p",), ("A", "B"), {("A",): float("nan"), ("B",): 1.0})
     with pytest.raises(EmpiricalModelError):
-        Distribution.from_mapping(
-            context=("p", "q"), outcome_set=("A", "B"), probs={("A",): 1.0}
-        )
+        one_distribution(("p", "q"), ("A", "B"), {("A",): 1.0})
 
 
 def test_bell_model_is_non_signalling_exactly(bell_model):
@@ -345,9 +337,9 @@ def test_a_model_refuses_a_table_off_its_contexts_or_a_context_listed_twice(chsh
     dists = built.distributions
     first = dists[0]
     strangers = [
-        Distribution.from_mapping(("a1", "a2"), ("0", "1"), {("0", "0"): 1.0}),
+        Distribution(("a1", "a2"), {("0", "0"): 1.0}),
         # the context's observables out of the scenario's order
-        Distribution.from_mapping(first.context[::-1], ("0", "1"), {("0", "0"): 1.0}),
+        Distribution(first.context[::-1], {("0", "0"): 1.0}),
     ]
     for stranger in strangers:
         for listed in (dists + (stranger,), (stranger,) + dists):
@@ -364,14 +356,32 @@ def test_a_model_refuses_a_table_off_its_contexts_or_a_context_listed_twice(chsh
             EmpiricalModel(chsh_scenario, dists + (dists[k],))
 
 
-def test_an_oversized_table_is_refused_before_it_is_built(monkeypatch):
-    # a foreign context may be long: 2^40 joint outcomes would never finish
-    monkeypatch.setattr(empirical, "outcome_tuples", None)
+def count_enumerations(monkeypatch):
+    """The arities `empirical.outcome_tuples` is called with, as a list
+    that grows with each call."""
+    arities = []
+    enumerate_outcomes = empirical.outcome_tuples
+
+    def counted(outcome_set, arity):
+        arities.append(arity)
+        return enumerate_outcomes(outcome_set, arity)
+
+    monkeypatch.setattr(empirical, "outcome_tuples", counted)
+    return arities
+
+
+def test_an_oversized_table_is_refused_before_it_is_built(monkeypatch, chsh_scenario):
+    # a foreign context may be long: 2^40 joint outcomes would never finish,
+    # so the cover is checked before any table is read
+    tables = symmetric_tables(chsh_scenario, [0.25] * 4)
     context = tuple(f"x{i}" for i in range(40))
+    arities = count_enumerations(monkeypatch)
     with pytest.raises(EmpiricalModelError) as caught:
-        Distribution.from_mapping(context, ("0", "1"), {})
-    assert str(caught.value) == (f"context {context!r} has 2^40 joint outcomes, "
-                                 f"over the supported 65536")
+        EmpiricalModel.build(chsh_scenario, {**tables, context: {}})
+    assert str(caught.value) == f"distributions for non-contexts [{context!r}]"
+    assert arities == []
+    EmpiricalModel.build(chsh_scenario, tables)
+    assert arities == [2, 2, 2, 2]  # once per context of the scenario
 
 
 def test_a_model_holds_one_distribution_per_context_in_scenario_order():
@@ -397,6 +407,104 @@ def test_a_model_holds_one_distribution_per_context_in_scenario_order():
             assert signalling(model) == signalling(built)
         with pytest.raises(EmpiricalModelError, match="no distribution for context"):
             built.distribution(("zz",))
+
+
+@st.composite
+def small_models(draw):
+    """A model on a SHAPES scenario or a cycle of rank 3-5: few enough
+    contexts to list its distributions in every order."""
+    outcomes = draw(st.sampled_from([("0", "1"), ("r", "g", "b")]))
+    faces = draw(st.sampled_from([cycle_faces(n) for n in (3, 4, 5)] + list(SHAPES.values())))
+    observables = draw(st.permutations(sorted(set().union(*faces))))
+    scenario = MeasurementScenario.from_maximal(observables, faces, outcomes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["global", "random", "pooled"]))
+    if kind == "pooled":
+        return pooled_model(scenario, rng)
+    return random_model(scenario, rng, kind)
+
+
+def table_bits(model):
+    """Each distribution's context and entries in order, probabilities as hex."""
+    return [(d.context, [(o, p.hex()) for o, p in d.table.items()]) for d in model.distributions]
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_models(), st.randoms(use_true_random=False))
+def test_every_listing_of_the_tables_makes_the_same_model(model, rnd):
+    # contexts listed in any order, tables sparse with their entries in any
+    # order: `build`, the mapping's items, every order of the model's
+    # distributions and a pickle all make the model, bit for bit
+    listed = list(model.distributions)
+    rnd.shuffle(listed)
+    tables = {}
+    for ctx, table in listed:
+        entries = [(o, p) for o, p in table.items() if p or rnd.random() < 0.5]
+        rnd.shuffle(entries)
+        tables[ctx] = dict(entries)
+    built = EmpiricalModel.build(model.scenario, tables)
+    expected = table_bits(model)
+    for made in (built, EmpiricalModel(model.scenario, tables.items()),
+                 pickle.loads(pickle.dumps(built)),
+                 *(EmpiricalModel(model.scenario, order)
+                   for order in permutations(built.distributions))):
+        assert made == model
+        assert table_bits(made) == expected
+        assert {type(p) for d in made.distributions for p in d.table.values()} == {float}
+
+
+FOREIGN = ("a1", "a2")  # not a context of the CHSH scenario
+BAD = {("0", "0"): 5.0}
+# fault: (the CHSH tables `t` as (context, table) pairs with the fault at
+# context `c`, the message it raises)
+GATE_FAULTS = {
+    "unknown outcome": (lambda t, c: {**t, c: {**t[c], ("0", "2"): 0.0}}.items(),
+                        "outcome ('0', '2') is not a joint outcome of context {c!r}"),
+    "out of range": (lambda t, c: {**t, c: BAD}.items(),
+                     "probability 5.0 for ('0', '0') in context {c!r} out of range"),
+    "off sum": (lambda t, c: {**t, c: {("0", "0"): 0.5}}.items(),
+                "context {c!r} probabilities sum to 0.5, not 1"),
+    "missing": (lambda t, c: [(k, v) for k, v in t.items() if k != c],
+                "missing distributions for [{c!r}]"),
+    "foreign": (lambda t, c: [*t.items(), (FOREIGN, t[c])],
+                "distributions for non-contexts [('a1', 'a2')]"),
+    "repeated": (lambda t, c: [*t.items(), (c, t[c])], "context {c!r} has two distributions"),
+    # a cover fault is named before any table is read
+    "missing beside bad tables": (lambda t, c: [(k, BAD) for k in t if k != c],
+                                  "missing distributions for [{c!r}]"),
+    "foreign with a bad table": (lambda t, c: [*t.items(), (FOREIGN, BAD)],
+                                 "distributions for non-contexts [('a1', 'a2')]"),
+    "foreign beside bad tables": (lambda t, c: [*((k, BAD) for k in t), (FOREIGN, t[c])],
+                                  "distributions for non-contexts [('a1', 'a2')]"),
+    "repeated beside bad tables": (lambda t, c: [*((k, BAD) for k in t), (c, t[c])],
+                                   "context {c!r} has two distributions"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(GATE_FAULTS)), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_each_fault_is_named_whatever_the_listing_order(chsh_scenario, fault, target, rnd):
+    listing, message = GATE_FAULTS[fault]
+    context = chsh_scenario.maximal[target]
+    pairs = list(listing(symmetric_tables(chsh_scenario, [0.25] * 4), context))
+    rnd.shuffle(pairs)
+    makers = [lambda: EmpiricalModel(chsh_scenario, pairs)]
+    if len(dict(pairs)) == len(pairs):  # no context repeated: a mapping holds them
+        makers.append(lambda: EmpiricalModel.build(chsh_scenario, dict(pairs)))
+    for make in makers:
+        with pytest.raises(EmpiricalModelError) as caught:
+            make()
+        assert str(caught.value) == message.format(c=context)
+
+
+def test_a_bare_distribution_is_checked_when_it_enters_a_model(chsh_scenario):
+    # a Distribution made by hand is a (context, table) pair like any other
+    contexts = chsh_scenario.maximal
+    with pytest.raises(EmpiricalModelError) as caught:
+        EmpiricalModel(chsh_scenario, [Distribution(c, {("0", "0"): 5.0}) for c in contexts])
+    assert str(caught.value) == (f"probability 5.0 for ('0', '0') in context {contexts[0]!r} "
+                                 "out of range")
 
 
 def test_outcome_symmetry(judgment_model, pr_model):

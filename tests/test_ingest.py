@@ -469,18 +469,18 @@ def test_a_tallys_valid_count_is_derived_and_read_only():
 
 def test_tally_distribution_exact_half_split():
     tally = ContextTally(n_total=10, n_same=5, n_diff=5)
-    probs = tally_distribution(tally)
+    probs = tally_distribution(tally, ("A", "B"))
     assert probs[("A", "A")] == 0.25
     assert probs[("A", "B")] == 0.25
     tally = ContextTally(n_total=3, n_same=1, n_diff=2)
-    probs = tally_distribution(tally)
+    probs = tally_distribution(tally, ("A", "B"))
     # marginal stays exactly one half even when thirds do not round nicely
     assert probs[("A", "A")] + probs[("A", "B")] == 0.5
 
 
 def test_tally_distribution_refuses_empty():
     with pytest.raises(IngestError):
-        tally_distribution(ContextTally(n_total=3, n_same=0, n_diff=0))
+        tally_distribution(ContextTally(n_total=3, n_same=0, n_diff=0), ("A", "B"))
 
 
 def test_bundled_response_file_parses_clean(cannibal):

@@ -317,7 +317,7 @@ def test_report_sheaf_verdict_decided_at_tol():
     scenario = MeasurementScenario.from_maximal(
         names, [(names[i], names[(i + 1) % 4]) for i in range(4)], ("A", "B"))
     tables = {
-        ctx: tally_distribution(ContextTally(n, k, n - k))
+        ctx: tally_distribution(ContextTally(n, k, n - k), ("A", "B"))
         for ctx, n, k in zip(cyclic_structure(scenario).contexts,
                              (93, 85, 85, 85), (73, 48, 56, 4))
     }
@@ -336,7 +336,7 @@ def test_report_cbd_verdict_decided_at_tol():
     scenario = MeasurementScenario.from_maximal(
         names, [(names[i], names[(i + 1) % 4]) for i in range(4)], ("A", "B"))
     tables = {
-        ctx: tally_distribution(ContextTally(n, k, n - k))
+        ctx: tally_distribution(ContextTally(n, k, n - k), ("A", "B"))
         for ctx, n, k in zip(cyclic_structure(scenario).contexts,
                              (3, 17, 9, 3), (1, 17, 3, 1))
     }

@@ -176,8 +176,8 @@ def test_every_public_value_type_has_a_case():
 def test_frozen_types_take_their_fields_from_init_alone():
     frozen = {cls.__name__: cls for cls in Frozen.__subclasses__()}
     assert sorted(frozen) == sorted(
-        ["MeasurementScenario", "Distribution", "EmpiricalModel", "CyclicSystem", "LpProblem",
-         "ContextTally", "WinogradSchema", "BootstrapConfig", "AnalysisReport"])
+        ["MeasurementScenario", "EmpiricalModel", "CyclicSystem", "LpProblem", "ContextTally",
+         "WinogradSchema", "BootstrapConfig", "AnalysisReport"])
     for cls in frozen.values():
         assert cls._fields == fields_of(cls)
         assert "_fields" not in inspect.getsource(cls)
@@ -291,8 +291,9 @@ INVALID = [
     (27, EmpiricalModel, (SCENARIO, DISTS + DISTS[:1]), EmpiricalModelError,
      "context ('a', 'b') has two distributions"),
     (28, EmpiricalModel, (SCENARIO, (Distribution(CTXS[0], {("A", "C"): 1.0}), *DISTS[1:])),
-     EmpiricalModelError,
-     "context ('a', 'b') has a table not keyed by the joint outcomes of ['A', 'B']"),
+     EmpiricalModelError, "outcome ('A', 'C') is not a joint outcome of context ('a', 'b')"),
+    (29, EmpiricalModel, (SCENARIO, (Distribution(CTXS[0], {("A", "A"): 5.0}), *DISTS[1:])),
+     EmpiricalModelError, "probability 5.0 for ('A', 'A') in context ('a', 'b') out of range"),
 ]
 
 
