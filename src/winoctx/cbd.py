@@ -1,8 +1,10 @@
 """Cyclic systems of binary measurements and their contextuality measure.
 
 Sign convention: the first declared label of a binary outcome set is +1,
-the second -1.  `CyclicSystem.from_model` is the one place that applies it,
-reading expectations and correlations off the model's tables.
+the second -1.  `CyclicSystem.from_model` is the one place that applies it:
+each expectation and correlation is the math.fsum of a table's values times
+a fixed +-1 vector of the binary pair's shape, which relies on a model's
+tables being dense in outcome_tuples order, as its constructor makes them.
 
 A rank-n cyclic system has contents x_1..x_n and contexts K_i = {x_i, x_i+1}
 (indices mod n).  The measure used here is
@@ -63,9 +65,10 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
-from .empirical import EmpiricalModel
+from .empirical import EmpiricalModel, outcome_tuples
 from .scenario import Context, Frozen, Observable
 
 
@@ -80,11 +83,23 @@ class CyclicSystemError(ValueError):
 def s_odd(values: Sequence[float]) -> float:
     """Max of sum(sign_j * v_j) over sign vectors with an odd number of -1s.
 
-    Sums the terms of the maximising pattern from `chsh_pattern` with
-    math.fsum, so the result is the correctly rounded exact maximum.
+    The math.fsum, so correctly rounded, of `chsh_pattern`'s terms: the
+    |v_j|, a least one negated when the negatives are even (`bootstrap`'s fold).
     """
     v = [float(x) for x in values]
-    return math.fsum(s * x for s, x in zip(chsh_pattern(v), v))
+    if not v:
+        raise CyclicSystemError("s_odd needs at least one value")
+    terms = list(map(abs, v))
+    if len([x for x in v if x < 0]) % 2 == 0:
+        least = terms.index(min(terms))
+        terms[least] = -terms[least]
+    return math.fsum(terms)
+
+
+# the +-1 signs of a binary pair's joint outcomes, in the order of its table
+_PAIR = outcome_tuples((1.0, -1.0), 2)
+_SIGNS = tuple(zip(*_PAIR))  # of its first member, of its second
+_PRODUCT = tuple([a * b for a, b in _PAIR])
 
 
 class CyclicSystem(Frozen):
@@ -118,20 +133,12 @@ class CyclicSystem(Frozen):
         outcomes = model.scenario.outcomes
         if len(outcomes) != 2:
             raise CyclicSystemError(
-                f"{len(outcomes)} outcomes {list(outcomes)}: CbD needs a binary outcome set"
-            )
+                f"{len(outcomes)} outcomes {list(outcomes)}: CbD needs a binary outcome set")
         contexts = structure.contexts
-        first = outcomes[0]
-        tables = [model.distribution(ctx).table for ctx in contexts]
-        correlations = tuple([
-            math.fsum([p if a == b else -p for (a, b), p in table.items()]) for table in tables
-        ])
-
-        def mean(k: int, obs: Observable) -> float:
-            at = contexts[k].index(obs)
-            return math.fsum([p if joint[at] == first else -p for joint, p in tables[k].items()])
-
-        expectations = tuple([(mean(i - 1, c), mean(i, c))
+        values = [list(model.distribution(ctx).table.values()) for ctx in contexts]
+        correlations = tuple([math.fsum(map(mul, v, _PRODUCT)) for v in values])
+        expectations = tuple([tuple([math.fsum(map(mul, values[k], _SIGNS[contexts[k].index(c)]))
+                                     for k in (i - 1, i)])
                               for i, c in enumerate(structure.ordering)])
         return cls(structure.ordering, contexts, correlations, expectations)
 

@@ -3,9 +3,12 @@
 A model is made only valid, as a scenario is, and its constructor is the one
 check of its tables: it refuses a context listed twice, then a missing or a
 foreign context before it reads any table, then reads each context's table
-once into a dense one over its scenario's joint outcomes.  It keeps them in
-its scenario's context order, so equality ignores the order they were
-listed in.  The scenario's cap on joint outcomes bounds every table read.
+once into a dense one over its scenario's joint outcomes, in outcome_tuples
+order.  It keeps them in its scenario's context order, so equality ignores
+the order they were listed in.  The scenario's cap on joint outcomes bounds
+every table read.  Reports rely on that dense order: they read a table's
+values as a list, and sum them by index plans that depend on the table's
+shape alone (outcome count, arity, positions), built once per process.
 
 All probability sums go through math.fsum so that algebraically-zero
 quantities (marginal mismatches of models built from tallies) come out
@@ -15,6 +18,7 @@ exactly 0.0 rather than merely small; `cbd` sums expectations the same way.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -48,18 +52,21 @@ class Distribution(NamedTuple):
         return self.table[outcome]
 
 
-def _marginal(
-    table: Mapping[tuple[str, ...], float], positions: list[int], outcome_set: tuple[str, ...]
-) -> list[float]:
-    """The math.fsum of the table's entries per joint outcome at `positions`
-    (non-empty), in outcome_tuples order; exact sums, so the table's order
-    does not matter."""
-    project = itemgetter(*positions)
-    keys = outcome_set if len(positions) == 1 else outcome_tuples(outcome_set, len(positions))
-    buckets: dict = {key: [] for key in keys}
-    for joint, p in table.items():
-        buckets[project(joint)].append(p)
-    return list(map(math.fsum, buckets.values()))
+@lru_cache(maxsize=64)  # holds every face of a 6-member context; caps the memory held
+def _index_groups(k: int, arity: int, positions: tuple[int, ...]) -> tuple[itemgetter, ...]:
+    """Per joint outcome at `positions`, in outcome_tuples order, a getter
+    of the values of a dense `arity`-member, `k`-outcome table that it sums."""
+    groups: dict = {key: [] for key in product(range(k), repeat=len(positions))}
+    for i, joint in enumerate(product(range(k), repeat=arity)):
+        groups[tuple([joint[at] for at in positions])].append(i)
+    # a getter of one index returns a value, so a group of one gets a slice
+    return tuple([itemgetter(*g) if len(g) > 1 else itemgetter(slice(g[0], g[0] + 1))
+                  for g in groups.values()])
+
+
+def _marginal(values: list[float], groups: tuple[itemgetter, ...]) -> list[float]:
+    """The math.fsum of each `_index_groups` group of a table's values."""
+    return [math.fsum(group(values)) for group in groups]
 
 
 class EmpiricalModel(Frozen):
@@ -135,19 +142,20 @@ def signalling(model: EmpiricalModel) -> SignallingReport:
     face), one comparison per holder after the first and no pair.  Only
     the pairs of a face whose holders differ are measured.  An n-cycle
     costs n comparisons and 2n marginals, and contexts that share nothing
-    cost none.
+    cost no marginal.  A marginal sums a table's values, read once per
+    call, over `_index_groups`, which are built once per process.
 
     Marginalising never increases L1 distance, so no shared sub-face of an
     intersection can show more.  0.0 exactly means every pair of contexts
     agrees bit-for-bit on what they share.
     """
     contexts = model.scenario.maximal
-    dists = model.distributions  # in the order of `contexts`
-    outcomes = model.scenario.outcomes
+    k = len(model.scenario.outcomes)
+    values = [list(dist.table.values()) for dist in model.distributions]  # `contexts` order
     largest = 0.0
     for face, holders, pairs in model.scenario.shared_faces:
-        sums = [_marginal(dists[k].table, [contexts[k].index(obs) for obs in face], outcomes)
-                for k in holders]
+        sums = [_marginal(values[h], _index_groups(k, len(contexts[h]), tuple(
+            [contexts[h].index(obs) for obs in face]))) for h in holders]
         if sums.count(sums[0]) == len(sums):  # every holder agrees with the first
             continue
         at = dict(zip(holders, sums))
@@ -162,10 +170,9 @@ def is_non_signalling(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
 
 def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
     """True when every distribution is invariant under exchanging the two
-    outcomes (binary only)."""
-    outcomes = model.scenario.outcomes
-    if len(outcomes) != 2:
+    outcomes (binary only).  In outcome_tuples order the exchange maps
+    entry i of a table of N to entry N - 1 - i: it reverses the values."""
+    if len(model.scenario.outcomes) != 2:
         raise EmpiricalModelError("outcome flip needs a binary outcome set")
-    flip = dict(zip(outcomes, reversed(outcomes)))
-    return all(abs(p - dist.table[tuple(flip[label] for label in joint)]) <= tol
-               for dist in model.distributions for joint, p in dist.table.items())
+    return all(abs(p - q) <= tol for dist in model.distributions
+               for p, q in zip(dist.table.values(), reversed(dist.table.values())))

@@ -206,6 +206,18 @@ def marginal(table, context, face):
     return {key: math.fsum(ps) for key, ps in sums.items()}
 
 
+def is_outcome_symmetric_by_flip(model, tol: float = PROB_TOL) -> bool:
+    """`empirical.is_outcome_symmetric` entry by entry: each joint outcome's
+    labels exchanged one by one and its probability looked up by that key,
+    so nothing rests on the tables' order."""
+    outcomes = model.scenario.outcomes
+    if len(outcomes) != 2:
+        raise EmpiricalModelError("outcome flip needs a binary outcome set")
+    flip = dict(zip(outcomes, reversed(outcomes)))
+    return all(abs(p - dist.table[tuple(flip[label] for label in joint)]) <= tol
+               for dist in model.distributions for joint, p in dist.table.items())
+
+
 def from_global_weights(scenario, weights) -> EmpiricalModel:
     """Model induced by a distribution on global assignments, each a tuple
     in scenario.observables order: non-signalling and noncontextual by

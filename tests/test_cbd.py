@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ def test_closed_form_matches_enumeration(values):
         assert enumerated == pytest.approx(magnitude, abs=1e-12)
     else:
         assert enumerated < magnitude - 1e-12 or magnitude < 1e-6
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -1.0]),
+                          st.floats(-1.0, 1.0)), min_size=3, max_size=16))
+def test_s_odd_sums_the_terms_of_the_maximising_pattern_bit_for_bit(values):
+    # ties and zeros included: repr tells -0.0 from 0.0
+    pattern = chsh_pattern(values)
+    assert repr(s_odd(values)) == repr(math.fsum(s * x for s, x in zip(pattern, values)))
 
 
 def test_s_odd_rows_matches_scalar():

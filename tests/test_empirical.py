@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_symmetric_model, symmetric_tables
 from oracles import (
     from_global_weights,
+    is_outcome_symmetric_by_flip,
     marginal,
     maximal_contexts_by_completion,
     signalling_by_faces,
     signalling_pairwise,
 )
-from winoctx import empirical
+from winoctx import cbd, empirical, report
 from winoctx.cbd import CyclicSystem, CyclicSystemError
 from winoctx.empirical import (
     Distribution,
@@ -26,6 +27,7 @@ from winoctx.empirical import (
     outcome_tuples,
     signalling,
 )
+from winoctx.files import distributions_to_list, model_from_dict, scenario_to_dict
 from winoctx.scenario import MeasurementScenario, cycle_through, maximal_contexts
 
 
@@ -332,6 +334,61 @@ def test_signalling_marginalises_a_shared_face_once_per_context(monkeypatch):
     assert count_signalling_work(monkeypatch, uniform_pairs_model(scenario)) == (3, 0, 4)
 
 
+def loaded_cycle(n, seed):
+    """A non-signalling binary rank-n cycle, made afresh from its document
+    as a model file is loaded: a new scenario and a new model."""
+    faces = cycle_faces(n)
+    scenario = MeasurementScenario.from_maximal(sorted(set().union(*faces)), faces, ("0", "1"))
+    model = random_model(scenario, np.random.default_rng(seed), "global")
+    return model_from_dict({"scenario": scenario_to_dict(scenario),
+                            "distributions": distributions_to_list(model)})
+
+
+@pytest.mark.parametrize("owner, name", [("report", "signalling"),
+                                         ("CyclicSystem", "from_model"), ("cbd", "s_odd")])
+def test_a_report_calls_a_wrapper_set_on_a_hooked_name_once(monkeypatch, owner, name):
+    # the benchmark's span hooks wrap these names where a report looks them up
+    owner = {"report": report, "CyclicSystem": CyclicSystem, "cbd": cbd}[owner]
+    raw, calls = owner.__dict__[name], []
+    function = raw.__func__ if isinstance(raw, classmethod) else raw
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, classmethod(wrapper) if isinstance(raw, classmethod)
+                        else wrapper)
+    built = report.build_report(loaded_cycle(6, 0))
+    assert (calls, built.cyclic.rank, built.notices) == (
+        [name], 6, ["rank 6 cycle: the Bell-CHSH violation needs rank 4, omitted"])
+
+
+def test_index_groups_are_built_once_per_table_shape():
+    # a cache miss is a build; a cycle of another rank, on a scenario of its
+    # own, has tables of the same shape and so builds none
+    report.build_report(loaded_cycle(6, 1))
+    built = empirical._index_groups.cache_info().misses
+    fresh = loaded_cycle(9, 2)
+    assert report.build_report(fresh).cyclic.rank == 9
+    assert empirical._index_groups.cache_info().misses == built
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_index_groups_marginalise_as_the_oracle_bit_for_bit(data):
+    outcomes = ("A", "B", "C")[:data.draw(st.integers(2, 3))]
+    context = ("w", "x", "y", "z")[:data.draw(st.integers(1, 4))]
+    face = data.draw(st.lists(st.sampled_from(context), min_size=1, unique=True))
+    joints = outcome_tuples(outcomes, len(context))
+    table = dict(zip(joints, data.draw(st.lists(
+        st.floats(0.0, 1.0), min_size=len(joints), max_size=len(joints)))))
+    positions = tuple(i for i, obs in enumerate(context) if obs in face)
+    sums = empirical._marginal(list(table.values()), empirical._index_groups(
+        len(outcomes), len(context), positions))
+    expected = marginal(table, context, face)
+    assert sums == [expected[key] for key in outcome_tuples(outcomes, len(positions))]
+
+
 def test_a_model_refuses_a_table_off_its_contexts_or_a_context_listed_twice(chsh_scenario):
     built = random_model(chsh_scenario, np.random.default_rng(0), "random")
     dists = built.distributions
@@ -523,6 +580,33 @@ def test_point_mass_model_not_symmetric(chsh_scenario):
     system = CyclicSystem.from_model(model)
     assert system.expectations == ((1.0, 1.0),) * 4
     assert system.correlations == (1.0,) * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_outcome_symmetry_agrees_with_the_label_flip_oracle(data):
+    # half the tables are drawn symmetric; then the last entry of one table
+    # moves by less than the sum tolerance, so models that differ only there
+    # fall on both sides of tol 0, and drawn asymmetric ones above tol 1e-9
+    contexts = data.draw(st.sampled_from([[("a",)], [("a", "b")], cycle_faces(3),
+                                          *SHAPES.values()]))
+    outcomes = data.draw(st.sampled_from([("0", "1"), ("1", "0")]))
+    scenario = MeasurementScenario.from_maximal(sorted(set().union(*contexts)), contexts, outcomes)
+    tables = {}
+    for ctx in scenario.maximal:
+        joints = outcome_tuples(scenario.outcomes, len(ctx))
+        half = data.draw(st.lists(st.integers(0, 4), min_size=len(joints) // 2,
+                                  max_size=len(joints) // 2))
+        weights = half + half[::-1] if data.draw(st.booleans()) else data.draw(st.lists(
+            st.integers(0, 4), min_size=len(joints), max_size=len(joints)))
+        weights = weights if any(weights) else [1] * len(joints)
+        tables[ctx] = {joint: w / sum(weights) for joint, w in zip(joints, weights)}
+    last = data.draw(st.sampled_from(scenario.maximal))
+    tables[last][outcome_tuples(scenario.outcomes, len(last))[-1]] += data.draw(
+        st.sampled_from([0.0, 1e-12, -5e-10, 9e-10]))
+    model = EmpiricalModel.build(scenario, tables)
+    for tol in (0.0, 1e-9):
+        assert is_outcome_symmetric(model, tol) == is_outcome_symmetric_by_flip(model, tol)
 
 
 def test_outcome_symmetry_needs_a_binary_outcome_set():
