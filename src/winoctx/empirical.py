@@ -127,11 +127,7 @@ class EmpiricalModel(Frozen):
             raise EmpiricalModelError(f"no distribution for context {context!r}") from None
 
 
-class SignallingReport(NamedTuple):
-    max_discrepancy: float
-
-
-def signalling(model: EmpiricalModel) -> SignallingReport:
+def signalling(model: EmpiricalModel) -> float:
     """Largest L1 distance between two contexts' marginals on their
     intersection.
 
@@ -161,11 +157,11 @@ def signalling(model: EmpiricalModel) -> SignallingReport:
         at = dict(zip(holders, sums))
         for i, j in pairs:
             largest = max(largest, math.fsum([abs(x - y) for x, y in zip(at[i], at[j])]))
-    return SignallingReport(max_discrepancy=largest)
+    return largest
 
 
 def is_non_signalling(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:
-    return signalling(model).max_discrepancy <= tol
+    return signalling(model) <= tol
 
 
 def is_outcome_symmetric(model: EmpiricalModel, tol: float = PROB_TOL) -> bool:

@@ -62,7 +62,11 @@ def load_json(path) -> dict:
             raise FileFormatError(f"{path}: key {key!r} repeated in one object")
         return doc
 
-    with open(path, encoding="utf-8-sig") as fh:
+    try:
+        fh = open(path, encoding="utf-8-sig")
+    except ValueError as exc:  # a path holding a NUL byte, which no file has
+        raise FileFormatError(f"{exc}: {str(path)!r}") from exc
+    with fh:
         try:
             doc = json.load(fh, object_pairs_hook=unique_keys)
         except FileFormatError:  # a repeated key

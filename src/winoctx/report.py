@@ -174,7 +174,7 @@ def build_report(
     tallies: Optional[dict[Context, ContextTally]] = None,
 ) -> AnalysisReport:
     notices: list[str] = []
-    sig = signalling(model).max_discrepancy
+    sig = signalling(model)
     non_signalling = sig <= tol
 
     symmetric: Optional[bool] = None

@@ -13,7 +13,7 @@ import numpy as np
 
 from winoctx.bootstrap import alias_table
 from winoctx.cbd import CyclicSystem
-from winoctx.empirical import PROB_TOL, EmpiricalModel, EmpiricalModelError, SignallingReport
+from winoctx.empirical import PROB_TOL, EmpiricalModel, EmpiricalModelError
 from winoctx.ingest import (
     DIFF,
     HEADER,
@@ -264,7 +264,7 @@ def signalling_by_faces(model) -> float:
     return worst
 
 
-def signalling_pairwise(model) -> SignallingReport:
+def signalling_pairwise(model) -> float:
     """`empirical.signalling` as an all-pairs scan: intersect every pair of
     contexts and compare the two `marginal` tables of each pair that shares
     an observable; the largest distance is the discrepancy."""
@@ -278,7 +278,7 @@ def signalling_pairwise(model) -> SignallingReport:
             a = marginal(model.distribution(first).table, first, shared)
             b = marginal(model.distribution(second).table, second, shared)
             largest = max(largest, math.fsum(abs(a[o] - b[o]) for o in a))
-    return SignallingReport(max_discrepancy=largest)
+    return largest
 
 
 def parse_responses_by_row(path) -> ParseResult:

@@ -152,7 +152,7 @@ def test_criterion_6_aggregation_never_signals(capsys):
                 records.append(ResponseRecord(f"r{k}", w1, w2, frozenset(picks)))
                 k += 1
         model, _ = aggregate(records, schema)
-        worst = max(worst, signalling(model).max_discrepancy)
+        worst = max(worst, signalling(model))
         assert is_non_signalling(model)
     ok = worst == 0.0
     announce(capsys, 6, ok,

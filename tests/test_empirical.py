@@ -86,13 +86,12 @@ def test_distribution_rejects_negative_and_unnormalized():
 
 
 def test_bell_model_is_non_signalling_exactly(bell_model):
-    report = signalling(bell_model)
-    assert report.max_discrepancy == 0.0
+    assert signalling(bell_model) == 0.0
     assert is_non_signalling(bell_model)
 
 
 def test_judgment_model_is_non_signalling(judgment_model):
-    assert signalling(judgment_model).max_discrepancy <= 1e-9
+    assert signalling(judgment_model) <= 1e-9
 
 
 def test_signalling_counterexample_reports_discrepancy():
@@ -108,9 +107,9 @@ def test_signalling_counterexample_reports_discrepancy():
             ("a1", "b2"): {("0", "0"): 0.5, ("1", "0"): 0.5},
         },
     )
-    report = signalling(model)
-    assert report.max_discrepancy == pytest.approx(0.8, abs=1e-12)
-    assert report.max_discrepancy > 1e-9
+    discrepancy = signalling(model)
+    assert discrepancy == pytest.approx(0.8, abs=1e-12)
+    assert discrepancy > 1e-9
     assert not is_non_signalling(model)
 
 
@@ -151,7 +150,7 @@ def test_signalling_matches_walk_over_shared_faces(name, outcomes):
     rng = np.random.default_rng(0)
     for trial in range(30):
         model = random_model(scenario, rng, ("global", "random", "perturbed")[trial % 3])
-        got = signalling(model).max_discrepancy
+        got = signalling(model)
         expected = signalling_by_faces(model)
         if single_overlaps:
             assert got == expected
@@ -212,7 +211,7 @@ def overlapping_models(draw):
 def test_signalling_equals_all_pairs_oracle(model):
     got = signalling(model)
     expected = signalling_pairwise(model)
-    assert got.max_discrepancy.hex() == expected.max_discrepancy.hex()
+    assert got.hex() == expected.hex()
 
 
 @st.composite
@@ -249,9 +248,9 @@ def cyclic_system_or_error(model):
 def test_scenario_caches_equal_a_recompute(model, rnd):
     scenario = model.scenario
     reversed_model = EmpiricalModel(scenario, model.distributions[::-1])
-    report = signalling(model)  # fills the caches
+    discrepancy = signalling(model)  # fills the caches
     system = cyclic_system_or_error(model)
-    assert signalling(reversed_model) == report == signalling_pairwise(model)
+    assert signalling(reversed_model) == discrepancy == signalling_pairwise(model)
     assert cyclic_system_or_error(reversed_model) == system
 
     contexts = maximal_contexts_by_completion(scenario.observables, scenario.contexts)
@@ -677,7 +676,7 @@ def test_symmetric_models_never_signal(p_numerators):
     p_sames = [k / 2048.0 for k in p_numerators]
     model = EmpiricalModel.build(scenario, symmetric_tables(scenario, p_sames))
     assert is_outcome_symmetric(model)
-    assert signalling(model).max_discrepancy == 0.0
+    assert signalling(model) == 0.0
     assert CyclicSystem.from_model(model).expectations == ((0.0, 0.0),) * 4
 
 
@@ -686,7 +685,7 @@ def test_global_weights_model_is_non_signalling(chsh_scenario):
     raw = rng.random(16)
     weights = dict(zip(product(chsh_scenario.outcomes, repeat=4), raw / raw.sum()))
     model = from_global_weights(chsh_scenario, weights)
-    assert signalling(model).max_discrepancy <= 1e-12
+    assert signalling(model) <= 1e-12
 
 
 def test_random_symmetric_model_helper(chsh_scenario):

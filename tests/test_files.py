@@ -182,6 +182,13 @@ def test_garbled_json(tmp_path):
         load_json(array)
 
 
+def test_path_holding_a_nul_byte_is_a_format_error_naming_it(tmp_path):
+    path = tmp_path / "a\x00b.json"
+    with pytest.raises(FileFormatError) as exc:
+        load_json(path)
+    assert str(exc.value) == f"embedded null byte: {str(path)!r}"
+
+
 def test_repeated_key_is_refused_in_every_kind_of_document(tmp_path):
     docs = {
         "model": ('{"scenario": "chsh.json", "distributions": [{"context": ["a1", "b1"], '

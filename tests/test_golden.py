@@ -1,45 +1,16 @@
 """Golden outputs: the whole output of every `winoctx` command.
 
-`analyze` cases pin stdout, text and JSON, in tests/golden/<case>.<text|json>.
-They are every bundled model file, the response-file path and a few models
-built here: a rank-6 cycle, a 3-outcome 4-cycle, a signalling 4-cycle (at
-the default tol, at a tol wide enough to call it non-signalling, and with
-its outcomes declared in reverse order) and a model with no cyclic
-structure.
-
-Command cases pin the exit code, stdout, stderr and every file the command
-writes into its working directory, in one record per case and format,
-tests/golden/<case>.<text|json> (`schema` has no --format and so has one
-record, <case>.out).  They are `validate` on every bundled fixture;
-`bootstrap` of each statistic, with and without a relative --out; `schema
---compile` and `schema --instantiate`; the `bootstrap` errors for a
-one-pronoun schema and for --workers 0; and `validate`, `analyze` and
-`bootstrap` on inputs whose outcome label or noun phrase contains "|", the
-joint-outcome separator; `analyze` and `bootstrap` on three response
-files with a repeated respondent id: the fixture with one row repeated, and
-records repeated before or after a record whose words match no context, and
-`validate` on the first of them; and `validate` on a scenario with several
-problems, with `validate` and `analyze` on a model that names it by path and
-on a model that holds it inline beside distributions that are not a list;
-and `validate` on a model whose probs repeat a key; `validate` and
-`analyze` on models with one fault each (an unknown outcome label, a
-probability of 1.5, a row summing to 1.4975, a missing context, a foreign
-context, a foreign context of 40 members) and on a missing or a foreign
-context beside a bad table; `schema --compile` and
-`schema --instantiate` on the schema whose noun phrase holds "|", `schema
---compile` on the non-conforming sid_mark fixture and, with --instantiate
-as well, its flag error; and `analyze` and `bootstrap` of the fixture
-responses under that schema; and `bootstrap` of violation and cf on a
-12-response file whose draws often land exactly on the noncontextual facet,
-at --samples 100000 --seed 0; `validate`, `analyze` and `bootstrap` on the
-fixture responses followed by one row of each malformed kind, a blank line,
-a quoted field spanning two lines and a repeated id, so that every
-`warning: line N: ...` form is pinned; and `bootstrap --out` on a
-40-response file whose least draw sits on a bin edge.  Usage cases pin
-`winoctx --help`, each subcommand's --help and two usage errors (an
-unknown --statistic and no subcommand), with help wrapped at 80 columns.
-Fixture paths print as {fixtures}, and the directory holding the inputs
-built here as {tmp}.
+Each case is one command line, run in a fresh working directory once in
+each --format it takes.  A run's record holds its exit code, stdout,
+stderr and every file it wrote into that directory, and each run is
+compared with its case's record: tests/golden/<case>.<text|json>, or one
+record, tests/golden/<case>.out, for a case whose runs print the same bytes
+in every format.  A failing command has one record, since it leaves
+`cli.main` before its output is formatted, and so has a command with no
+--format.  The records decide which cases have one; no .text/.json pair
+is byte-identical.  The tables below list the cases.  Fixture paths print
+as {fixtures}, the directory holding the inputs built here as {tmp}, and
+help is wrapped at 80 columns.
 
 The bootstrap records pin numpy's Philox bit generator and its uniform
 doubles as of numpy 2.4.6, read through the walker-alias sampler of
@@ -50,14 +21,15 @@ A change that means to alter the output rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of tests/golden/ then shows what it altered.
+which writes one record for a case whose runs agree in every format and a
+pair otherwise, removing the files of the other shape; the diff of
+tests/golden/ then shows what it altered.
 """
 
 import contextlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -170,7 +142,8 @@ CSV_INPUTS = {**REPEAT_INPUTS, "small_n": SMALL_N_RESPONSES, "malformed_rows": M
               "edge_draws": EDGE_DRAWS}
 
 # a scenario with several problems: alone, named by path from a model, and
-# inline in a model whose distributions are not a list
+# inline in a model whose distributions are not a list; and a model whose
+# scenario path holds a NUL byte
 BAD_SCENARIO = {"observables": ["a", "a", "b", "c"], "contexts": [["a", "d"]],
                 "outcomes": ["x"]}
 BAD_SCENARIO_INPUTS = {
@@ -178,6 +151,7 @@ BAD_SCENARIO_INPUTS = {
     "bad_scenario_by_path": {"scenario": "bad_scenario.json", "distributions": [
         {"context": ["a", "d"], "probs": {"x|x": 1.0}}]},
     "two_fault_model": {"scenario": BAD_SCENARIO, "distributions": {}},
+    "nul_scenario_path_model": {"scenario": "a\x00b", "distributions": []},
 }
 
 # models on a binary 4-cycle with one fault each, then a cover fault beside
@@ -209,23 +183,18 @@ RAW_INPUTS = {
     '"probs": {"x|x": 0.9, "x|x": 0.5, "y|y": 0.5}}]}\n',
 }
 
-MODEL_FILES = sorted(
-    p.name for p in fixture_path("pr_box_model.json").parent.glob("*_model.json"))
-
-CASES = {
-    **{name.removesuffix(".json"): [str(fixture_path(name))] for name in MODEL_FILES},
-    "cannibal_responses": ["--responses", str(fixture_path("cannibal_responses.csv")),
-                           "--schema", str(fixture_path("cannibal_schema.json"))],
-    **{name: [f"{{tmp}}/{name}.json"] for name in INLINE},
-    "signalling_cycle_tol_0.3": ["{tmp}/signalling_cycle.json", "--tol", "0.3"],
-}
-
 FIXTURES = fixture_path("pr_box_model.json").parent
+MODEL_FILES = sorted(FIXTURES.glob("*_model.json"))
 RESPONSES = [str(FIXTURES / "cannibal_responses.csv"), str(FIXTURES / "cannibal_schema.json")]
 SEEDED = ["--samples", "3000", "--seed", "11"]
 SID_MARK = str(FIXTURES / "sid_mark_schema.json")
 
+# cases that take --format
 COMMANDS = {
+    **{p.stem: ["analyze", str(p)] for p in MODEL_FILES},
+    "cannibal_responses": ["analyze", "--responses", RESPONSES[0], "--schema", RESPONSES[1]],
+    **{name: ["analyze", f"{{tmp}}/{name}.json"] for name in INLINE},
+    "signalling_cycle_tol_0.3": ["analyze", "{tmp}/signalling_cycle.json", "--tol", "0.3"],
     **{f"validate_{p.stem}": ["validate", str(p)]
        for p in sorted(FIXTURES.iterdir()) if p.suffix in (".json", ".csv")},
     **{f"bootstrap_{stat}{suffix}": ["bootstrap", *RESPONSES, "--statistic", stat,
@@ -248,7 +217,7 @@ COMMANDS = {
     "validate_repeated_id": ["validate", "{tmp}/repeated_id.csv"],
     **{f"validate_{name}": ["validate", f"{{tmp}}/{name}.json"] for name in BAD_SCENARIO_INPUTS},
     **{f"analyze_{name}": ["analyze", f"{{tmp}}/{name}.json"]
-       for name in ("bad_scenario_by_path", "two_fault_model")},
+       for name in ("bad_scenario_by_path", "two_fault_model", "nul_scenario_path_model")},
     "validate_repeated_key_model": ["validate", "{tmp}/repeated_key_model.json"],
     **{f"{cmd}_{name}": [cmd, f"{{tmp}}/{name}.json"]
        for name in FAULTY_MODELS for cmd in ("validate", "analyze")},
@@ -298,17 +267,6 @@ def write_inputs(directory):
         Path(directory, name + ".csv").write_text(text, encoding="utf-8")
 
 
-def analyze(case, fmt, workdir):
-    """Exit code and stdout of `winoctx analyze` on one case; the inputs
-    built here are written to `workdir` first."""
-    write_inputs(workdir)
-    argv = [arg.replace("{tmp}", str(workdir)) for arg in CASES[case]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["analyze", *argv, "--format", fmt])
-    return code, out.getvalue()
-
-
 def command(argv, tmp):
     """The record of one command run in a fresh working directory under
     `tmp`: exit code, stdout, stderr, then each file it wrote there.  The
@@ -337,48 +295,52 @@ def command(argv, tmp):
     return "".join(parts).replace(str(FIXTURES), "{fixtures}").replace(str(inputs), "{tmp}")
 
 
-def command_records():
-    """Golden file name -> argv, for every command case."""
-    return {
-        **{f"{case}.{fmt}": [*argv, "--format", fmt]
-           for case, argv in COMMANDS.items() for fmt in FORMATS},
-        **{f"{case}.out": argv
-           for case, argv in {**SCHEMA_COMMANDS, **USAGE_COMMANDS}.items()},
-    }
+# case -> {run name: argv}: <case>.<fmt> in each format, or <case>.out for a
+# case with no --format
+CASES = {
+    **{case: {f"{case}.{fmt}": [*argv, "--format", fmt] for fmt in FORMATS}
+       for case, argv in COMMANDS.items()},
+    **{case: {f"{case}.out": argv}
+       for case, argv in {**SCHEMA_COMMANDS, **USAGE_COMMANDS}.items()},
+}
+RUNS = {name: argv for runs in CASES.values() for name, argv in runs.items()}
+
+
+def record_path(name):
+    """The record a run is compared with: its case's one record if there
+    is one, else its own."""
+    one = (GOLDEN / name).with_suffix(".out")
+    return one if one.exists() else GOLDEN / name
 
 
 def test_every_bundled_model_is_a_case():
     assert len(MODEL_FILES) == 4
-    assert sum(case.startswith("validate_") for case in COMMANDS) == 29
-    assert {f"{case}.{fmt}" for case in CASES for fmt in FORMATS} | set(
-        command_records()) == {p.name for p in GOLDEN.iterdir()}
+    assert sum(case.startswith("validate_") for case in COMMANDS) == 30
+    assert {record_path(name).name for name in RUNS} == {p.name for p in GOLDEN.iterdir()}
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_analyze_output_is_golden(case, fmt, tmp_path):
-    code, out = analyze(case, fmt, tmp_path)
-    assert code == 0
-    assert out == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+def test_no_record_is_stored_twice():
+    for text in GOLDEN.glob("*.text"):
+        assert text.read_bytes() != text.with_suffix(".json").read_bytes(), text.name
 
 
-@pytest.mark.parametrize("name", sorted(command_records()))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_command_output_is_golden(name, tmp_path):
-    record = command(command_records()[name], tmp_path)
-    assert record == (GOLDEN / name).read_text(encoding="utf-8")
+    assert command(RUNS[name], tmp_path) == record_path(name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
-            for fmt in FORMATS:
-                code, out = analyze(case, fmt, tmp)
-                if code != 0:
-                    sys.exit(f"{case} ({fmt}) exited {code}")
-                (GOLDEN / f"{case}.{fmt}").write_text(out, encoding="utf-8")
-    for name, argv in command_records().items():
-        with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / name).write_text(command(argv, tmp), encoding="utf-8")
+    for case, runs in CASES.items():
+        records = {}
+        for name, argv in runs.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                records[name] = command(argv, tmp)
+        if len(set(records.values())) == 1:  # the same bytes in every format
+            records = {f"{case}.out": records.popitem()[1]}
+        for suffix in (*FORMATS, "out"):
+            (GOLDEN / f"{case}.{suffix}").unlink(missing_ok=True)
+        for name, record in records.items():
+            (GOLDEN / name).write_text(record, encoding="utf-8")

@@ -314,7 +314,7 @@ def test_aggregate_output_is_symmetric_and_non_signalling(cannibal):
             continue
         model, _ = aggregate(spread_records(counts), cannibal)
         assert is_outcome_symmetric(model)
-        assert signalling(model).max_discrepancy == 0.0
+        assert signalling(model) == 0.0
 
 
 def test_aggregate_counts_invalid_responses(cannibal):

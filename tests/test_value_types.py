@@ -19,8 +19,7 @@ import winoctx
 from winoctx.bootstrap import (MAX_RESAMPLES, AliasTable, BootstrapConfig, BootstrapError,
                                BootstrapResult, Histogram)
 from winoctx.cbd import CyclicSystem, CyclicSystemError
-from winoctx.empirical import (PROB_TOL, Distribution, EmpiricalModel, EmpiricalModelError,
-                               SignallingReport)
+from winoctx.empirical import PROB_TOL, Distribution, EmpiricalModel, EmpiricalModelError
 from winoctx.ingest import ContextTally, IngestError, ParseResult, ResponseRecord
 from winoctx.linprog import LpError, LpProblem, LpSizeError, LpSolution
 from winoctx.report import AnalysisReport, CfReport, build_report
@@ -65,7 +64,6 @@ CASES = {
     "Distribution": (Distribution, (("a", "b"), TABLE), (("b", "c"), TABLE), True, False),
     "EmpiricalModel": (EmpiricalModel, (SCENARIO, DISTS),
                        (SCENARIO, (Distribution(CTXS[0], CROSSED), *DISTS[1:])), True, False),
-    "SignallingReport": (SignallingReport, (0.25,), (0.0,), True, True),
     "CyclicSystem": (CyclicSystem, (OBS, CTXS, (1.0, 1.0, -1.0), ((0.0, 0.0),) * 3),
                      (OBS, CTXS, (1.0, 1.0, 1.0), ((0.0, 0.0),) * 3), True, True),
     "LpProblem": (LpProblem, (ONE, SQUARE, ONE), (TWO, SQUARE, ONE), True, False),
