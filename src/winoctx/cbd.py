@@ -195,7 +195,7 @@ def chsh_pattern(values: Sequence[float]) -> tuple[int, ...]:
     """
     v = [float(x) for x in values]
     if not v:
-        raise CyclicSystemError("s_odd needs at least one value")
+        raise CyclicSystemError("chsh_pattern needs at least one value")
     mask = sum(1 << j for j, x in enumerate(v) if x < 0)
     if mask.bit_count() % 2 == 0:
         least = min(abs(x) for x in v)

@@ -51,6 +51,7 @@ import gc
 import json
 import math
 import os
+import signal
 import sys
 from contextlib import nullcontext
 from importlib import import_module
@@ -370,9 +371,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """The process: `winoctx` and `python -m winoctx.cli`.  The heap is
-    frozen once `main` is done, so the collections of interpreter
-    finalization skip it; atexit handlers and stream flushes still run."""
+    """The process: `winoctx` and `python -m winoctx.cli`.  A write to a
+    stdout pipe whose reader has gone ends it by SIGPIPE, as it ends `cat`,
+    where the platform has that signal: no message, and no exit code of the
+    commands' own.  The process opens no sockets, so no other write raises
+    the signal.  The heap is frozen once `main` is done, so the collections
+    of interpreter finalization skip it; atexit handlers and stream flushes
+    still run."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         return main()
     finally:

@@ -1,8 +1,15 @@
-"""Shared fixtures: bundled example files and random-model helpers."""
+"""Shared fixtures: bundled example files, random-model helpers and a
+fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import winoctx
 from winoctx.empirical import EmpiricalModel
 from winoctx.files import load_model, load_scenario
 from winoctx.fixtures import fixture_path
@@ -31,6 +38,16 @@ def judgment_model():
 @pytest.fixture(scope="session")
 def pr_model():
     return load_model(fixture_path("pr_box_model.json"))
+
+
+def python_process(*args, stdout=subprocess.PIPE, **env):
+    """Run a fresh interpreter that imports this copy of the package, with
+    `env` added to the environment; its stdout is captured unless `stdout`
+    names another file."""
+    src = str(Path(winoctx.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": src, **env},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def symmetric_tables(scenario, p_sames):

@@ -3,15 +3,13 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import python_process
 from oracles import binomial_pmf_exact, bootstrap_samples_matrix, resample_counts_matrix
 from winoctx import bootstrap, sheaf
 from winoctx.bootstrap import (
@@ -459,10 +457,7 @@ for draws in (10, 10**6):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_a_million_draws_raise_the_processs_own_peak_by_its_samples():
     # a fresh interpreter reads its own VmHWM, not the ru_maxrss it inherits
-    src = str(Path(bootstrap.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", HIGH_WATER_PROBE % (SKEWED,)],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
+    proc = python_process("-c", HIGH_WATER_PROBE % (SKEWED,))
     assert proc.returncode == 0, proc.stderr
     few, many = map(int, proc.stdout.split())
     # the samples take 8 MB; a full-length temporary would add 8 more

@@ -42,8 +42,13 @@ def test_s_odd_judgment_correlations():
 
 
 def test_s_odd_rejects_empty_and_oversized():
-    with pytest.raises(CyclicSystemError):
+    with pytest.raises(CyclicSystemError, match="^s_odd needs at least one value$"):
         s_odd(())
+
+
+def test_chsh_pattern_of_no_values_names_itself():
+    with pytest.raises(CyclicSystemError, match="^chsh_pattern needs at least one value$"):
+        chsh_pattern(())
 
 
 @given(

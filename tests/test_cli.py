@@ -1,23 +1,38 @@
+"""The command line where a golden record cannot see.
+
+tests/test_golden.py records the whole output of every command on its
+table of inputs, and a behaviour one of its records pins is not asserted
+again here.  This module holds what a record cannot see:
+
+- commands on inputs that no golden case runs, built per test;
+- call-through to the names `cli` binds for wrappers to replace (the
+  hooked names);
+- the modules, threads and collector state of a fresh process: one probe
+  script runs each row of the table LOADED_BY in its own interpreter;
+- monkeypatched proofs that nothing was drawn or enumerated before a
+  refusal;
+- statistical checks over many seeds.
+"""
+
 import ast
 import gc
 import itertools
 import json
 import os
+import signal
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import winoctx
-from conftest import SMALL_N_RESPONSES
+from conftest import SMALL_N_RESPONSES, python_process
 from winoctx.bootstrap import MAX_RESAMPLES, BootstrapConfig, cycle_order_tallies, run
 from winoctx.cli import main
 from winoctx.files import FileFormatError, load_model, load_schema, scenario_from_dict
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import aggregate, parse_responses
-from winoctx.scenario import cyclic_structure
 from winoctx.schema import ws_scenario
 
 
@@ -31,27 +46,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_validate_good_files(capsys):
-    for name, noun in (
-        ("chsh_scenario.json", "scenario"),
-        ("cannibal_judgment_model.json", "model"),
-        ("cannibal_schema.json", "schema"),
-        ("cannibal_responses.csv", "response"),
-    ):
-        code, out, err = run_cli(capsys, "validate", fx(name))
-        assert code == 0, err
-        assert out.startswith("OK:")
-        assert noun in out
-
-
-def test_validate_json_format(capsys):
-    code, out, _ = run_cli(capsys, "validate", fx("chsh_scenario.json"),
-                           "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc == {"kind": "scenario", "valid": True, "observables": 4}
-
-
 def test_validate_reports_semantic_problems(tmp_path, capsys):
     bad = tmp_path / "scenario.json"
     bad.write_text(json.dumps({
@@ -63,12 +57,6 @@ def test_validate_reports_semantic_problems(tmp_path, capsys):
     assert code == 1
     assert "uncovered observable 'x'" in err
     assert out == ""
-
-
-def test_validate_rejects_nonconforming_schema(capsys):
-    code, _, err = run_cli(capsys, "validate", fx("sid_mark_schema.json"))
-    assert code == 1
-    assert err.strip() != ""
 
 
 def test_validate_and_instantiate_agree_on_a_stray_placeholder(tmp_path, capsys):
@@ -96,83 +84,7 @@ def test_garbled_json_is_parse_error(tmp_path, capsys):
     assert "JSON" in err
 
 
-def test_analyze_text_report(capsys):
-    code, out, _ = run_cli(capsys, "analyze", fx("cannibal_judgment_model.json"))
-    assert code == 0
-    assert "cnt1: 0.192000" in out
-    assert "bell-chsh violation: 0.192000" in out
-    assert "contextual fraction: 0.096000" in out
-    assert "cyclic structure: rank 4" in out
-    assert "delta: 0.000000" in out
-    assert "CbD contextual: yes" in out
-    assert "sheaf contextual: yes" in out
-
-
-def test_analyze_json_report(capsys):
-    code, out, _ = run_cli(capsys, "analyze", fx("cannibal_judgment_model.json"),
-                           "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["cyclic"]["violation"] == pytest.approx(0.192, abs=1e-3)
-    assert doc["cyclic"]["cnt1"] == doc["cyclic"]["violation"]
-    assert doc["contextual_fraction"]["cf"] == pytest.approx(0.096, abs=1e-12)
-    assert doc["contextual_fraction"]["certificate_gap"] == 0.0
-    assert doc["non_signalling"] is True
-    assert doc["verdicts"] == {"cbd": True, "sheaf": True}
-
-
-def test_analyze_text_and_json_agree(capsys):
-    code, text, _ = run_cli(capsys, "analyze", fx("pr_box_model.json"))
-    assert code == 0
-    code, raw, _ = run_cli(capsys, "analyze", fx("pr_box_model.json"),
-                           "--format", "json")
-    assert code == 0
-    doc = json.loads(raw)
-    assert f"cnt1: {doc['cyclic']['cnt1']:.6f}" in text
-    assert f"contextual fraction: {doc['contextual_fraction']['cf']:.6f}" in text
-    assert doc["cyclic"]["cnt1"] == 2.0
-    assert doc["contextual_fraction"]["cf"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_analyze_noncontextual_model(capsys):
-    code, out, _ = run_cli(capsys, "analyze", fx("uniform_model.json"))
-    assert code == 0
-    assert "contextual fraction: 0.000000" in out
-    assert "CbD contextual: no" in out
-    assert "sheaf contextual: no" in out
-
-
-def test_analyze_from_responses(capsys):
-    code, out, _ = run_cli(capsys, "analyze",
-                           "--responses", fx("cannibal_responses.csv"),
-                           "--schema", fx("cannibal_schema.json"))
-    assert code == 0
-    assert "tallies (total/valid/same/diff):" in out
-    assert "bell-chsh violation:" in out
-
-
-def test_analyze_non_cyclic_model_omits_cbd_with_notice(tmp_path, capsys):
-    doc = {
-        "scenario": {
-            "observables": ["p", "q"],
-            "contexts": [["p"], ["q"]],
-            "outcomes": ["A", "B"],
-        },
-        "distributions": [
-            {"context": ["p"], "probs": {"A": 0.5, "B": 0.5}},
-            {"context": ["q"], "probs": {"A": 0.25, "B": 0.75}},
-        ],
-    }
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "analyze", str(path))
-    assert code == 0
-    assert "cnt1" not in out
-    assert "notice: " in out and "no cyclic structure" in out
-    assert "contextual fraction: 0.000000" in out
-
-
-def three_outcome_cycle(path):
+def uniform_three_outcome_cycle(path):
     """Write the uniform model on a rank-4 cycle with three outcomes."""
     outcomes = ["0", "1", "2"]
     uniform = {f"{a}|{b}": 1 / 9 for a in outcomes for b in outcomes}
@@ -187,7 +99,7 @@ def three_outcome_cycle(path):
 
 
 def test_analyze_three_outcome_cycle_omits_cbd_with_notice(tmp_path, capsys):
-    path = three_outcome_cycle(tmp_path / "model.json")
+    path = uniform_three_outcome_cycle(tmp_path / "model.json")
     code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
     assert code == 0
     report = json.loads(out)
@@ -519,28 +431,10 @@ def test_a_model_file_with_a_long_foreign_context_exits_1(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("command, caller", [
     (["analyze", "--responses", fx("cannibal_responses.csv"), "--schema"], "aggregation"),
-    (["bootstrap", fx("cannibal_responses.csv")], "bootstrap"),
 ])
 def test_response_commands_name_the_one_pronoun_schema(capsys, command, caller):
     code, out, err = run_cli(capsys, *command, fx("trophy_schema.json"))
     assert (code, out, err) == (1, "", f"error: {caller} needs a two-pronoun schema\n")
-
-
-def test_bootstrap_text_and_histogram(tmp_path, capsys):
-    out_csv = tmp_path / "hist.csv"
-    code, out, _ = run_cli(
-        capsys, "bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json"),
-        "--samples", "2000", "--seed", "7", "--out", str(out_csv),
-    )
-    assert code == 0
-    assert "statistic: violation" in out
-    assert "generator: philox4x64-10" in out
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == "bin_center,density"
-    assert len(lines) > 2
-    for line in lines[1:]:
-        center, density = line.split(",")
-        float(center), float(density)
 
 
 def test_bootstrap_standard_errors_match_the_spread_over_seeds(capsys):
@@ -663,14 +557,6 @@ def test_bootstrap_single_resample(capsys):
     assert doc["std"] == 0.0
 
 
-def test_schema_compile(capsys):
-    code, out, _ = run_cli(capsys, "schema", fx("cannibal_schema.json"), "--compile")
-    assert code == 0
-    scenario = scenario_from_dict(json.loads(out))
-    structure = cyclic_structure(scenario)
-    assert structure is not None and structure.rank == 4
-
-
 def test_schema_compile_to_file(tmp_path, capsys):
     target = tmp_path / "scenario.json"
     code, out, _ = run_cli(capsys, "schema", fx("cannibal_schema.json"),
@@ -679,14 +565,6 @@ def test_schema_compile_to_file(tmp_path, capsys):
     assert str(target) in out
     scenario = scenario_from_dict(json.loads(target.read_text()))
     assert len(scenario.observables) == 4
-
-
-def test_schema_instantiate(capsys):
-    code, out, _ = run_cli(capsys, "schema", fx("cannibal_schema.json"),
-                           "--instantiate", "herbivorous", "alive")
-    assert code == 0
-    assert "herbivorous" in out and "alive" in out
-    assert "${" not in out
 
 
 def test_schema_instantiate_unknown_word(capsys):
@@ -788,63 +666,6 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def python_process(*args, **env):
-    """Run a fresh interpreter that imports this copy of the package."""
-    src = str(Path(winoctx.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, *args],
-                          env={**os.environ, "PYTHONPATH": src, **env},
-                          capture_output=True, text=True, timeout=120)
-
-
-def test_duplicate_respondent_id_is_a_warning_line(tmp_path):
-    lines = fixture_path("cannibal_responses.csv").read_text(encoding="utf-8").splitlines()
-    first = next(line for line in lines if line.startswith("r001,"))
-    responses = tmp_path / "dup.csv"
-    responses.write_text("\n".join(lines + [first]) + "\n", encoding="utf-8")
-    proc = python_process("-m", "winoctx.cli", "analyze", "--responses", str(responses),
-                          "--schema", fx("cannibal_schema.json"), PYTHONWARNINGS="error")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "warning: respondent id 'r001' appears more than once\n"
-    assert "bell-chsh violation:" in proc.stdout
-
-
-@pytest.mark.parametrize("command", [
-    ["analyze", "--responses", "{csv}", "--schema", fx("cannibal_schema.json")],
-    ["bootstrap", "{csv}", fx("cannibal_schema.json")],
-])
-def test_duplicate_id_warnings_precede_an_unknown_words_error(tmp_path, capsys, command):
-    responses = tmp_path / "dup.csv"
-    responses.write_text("respondent_id,word1,word2,pick1,pick2\n"
-                         + "r1,cannibalistic,hungry,AA,BB\n" * 2
-                         + "r2,herbivorous,alive,AA,BB\n" * 2
-                         + "zz1,nope,never,AA,BB\n", encoding="utf-8")
-    argv = [arg.replace("{csv}", str(responses)) for arg in command]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == ("warning: respondent id 'r1' appears more than once\n"
-                   "warning: respondent id 'r2' appears more than once\n"
-                   "error: record 'zz1': words ('nope', 'never') match no context "
-                   "of the schema\n")
-
-
-@pytest.mark.parametrize("command", [
-    ["analyze", "--responses", "{csv}", "--schema", fx("cannibal_schema.json")],
-    ["bootstrap", "{csv}", fx("cannibal_schema.json")],
-])
-def test_duplicate_id_after_an_unknown_words_record_is_reported(tmp_path, capsys, command):
-    responses = tmp_path / "dup.csv"
-    responses.write_text("respondent_id,word1,word2,pick1,pick2\n"
-                         "r1,cannibalistic,hungry,AA,BB\n"
-                         "zz,nope,never,AA,BB\n"
-                         "r1,cannibalistic,hungry,AA,BB\n", encoding="utf-8")
-    argv = [arg.replace("{csv}", str(responses)) for arg in command]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == ("warning: respondent id 'r1' appears more than once\n"
-                   "error: record 'zz': words ('nope', 'never') match no context "
-                   "of the schema\n")
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_validate_names_repeated_ids_without_changing_its_verdict(tmp_path, capsys, fmt):
     responses = tmp_path / "dup.csv"
@@ -876,183 +697,190 @@ def test_bootstrap_negative_seed_is_named(capsys):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
-NUMPY_PROBE = """
-import contextlib, io, json, os, sys
-from winoctx.cli import main
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    threads = None
-    if os.path.exists("/proc/self/status"):
-        with open("/proc/self/status") as status:
-            threads = next(int(line.split()[1]) for line in status
-                           if line.startswith("Threads:"))
-    print(json.dumps([code, "numpy" in sys.modules, out.getvalue(), threads,
-                      os.environ.get("OPENBLAS_NUM_THREADS")]))
-"""
-
-
-def numpy_probe(*argvs, **env):
-    """Run `main` on each argv in one fresh interpreter; per call its exit
-    code, whether numpy is loaded, stdout, the process's OS thread count
-    and OPENBLAS_NUM_THREADS after the call."""
-    proc = python_process("-c", NUMPY_PROBE, json.dumps(argvs), **env)
-    assert proc.returncode == 0, proc.stderr
-    return [json.loads(line) for line in proc.stdout.splitlines()]
-
-
-def test_numpy_is_imported_only_for_the_lp(tmp_path):
-    responses = ["--responses", fx("cannibal_responses.csv"),
-                 "--schema", fx("cannibal_schema.json")]
-    numpy_free = [
-        ["analyze", fx("cannibal_judgment_model.json")],
-        ["analyze", *responses],
-        ["validate", fx("cannibal_responses.csv")],
-        ["validate", fx("cannibal_scenario.json")],
-        ["schema", fx("cannibal_schema.json"), "--compile"],
-    ]
-    lp = ["analyze", str(three_outcome_cycle(tmp_path / "model.json")), "--format", "json"]
-    steps = numpy_probe(*numpy_free, lp)
-    assert [step[0] for step in steps] == [0] * len(steps)
-    assert [step[1] for step in steps] == [False] * len(numpy_free) + [True]
-    assert json.loads(steps[-1][2])["contextual_fraction"]["cf"] == 0.0
-
-
-# class generation by `exec` and signature introspection; no command needs them
-MACHINERY = ("dataclasses", "inspect")
-
-STARTUP_PROBE = """
-import contextlib, io, json, sys
-from winoctx.cli import main
-MACHINERY = json.loads(sys.argv[2])
-print(json.dumps([0, [m for m in MACHINERY if m in sys.modules]]))
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    print(json.dumps([code, [m for m in MACHINERY if m in sys.modules]]))
-"""
-
-
-def test_numpy_free_commands_start_without_the_dataclasses_machinery():
-    numpy_free = [
-        ["analyze", fx("cannibal_judgment_model.json"), "--format", "json"],
-        ["analyze", "--responses", fx("cannibal_responses.csv"),
-         "--schema", fx("cannibal_schema.json")],
-        ["validate", fx("cannibal_responses.csv")],
-        ["validate", fx("cannibal_judgment_model.json")],
-        ["validate", fx("cannibal_schema.json")],
-        ["schema", fx("cannibal_schema.json"), "--compile"],
-        ["schema", fx("cannibal_schema.json"), "--instantiate", "herbivorous", "alive"],
-    ]
-    proc = python_process("-c", STARTUP_PROBE, json.dumps(numpy_free), json.dumps(MACHINERY))
-    assert proc.returncode == 0, proc.stderr
-    steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert steps == [[0, []]] * (1 + len(numpy_free))
-
-
-@pytest.mark.parametrize("module", ["winoctx.report", "winoctx.bootstrap"])
-def test_report_and_bootstrap_import_without_ingest(module):
-    # they name ContextTally only in annotations
-    probe = f"import sys, {module}; print(sorted({{'winoctx.ingest', 'csv'}} & set(sys.modules)))"
-    proc = python_process("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-PACKAGE_PROBE = """
-import json, sys
-import winoctx
-loaded = sorted({"winoctx.sheaf", "numpy"} & set(sys.modules))
-unresolved = [name for name in winoctx.__all__ if not hasattr(winoctx, name)]
-import winoctx.sheaf
-try:
-    winoctx.is_noncontextual
-except AttributeError:
-    refused = True
-else:
-    refused = False
-print(json.dumps([loaded, unresolved,
-                  winoctx.contextual_fraction is winoctx.sheaf.contextual_fraction, refused]))
-"""
-
-
-def test_package_exports_resolve_and_load_the_lp_on_first_use():
-    proc = python_process("-c", PACKAGE_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], True, True]
-
-
 # the modules that only some commands run
 ON_DISPATCH = ("csv", "winoctx.ingest", "winoctx.schema", "winoctx.report", "winoctx.bootstrap",
                "winoctx.sheaf", "winoctx.linprog", "numpy")
+# class generation by `exec` and signature introspection: no command needs
+# them, though numpy may load them itself
+MACHINERY = ("dataclasses", "inspect")
 RESPONSE_FILES = ("csv", "winoctx.ingest", "winoctx.schema")
-# name -> (argv, its exit code, the modules of ON_DISPATCH it loads)
+BOOTSTRAP_ARGV = ["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json")]
+# name -> (what a fresh interpreter runs: a module to import, or an argv for
+# `entry`, where {tmp} holds the uniform three-outcome model; its exit code;
+# the modules of ON_DISPATCH and MACHINERY it loads)
 LOADED_BY = {
-    "import": ([], 0, ()),
+    "import": ("winoctx.cli", 0, ()),
+    "package": ("winoctx", 0, ()),
+    # they name ContextTally only in annotations, so load no ingest or csv
+    "import-report": ("winoctx.report", 0, ("winoctx.report",)),
+    "import-bootstrap": ("winoctx.bootstrap", 0, ("winoctx.bootstrap", "numpy")),
     "analyze-model": (["analyze", fx("cannibal_judgment_model.json")], 0, ("winoctx.report",)),
     "analyze-responses": (["analyze", "--responses", fx("cannibal_responses.csv"),
                            "--schema", fx("cannibal_schema.json")],
                           0, (*RESPONSE_FILES, "winoctx.report")),
+    # three outcomes: no CbD closed form, so cf comes from the LP
+    "analyze-lp": (["analyze", "{tmp}/model.json"], 0,
+                   ("winoctx.report", "winoctx.sheaf", "winoctx.linprog", "numpy")),
     "validate-model": (["validate", fx("cannibal_judgment_model.json")], 0, ()),
     "validate-scenario": (["validate", fx("chsh_scenario.json")], 0, ()),
     "validate-schema": (["validate", fx("cannibal_schema.json")], 0, ("winoctx.schema",)),
     "validate-responses": (["validate", fx("cannibal_responses.csv")], 0, RESPONSE_FILES),
     "schema": (["schema", fx("cannibal_schema.json"), "--compile"], 0, ("winoctx.schema",)),
-    **{f"bootstrap-{stat}": (["bootstrap", fx("cannibal_responses.csv"),
-                              fx("cannibal_schema.json"), "--samples", "100",
-                              "--statistic", stat], 0,
-                             (*RESPONSE_FILES, "winoctx.bootstrap", "numpy"))
+    "schema-instantiate": (["schema", fx("cannibal_schema.json"), "--instantiate",
+                            "herbivorous", "alive"], 0, ("winoctx.schema",)),
+    **{f"bootstrap-{stat}": ([*BOOTSTRAP_ARGV, "--samples", "100", "--statistic", stat],
+                             0, (*RESPONSE_FILES, "winoctx.bootstrap", "numpy"))
        for stat in ("violation", "cf")},
     # refused once its inputs load, before the resampler or numpy does
     "bootstrap-one-pronoun": (["bootstrap", fx("cannibal_responses.csv"),
                                fx("trophy_schema.json")], 1, RESPONSE_FILES),
 }
-
-LOAD_PROBE = """
-import contextlib, io, json, sys
-import winoctx.cli
-argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-code = 0
-if argv:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = winoctx.cli.main(argv)
-print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
-"""
-
-
-@pytest.mark.parametrize("command", sorted(LOADED_BY))
-def test_each_command_loads_only_the_modules_it_runs(command):
-    argv, code, loads = LOADED_BY[command]
-    proc = python_process("-c", LOAD_PROBE, json.dumps(argv), json.dumps(ON_DISPATCH))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [code, sorted(loads)]
-
+# the same command under a caller's OPENBLAS_NUM_THREADS
+LOADED_BY["bootstrap-violation-blas-2"] = LOADED_BY["bootstrap-violation"]
+# name -> what a row adds to its environment; no row inherits the caller's
+# OPENBLAS_NUM_THREADS
+ENVIRONMENT = {"bootstrap-violation-blas-2": {"OPENBLAS_NUM_THREADS": "2"}}
 
 # the names by which benchmarks/spans.py wraps the layers a command calls:
 # each with its defining module and a command that calls it once
 CLI_HOOKS = {
-    "load_json": ("files", ["analyze", fx("cannibal_judgment_model.json")]),
-    "model_from_dict": ("files", ["analyze", fx("cannibal_judgment_model.json")]),
+    "load_json": ("files", LOADED_BY["analyze-model"][0]),
+    "model_from_dict": ("files", LOADED_BY["analyze-model"][0]),
     "parse_responses": ("ingest", LOADED_BY["analyze-responses"][0]),
     "aggregate": ("ingest", LOADED_BY["analyze-responses"][0]),
-    "build_report": ("report", ["analyze", fx("cannibal_judgment_model.json")]),
+    "build_report": ("report", LOADED_BY["analyze-model"][0]),
     "run": ("bootstrap", LOADED_BY["bootstrap-violation"][0]),
 }
+# name -> {attribute of the row's module: the module that defines what it
+# resolves to, None where it is refused}, read after the row's loads
+RESOLVES = {
+    "import": {**{name: f"winoctx.{module}" for name, (module, _) in CLI_HOOKS.items()},
+               "no_such_name": None},
+    "package": {**{name: getattr(winoctx, name).__module__ for name in winoctx.__all__},
+                "is_noncontextual": None},
+}
 
-HOOK_PROBE = """
-import json, sys
-import winoctx.cli
-found = [getattr(winoctx.cli, name).__module__ for name in json.loads(sys.argv[1])]
-print(json.dumps([found, hasattr(winoctx.cli, "no_such_name")]))
+# one row in a fresh interpreter: its exit code and stdout, the watched
+# modules loaded, then its OS thread count, OPENBLAS_NUM_THREADS, the
+# collector passes `entry` ran, whether it froze the heap and left the
+# collector on, and what the row's module resolves each name to
+PROBE = """
+import contextlib, gc, importlib, io, json, os, sys
+run, names, watched = map(json.loads, sys.argv[1:])
+code, out, passes = 0, io.StringIO(), []
+if isinstance(run, str):
+    module = importlib.import_module(run)
+else:
+    import winoctx.cli as module
+    gc.callbacks.append(lambda phase, info: passes.append(info["generation"])
+                        if phase == "start" else None)
+    sys.argv = ["winoctx", *run]
+    with contextlib.redirect_stdout(out):
+        code = module.entry()
+    gc.callbacks.clear()
+loaded = [m for m in watched if m in sys.modules]
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps({
+    "code": code, "stdout": out.getvalue(), "loaded": loaded, "threads": threads,
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "passes": passes,
+    "frozen": gc.get_freeze_count() > 0, "collecting": gc.isenabled(),
+    "resolved": {name: getattr(module, name).__module__ if hasattr(module, name) else None
+                 for name in names},
+}))
 """
 
 
-def test_hooked_names_resolve_before_any_command_runs():
-    names = sorted(CLI_HOOKS)
-    proc = python_process("-c", HOOK_PROBE, json.dumps(names))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[f"winoctx.{CLI_HOOKS[n][0]}" for n in names], False]
+@pytest.fixture(scope="module")
+def probed(tmp_path_factory):
+    """name -> what PROBE reports of that row of LOADED_BY."""
+    tmp = tmp_path_factory.mktemp("probe")
+    uniform_three_outcome_cycle(tmp / "model.json")
+    watched, results = json.dumps(ON_DISPATCH + MACHINERY), {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        for name, (run, _, _) in LOADED_BY.items():
+            if not isinstance(run, str):
+                run = [arg.replace("{tmp}", str(tmp)) for arg in run]
+            names = json.dumps([*RESOLVES.get(name, ())])
+            proc = python_process("-c", PROBE, json.dumps(run), names, watched,
+                                  **ENVIRONMENT.get(name, {}))
+            assert proc.returncode == 0, proc.stderr
+            results[name] = json.loads(proc.stdout)
+    return results
+
+
+def commands(probed):
+    """The rows that run an argv through `entry`, with what PROBE reports."""
+    return {name: probed[name] for name, (run, _, _) in LOADED_BY.items()
+            if not isinstance(run, str)}
+
+
+@pytest.mark.parametrize("command", sorted(LOADED_BY))
+def test_each_command_loads_only_the_modules_it_runs(probed, command):
+    _, code, loads = LOADED_BY[command]
+    loaded = probed[command]["loaded"]
+    if "numpy" in loaded:
+        loaded = [m for m in loaded if m not in MACHINERY]
+    assert (probed[command]["code"], sorted(loaded)) == (code, sorted(loads))
+
+
+def test_numpy_loads_only_in_bootstrap_and_on_the_lp_path():
+    assert sorted(name for name, (run, _, loads) in LOADED_BY.items()
+                  if not isinstance(run, str) and "numpy" in loads) == [
+        "analyze-lp", "bootstrap-cf", "bootstrap-violation", "bootstrap-violation-blas-2"]
+
+
+def test_package_exports_resolve_and_load_the_lp_on_first_use(probed):
+    # the "package" row loads neither sheaf nor numpy before the lookup
+    assert probed["package"]["resolved"] == RESOLVES["package"]
+    assert RESOLVES["package"]["contextual_fraction"] == "winoctx.sheaf"
+
+
+def test_hooked_names_resolve_before_any_command_runs(probed):
+    assert probed["import"]["resolved"] == RESOLVES["import"]
+
+
+def test_every_command_runs_on_one_thread(probed):
+    threads = 1 if Path("/proc/self/status").exists() else None
+    runs = {name: result for name, result in commands(probed).items()
+            if name not in ENVIRONMENT}
+    assert dict.fromkeys(runs, (threads, "1")) == {
+        name: (result["threads"], result["blas"]) for name, result in runs.items()}
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "lp"])
+def test_numpy_loads_without_a_blas_thread_pool(probed, command):
+    result = probed["bootstrap-violation" if command == "bootstrap" else "analyze-lp"]
+    threads = 1 if Path("/proc/self/status").exists() else None
+    assert (result["code"], "numpy" in result["loaded"], result["threads"], result["blas"]) == (
+        0, True, threads, "1")
+
+
+def test_a_callers_blas_thread_count_is_kept_and_changes_no_output(probed):
+    kept, default = probed["bootstrap-violation-blas-2"], probed["bootstrap-violation"]
+    assert (kept["code"], kept["blas"]) == (0, "2")
+    assert kept["stdout"] == default["stdout"] != ""
+
+
+@pytest.mark.parametrize("argv, numpy", [
+    (LOADED_BY["bootstrap-violation"][0], True),
+    (LOADED_BY["analyze-responses"][0], False),
+])
+def test_the_process_entry_runs_no_collection_and_freezes_the_heap(probed, argv, numpy):
+    [result] = [probed[name] for name, (run, _, _) in LOADED_BY.items()
+                if run == argv and name not in ENVIRONMENT]
+    # numpy's import, inside the command, runs dozens of passes when collecting
+    assert (result["code"], "numpy" in result["loaded"], result["passes"], result["frozen"],
+            result["collecting"]) == (0, numpy, [], True, True)
+
+
+def test_no_command_collects_in_the_process_entry(probed):
+    runs = commands(probed)
+    assert {name: (result["passes"], result["frozen"], result["collecting"])
+            for name, result in runs.items()} == dict.fromkeys(runs, ([], True, True))
 
 
 @pytest.mark.parametrize("name", sorted(CLI_HOOKS))
@@ -1070,29 +898,17 @@ def test_main_calls_a_wrapper_set_on_the_cli_module(capsys, monkeypatch, name):
     assert (code, err, calls) == (0, "", [name])
 
 
-BOOTSTRAP_ARGV =["bootstrap", fx("cannibal_responses.csv"), fx("cannibal_schema.json")]
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-@pytest.mark.parametrize("command", ["bootstrap", "lp"])
-def test_numpy_loads_without_a_blas_thread_pool(tmp_path, monkeypatch, command):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    argv = (BOOTSTRAP_ARGV + ["--samples", "1000"] if command == "bootstrap" else
-            ["analyze", str(three_outcome_cycle(tmp_path / "model.json"))])
-    [(code, loaded, _, threads, value)] = numpy_probe(argv)
-    assert (code, loaded, threads, value) == (0, True, 1, "1")
-
-
-def test_a_callers_blas_thread_count_is_kept_and_changes_no_output(monkeypatch):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    argv = BOOTSTRAP_ARGV + ["--samples", "3000", "--seed", "11", "--format", "json"]
-    [(code, _, unset, _, _)] = numpy_probe(argv)
-    [(code2, _, two, _, value)] = numpy_probe(argv, OPENBLAS_NUM_THREADS="2")
-    assert (code, code2, value) == (0, 0, "2")
-    assert json.loads(unset)["n_resamples"] == 3000
-    assert two == unset
-
-
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_process_by_sigpipe(unbuffered):
+    # a pipe with no reader from the start: the first write to it fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python_process("-m", "winoctx.cli", "analyze", MODEL, "--format", "json",
+                              stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, "")
 COLLECTOR_CASES = {
     "ok": (["analyze", fx("cannibal_judgment_model.json")], 0),
     "exit-1": (["schema", fx("cannibal_schema.json"), "--instantiate", "nope", "never"], 1),
@@ -1129,32 +945,6 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, 
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
     assert seen == [False]  # paused for the whole command, its parsing included
-
-
-ENTRY_PROBE = """
-import contextlib, gc, io, json, sys
-import winoctx.cli
-passes = []
-gc.callbacks.append(lambda phase, info: passes.append(info["generation"])
-                    if phase == "start" else None)
-sys.argv = ["winoctx", *json.loads(sys.argv[1])]
-numpy_before = "numpy" in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    code = winoctx.cli.entry()
-print(json.dumps([code, numpy_before, "numpy" in sys.modules, passes,
-                  gc.get_freeze_count() > 0, gc.isenabled()]))
-"""
-
-
-@pytest.mark.parametrize("argv, numpy", [
-    (BOOTSTRAP_ARGV + ["--samples", "20000"], True),
-    (LOADED_BY["analyze-responses"][0], False),
-])
-def test_the_process_entry_runs_no_collection_and_freezes_the_heap(argv, numpy):
-    proc = python_process("-c", ENTRY_PROBE, json.dumps(argv))
-    assert proc.returncode == 0, proc.stderr
-    # numpy's import, inside the command, runs dozens of passes when collecting
-    assert json.loads(proc.stdout) == [0, False, numpy, [], True, True]
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():
