@@ -348,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with file descriptor 1 closed: no print would arrive
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     # before numpy loads: no command makes a BLAS call worth a worker thread
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else argv

@@ -909,6 +909,19 @@ def test_a_closed_stdout_ends_the_process_by_sigpipe(unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, "")
+
+
+def test_a_process_started_without_stdout_exits_2_before_reading_input():
+    # the interpreter closes file descriptor 1, then becomes the command, as
+    # `winoctx analyze MISSING >&-` would start: input that does not exist
+    # is never read
+    proc = python_process(
+        "-c", "import os, sys; os.close(1); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'winoctx.cli', *sys.argv[1:]])",
+        "analyze", "no-such-model.json")
+    assert (proc.returncode, proc.stderr) == (2, "error: standard output is closed\n")
+
+
 COLLECTOR_CASES = {
     "ok": (["analyze", fx("cannibal_judgment_model.json")], 0),
     "exit-1": (["schema", fx("cannibal_schema.json"), "--instantiate", "nope", "never"], 1),

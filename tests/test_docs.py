@@ -1,5 +1,7 @@
-"""README states the size limits that the code enforces, and its API sketch runs."""
+"""README states the size limits that the code enforces, its API sketch runs,
+and no test module defines a top-level name twice."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -47,3 +49,13 @@ def test_readme_python_api_sketch_runs_and_prints_the_documented_values(monkeypa
     assert cf == pytest.approx(0.096, abs=1e-9)
     assert cf == pytest.approx(float(closed_form), abs=1e-9)
     assert abs(gap) <= 1e-7
+
+
+def test_no_test_module_defines_a_top_level_name_twice():
+    # Python keeps the last definition of a name, so a test defined twice
+    # would vanish from the suite without a failure
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        names = [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        assert not repeated, f"{path.name} defines {repeated} twice"

@@ -74,26 +74,6 @@ def test_marginalization_is_associative(raw):
             assert stepped[outcome] == pytest.approx(direct[outcome], abs=1e-12)
 
 
-def test_distribution_rejects_negative_and_unnormalized():
-    with pytest.raises(EmpiricalModelError):
-        one_distribution(("p",), ("A", "B"), {("A",): -0.1, ("B",): 1.1})
-    with pytest.raises(EmpiricalModelError):
-        one_distribution(("p",), ("A", "B"), {("A",): 0.7})
-    with pytest.raises(EmpiricalModelError, match="out of range"):
-        one_distribution(("p",), ("A", "B"), {("A",): float("nan"), ("B",): 1.0})
-    with pytest.raises(EmpiricalModelError):
-        one_distribution(("p", "q"), ("A", "B"), {("A",): 1.0})
-
-
-def test_bell_model_is_non_signalling_exactly(bell_model):
-    assert signalling(bell_model) == 0.0
-    assert is_non_signalling(bell_model)
-
-
-def test_judgment_model_is_non_signalling(judgment_model):
-    assert signalling(judgment_model) <= 1e-9
-
-
 def test_signalling_counterexample_reports_discrepancy():
     scenario = MeasurementScenario.from_maximal(
         observables=("a1", "b1", "b2"),
@@ -554,33 +534,6 @@ def test_each_fault_is_named_whatever_the_listing_order(chsh_scenario, fault, ta
         assert str(caught.value) == message.format(c=context)
 
 
-def test_a_bare_distribution_is_checked_when_it_enters_a_model(chsh_scenario):
-    # a Distribution made by hand is a (context, table) pair like any other
-    contexts = chsh_scenario.maximal
-    with pytest.raises(EmpiricalModelError) as caught:
-        EmpiricalModel(chsh_scenario, [Distribution(c, {("0", "0"): 5.0}) for c in contexts])
-    assert str(caught.value) == (f"probability 5.0 for ('0', '0') in context {contexts[0]!r} "
-                                 "out of range")
-
-
-def test_outcome_symmetry(judgment_model, pr_model):
-    assert is_outcome_symmetric(judgment_model)
-    assert is_outcome_symmetric(pr_model)
-
-
-def test_point_mass_model_not_symmetric(chsh_scenario):
-    from winoctx.scenario import maximal_contexts
-
-    tables = {
-        ctx: {("0", "0"): 1.0} for ctx in maximal_contexts(chsh_scenario)
-    }
-    model = EmpiricalModel.build(chsh_scenario, tables)
-    assert not is_outcome_symmetric(model)
-    system = CyclicSystem.from_model(model)
-    assert system.expectations == ((1.0, 1.0),) * 4
-    assert system.correlations == (1.0,) * 4
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_outcome_symmetry_agrees_with_the_label_flip_oracle(data):
@@ -617,64 +570,12 @@ def test_outcome_symmetry_needs_a_binary_outcome_set():
         is_outcome_symmetric(model)
 
 
-def test_expectation_of_symmetric_row_is_zero(judgment_model):
-    system = CyclicSystem.from_model(judgment_model)
-    assert system.expectations == ((0.0, 0.0),) * 4
-
-
-def test_expectation_of_uniform_is_zero(uniform_model):
-    system = CyclicSystem.from_model(uniform_model)
-    assert system.expectations == ((0.0, 0.0),) * 4
-    assert system.correlations == (0.0,) * 4
-
-
-def test_judgment_correlations_match_table(judgment_model):
-    want = {
-        ("(one of them,cannibalistic)", "(one of them,hungry)"): 0.610,
-        ("(one of them,cannibalistic)", "(one of them,alive)"): -0.822,
-        ("(one of them,herbivorous)", "(one of them,hungry)"): 0.382,
-        ("(one of them,herbivorous)", "(one of them,alive)"): 0.378,
-    }
-    system = CyclicSystem.from_model(judgment_model)
-    got = dict(zip(system.contexts, system.correlations))
-    for ctx, value in want.items():
-        assert got[ctx] == pytest.approx(value, abs=1e-9)
-
-
-def test_bell_row_correlation_is_one(bell_model):
-    system = CyclicSystem.from_model(bell_model)
-    assert dict(zip(system.contexts, system.correlations))[("a1", "b1")] == 1.0
-
-
-def test_build_requires_exact_context_cover(chsh_scenario):
-    from winoctx.scenario import maximal_contexts
-
-    tables = {
-        ctx: {("0", "0"): 0.5, ("1", "1"): 0.5}
-        for ctx in maximal_contexts(chsh_scenario)[:3]
-    }
-    with pytest.raises(EmpiricalModelError, match="missing"):
-        EmpiricalModel.build(chsh_scenario, tables)
-    tables = {
-        ctx: {("0", "0"): 0.5, ("1", "1"): 0.5}
-        for ctx in maximal_contexts(chsh_scenario)
-    }
-    tables[("a1", "a2")] = {("0", "0"): 1.0}
-    with pytest.raises(EmpiricalModelError, match="non-context"):
-        EmpiricalModel.build(chsh_scenario, tables)
-
-
 @given(st.lists(st.integers(0, 1024), min_size=4, max_size=4))
-def test_symmetric_models_never_signal(p_numerators):
+def test_symmetric_models_never_signal(chsh_scenario, p_numerators):
     # symmetry forces uniform single-observable marginals, so the
     # discrepancy must vanish bit-for-bit, not just within tolerance
-    from winoctx.files import load_scenario
-    from winoctx.fixtures import fixture_path
-    from conftest import symmetric_tables
-
-    scenario = load_scenario(fixture_path("chsh_scenario.json"))
     p_sames = [k / 2048.0 for k in p_numerators]
-    model = EmpiricalModel.build(scenario, symmetric_tables(scenario, p_sames))
+    model = EmpiricalModel.build(chsh_scenario, symmetric_tables(chsh_scenario, p_sames))
     assert is_outcome_symmetric(model)
     assert signalling(model) == 0.0
     assert CyclicSystem.from_model(model).expectations == ((0.0, 0.0),) * 4

@@ -49,21 +49,6 @@ def spread_records(counts):
     return records
 
 
-def test_record_contract():
-    picks = frozenset(("AA", "BB"))
-    positional = ResponseRecord("r1", "cannibalistic", "hungry", picks)
-    keyword = ResponseRecord(respondent_id="r1", word1="cannibalistic", word2="hungry",
-                             picks=picks)
-    assert positional == keyword
-    assert hash(positional) == hash(keyword)
-    assert len({positional, keyword}) == 1
-    assert (positional.respondent_id, positional.word1, positional.word2,
-            positional.picks) == ("r1", "cannibalistic", "hungry", picks)
-    assert positional != ResponseRecord("r2", "cannibalistic", "hungry", picks)
-    with pytest.raises(AttributeError):
-        positional.word1 = "herbivorous"
-
-
 @pytest.mark.parametrize("pick1, pick2",
                          [(a, b) for a in PICKS for b in PICKS if a != b])
 def test_aggregate_decides_validity_by_pick_pair(cannibal, pick1, pick2):
@@ -452,13 +437,6 @@ def test_aggregate_names_the_unknown_record_and_leaves_repeats_alone(cannibal):
     assert repeated_ids(records) == ["r1"]
 
 
-def test_tally_invariants():
-    with pytest.raises(IngestError):
-        ContextTally(n_total=2, n_same=2, n_diff=1)
-    with pytest.raises(IngestError):
-        ContextTally(n_total=2, n_same=-1, n_diff=0)
-
-
 def test_a_tallys_valid_count_is_derived_and_read_only():
     tally = ContextTally(n_total=5, n_same=2, n_diff=1)
     assert tally.n_valid == 3
@@ -481,12 +459,3 @@ def test_tally_distribution_exact_half_split():
 def test_tally_distribution_refuses_empty():
     with pytest.raises(IngestError):
         tally_distribution(ContextTally(n_total=3, n_same=0, n_diff=0), ("A", "B"))
-
-
-def test_bundled_response_file_parses_clean(cannibal):
-    result = parse_responses(fixture_path("cannibal_responses.csv"))
-    assert not result.problems
-    assert len(result.records) == 410
-    model, tallies = aggregate(result.records, cannibal)
-    assert sum(t.n_valid for t in tallies.values()) == 348
-    assert is_outcome_symmetric(model)

@@ -3,13 +3,7 @@ import pytest
 
 from oracles import brute_force_lp, random_bounded_lp
 from winoctx import linprog
-from winoctx.linprog import (
-    LpError,
-    LpNumericalError,
-    LpProblem,
-    LpSizeError,
-    solve,
-)
+from winoctx.linprog import LpNumericalError, LpProblem, solve
 
 
 def lp(objective, lhs, rhs):
@@ -41,12 +35,6 @@ def test_unbounded():
     # x can grow forever: the only row bounds it from below
     sol = solve(lp([1.0], [[-1.0]], [1.0]))
     assert sol.status == "unbounded"
-
-
-def test_negative_rhs_requires_phase_one():
-    # -x <= -3 cuts the origin off; the one-phase solver has no start there
-    with pytest.raises(LpError, match="rhs must be >= 0"):
-        lp([-1.0], [[-1.0]], [-3.0])
 
 
 def test_zero_rhs_degenerate():
@@ -97,23 +85,7 @@ def test_deterministic_replay():
     assert first.iterations == second.iterations
 
 
-def test_dimension_cap():
-    n = 1025
-    with pytest.raises(LpSizeError):
-        lp(np.ones(n), np.ones((1, n)), [1.0])
-
-
-def test_rejects_nonfinite_rhs():
-    with pytest.raises(LpError):
-        lp([1.0], [[1.0]], [np.inf])
-
-
-def test_rejects_shape_mismatch():
-    with pytest.raises(LpError):
-        lp([1.0, 2.0], [[1.0]], [1.0])
-
-
-def test_primal_residual_small_on_equalities():
+def test_solutions_are_primal_feasible():
     rng = np.random.default_rng(99)
     for _ in range(20):
         problem = random_bounded_lp(rng)

@@ -1,15 +1,12 @@
 import re
 
-import numpy as np
 import pytest
 
-from winoctx.empirical import EmpiricalModel
 from winoctx.files import load_json, load_schema, schema_from_dict
 from winoctx.fixtures import fixture_path
 from winoctx.ingest import aggregate
 from winoctx.scenario import cyclic_structure, maximal_contexts, validate
 from winoctx.schema import SchemaError, WinogradSchema, instantiate, observable_id, ws_scenario
-from winoctx.sheaf import contextual_fraction
 
 
 def rebuilt(schema, **changes):
@@ -112,19 +109,6 @@ def test_sid_mark_flagged_non_conforming():
     path = fixture_path("sid_mark_schema.json")
     assert problems_of(load_schema, path) == SID_MARK_PROBLEMS
     assert problems_of(schema_from_dict, load_json(path)) == SID_MARK_PROBLEMS
-
-
-def test_gws_validation_catches_bad_templates(cannibal):
-    problems = problems_of(
-        WinogradSchema,
-        noun_phrases=cannibal.noun_phrases,
-        pronouns=cannibal.pronouns,
-        special=cannibal.special,
-        alternate=cannibal.alternate,
-        template="no markers at all",
-    )
-    assert any("word1" in p for p in problems)
-    assert any("pron2" in p for p in problems)
 
 
 def test_problem_list_of_templates_without_markers(cannibal, councilmen):
@@ -249,17 +233,3 @@ def test_instantiate_ws(trophy):
 
 def test_observable_id_format():
     assert observable_id("it1", "small") == "(it1,small)"
-
-
-def test_ws_models_have_zero_contextual_fraction(councilmen):
-    scenario = ws_scenario(councilmen)
-    rng = np.random.default_rng(13)
-    first, second = scenario.outcomes
-    for _ in range(10):
-        p, q = rng.integers(0, 1025, size=2) / 1024.0
-        tables = {
-            ctx: {(first,): w, (second,): 1.0 - w}
-            for ctx, w in zip(maximal_contexts(scenario), (p, q))
-        }
-        model = EmpiricalModel.build(scenario, tables)
-        assert contextual_fraction(model).cf == 0.0

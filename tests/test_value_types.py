@@ -4,6 +4,13 @@ equality, hashing, immutability, repr and the errors on invalid input.
 Every case names a type, positional arguments that build one instance, and
 a second argument list that differs in one field.  A field is read back
 under the name the constructor takes it by.
+
+Each behaviour of the unit suites has one home.  `INVALID`, below, is the
+one home of constructor refusals, and `GATE_FAULTS` in test_empirical.py
+that of faults in a model's tables: a new refusal is a row there, not a test
+of its own.  A unit module does not restate an acceptance criterion
+(test_acceptance.py) or what a golden record (tests/golden/) pins, and a
+fact about a bundled fixture is asserted in one place.
 """
 
 import importlib
@@ -48,8 +55,8 @@ def model():
     return EmpiricalModel.build(SCENARIO, {ctx: TABLE for ctx in CTXS})
 
 
-# (type, positional arguments, the same with one field changed, formerly
-# frozen, hashable)
+# (type, positional arguments, the same with one field changed, whether
+# its fields refuse assignment and deletion, hashable)
 CASES = {
     "CyclicStructure": (CyclicStructure, (OBS, CTXS), (OBS[::-1], CTXS), True, True),
     "MeasurementScenario": (MeasurementScenario, (OBS, FACES, ("A", "B")),
@@ -292,6 +299,23 @@ INVALID = [
      EmpiricalModelError, "outcome ('A', 'C') is not a joint outcome of context ('a', 'b')"),
     (29, EmpiricalModel, (SCENARIO, (Distribution(CTXS[0], {("A", "A"): 5.0}), *DISTS[1:])),
      EmpiricalModelError, "probability 5.0 for ('A', 'A') in context ('a', 'b') out of range"),
+    (30, LpProblem, (np.ones(1025), np.ones((1, 1025)), [1.0]), LpSizeError,
+     "1x1025 problem exceeds the 1024x1024 cap"),
+    (31, LpProblem, ([1.0], [[1.0]], [math.inf]), LpError, "non-finite coefficients"),
+    # the violation statistic is cnt1 on every draw, so cnt1 is not a second one
+    (32, BootstrapConfig, (10, 0, "cnt1"), BootstrapError,
+     "unknown statistic 'cnt1', pick one of ['violation', 'cf']"),
+    (33, BootstrapConfig, (10, 0, "cf", 1, -1e-9), BootstrapError,
+     "tol must be a finite number >= 0"),
+    (34, BootstrapConfig, (10, 0, "cf", 1, math.inf), BootstrapError,
+     "tol must be a finite number >= 0"),
+    (35, EmpiricalModel, (SCENARIO, (Distribution(CTXS[0], {("A", "A"): -0.1, ("B", "B"): 1.1}),
+                                     *DISTS[1:])),
+     EmpiricalModelError, "probability -0.1 for ('A', 'A') in context ('a', 'b') out of range"),
+    # the range test is written so that NaN fails it
+    (36, EmpiricalModel, (SCENARIO, (Distribution(CTXS[0], {("A", "A"): math.nan,
+                                                            ("B", "B"): 1.0}), *DISTS[1:])),
+     EmpiricalModelError, "probability nan for ('A', 'A') in context ('a', 'b') out of range"),
 ]
 
 
